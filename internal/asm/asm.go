@@ -83,7 +83,9 @@ type Label struct {
 	Name string
 }
 
-// Ins is a machine instruction, optionally with a symbolic operand. When
+// Ins is a machine instruction, optionally with a symbolic operand. It is
+// an Item by pointer (*Ins): instruction streams are large, and a
+// pointer into a caller-owned slab boxes without a per-item copy. When
 // Sym is non-empty the instruction's relative operand (branch Rel or
 // RIP-relative memory displacement) is resolved to Sym+Add at assembly
 // time, overriding the numeric value in X.
@@ -144,7 +146,7 @@ type Space struct {
 }
 
 func (Label) isItem()    {}
-func (Ins) isItem()      {}
+func (*Ins) isItem()     {}
 func (Bytes) isItem()    {}
 func (Quad) isItem()     {}
 func (QuadLit) isItem()  {}
@@ -159,11 +161,11 @@ func (Space) isItem()    {}
 func (s *Section) L(name string) { s.Items = append(s.Items, Label{Name: name}) }
 
 // I appends a plain instruction.
-func (s *Section) I(in x86.Inst) { s.Items = append(s.Items, Ins{X: in}) }
+func (s *Section) I(in x86.Inst) { s.Items = append(s.Items, &Ins{X: in}) }
 
 // IS appends an instruction whose relative operand targets sym+add.
 func (s *Section) IS(in x86.Inst, sym string, add int64) {
-	s.Items = append(s.Items, Ins{X: in, Sym: sym, Add: add})
+	s.Items = append(s.Items, &Ins{X: in, Sym: sym, Add: add})
 }
 
 // IDiff appends an instruction whose memory-operand displacement is
@@ -177,7 +179,7 @@ func (s *Section) IDiff(in x86.Inst, plus, minus string) {
 		m.Wide = true
 		in.Src = m
 	}
-	s.Items = append(s.Items, Ins{X: in, DispPlus: plus, DispMinus: minus})
+	s.Items = append(s.Items, &Ins{X: in, DispPlus: plus, DispMinus: minus})
 }
 
 // Raw appends literal bytes.
@@ -208,7 +210,7 @@ func ItemString(it Item) string {
 	switch v := it.(type) {
 	case Label:
 		return v.Name + ":"
-	case Ins:
+	case *Ins:
 		return "\t" + insString(v)
 	case Bytes:
 		return fmt.Sprintf("\t.byte %d bytes", len(v.Data))
@@ -244,7 +246,7 @@ func symPlus(sym string, add int64) string {
 }
 
 // insString renders an instruction, substituting the symbolic operand.
-func insString(v Ins) string {
+func insString(v *Ins) string {
 	if v.Sym == "" {
 		return v.X.String()
 	}

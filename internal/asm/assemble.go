@@ -160,7 +160,7 @@ func (a *assembler) buildInfo() error {
 				infos[ii] = itemInfo{kind: kLabel, name: v.Name}
 			case AlignTo:
 				infos[ii] = itemInfo{kind: kAlign, size: v.N}
-			case Ins:
+			case *Ins:
 				if v.Sym != "" {
 					if _, isRel := v.X.Src.(x86.Rel); isRel && (v.X.Op == x86.JMP || v.X.Op == x86.JCC) {
 						in := v.X
@@ -323,7 +323,7 @@ func (a *assembler) layoutLegacy() error {
 
 func (a *assembler) itemSize(si, ii int, it Item, addr uint64) (uint64, error) {
 	switch v := it.(type) {
-	case Ins:
+	case *Ins:
 		in := v.X
 		if v.Sym != "" {
 			if _, isRel := in.Src.(x86.Rel); isRel && (in.Op == x86.JMP || in.Op == x86.JCC) {
@@ -366,7 +366,7 @@ func (a *assembler) growBranches() (bool, error) {
 			if inf.kind != kBranch || inf.long {
 				continue
 			}
-			v := s.Items[ii].(Ins)
+			v := s.Items[ii].(*Ins)
 			target, ok := a.syms[v.Sym]
 			if !ok {
 				return false, fmt.Errorf("asm: undefined symbol %q in section %s", v.Sym, s.Name)
@@ -386,7 +386,7 @@ func (a *assembler) growBranchesLegacy() (bool, error) {
 	grown := false
 	for si, s := range a.prog.Sections {
 		for ii, it := range s.Items {
-			v, ok := it.(Ins)
+			v, ok := it.(*Ins)
 			if !ok || v.Sym == "" {
 				continue
 			}
@@ -493,7 +493,7 @@ func (a *assembler) emitItem(si, ii int, it Item, addr uint64) ([]byte, []Reloc,
 	switch v := it.(type) {
 	case Label:
 		return nil, nil, nil
-	case Ins:
+	case *Ins:
 		return a.emitIns(si, ii, v, addr)
 	case Bytes:
 		return v.Data, nil, nil
@@ -541,7 +541,7 @@ func (a *assembler) emitItemTo(res *Result, data []byte, si, ii int, it Item, ad
 	switch v := it.(type) {
 	case Label:
 		return data, nil
-	case Ins:
+	case *Ins:
 		return a.emitInsTo(data, si, ii, v, addr)
 	case Bytes:
 		return append(data, v.Data...), nil
@@ -592,7 +592,7 @@ func appendZeros(data []byte, n int) []byte {
 
 // emitInsTo is emitIns in appending form, using the cached item sizes
 // and the allocation-free EncodeAppend.
-func (a *assembler) emitInsTo(data []byte, si, ii int, v Ins, addr uint64) ([]byte, error) {
+func (a *assembler) emitInsTo(data []byte, si, ii int, v *Ins, addr uint64) ([]byte, error) {
 	in := v.X
 	if v.DispPlus != "" || v.DispMinus != "" {
 		b, _, err := a.emitInsDiff(v)
@@ -652,7 +652,7 @@ func (a *assembler) emitInsTo(data []byte, si, ii int, v Ins, addr uint64) ([]by
 	return data, nil
 }
 
-func (a *assembler) emitIns(si, ii int, v Ins, addr uint64) ([]byte, []Reloc, error) {
+func (a *assembler) emitIns(si, ii int, v *Ins, addr uint64) ([]byte, []Reloc, error) {
 	in := v.X
 	if v.DispPlus != "" || v.DispMinus != "" {
 		return a.emitInsDiff(v)
@@ -713,7 +713,7 @@ func (a *assembler) emitIns(si, ii int, v Ins, addr uint64) ([]byte, []Reloc, er
 
 // emitInsDiff encodes an instruction whose memory displacement carries a
 // symbol difference.
-func (a *assembler) emitInsDiff(v Ins) ([]byte, []Reloc, error) {
+func (a *assembler) emitInsDiff(v *Ins) ([]byte, []Reloc, error) {
 	plus, ok := a.resolve(v.DispPlus)
 	if !ok {
 		return nil, nil, fmt.Errorf("undefined symbol %q", v.DispPlus)

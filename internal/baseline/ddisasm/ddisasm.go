@@ -156,7 +156,7 @@ func (t *Tool) buildProgram(f *elfx.File, g *cfg.Graph, entries []serialize.Entr
 		for _, l := range e.Labels {
 			text.L(l)
 		}
-		text.Items = append(text.Items, asm.Ins{X: e.Inst, Sym: e.Target, Add: e.Addend})
+		text.Items = append(text.Items, &asm.Ins{X: e.Inst, Sym: e.Target, Add: e.Addend})
 	}
 
 	// Relocation targets (for rebuilding .quad entries symbolically).

@@ -121,6 +121,11 @@ func sectionAt(f *elfx.File, addr uint64) (*elfx.Section, uint64) {
 	return nil, 0
 }
 
+// ownerBytesPerInst sizes the owner map up front: one decoded
+// instruction per this many text bytes. Compiled code averages about 3.4
+// bytes per instruction, so the map seldom grows.
+const ownerBytesPerInst = 3
+
 type ownerRef struct {
 	block *Block
 	idx   int
@@ -143,6 +148,11 @@ type builder struct {
 
 	// plane memoizes decode results per text offset (nil in Legacy mode).
 	plane *x86.Plane
+
+	// insts/sizes are decode's scratch: a block's instructions are
+	// appended here and copied once into exact-size Block slices.
+	insts []x86.Inst
+	sizes []int
 
 	// graphVersion counts graph mutations (new block, split, new entry,
 	// new table base). A dispatch whose table was analyzed at the current
@@ -215,7 +225,7 @@ func Build(f *elfx.File, opts Options) (*Graph, error) {
 			TextEnd:   text.Addr + text.Size,
 			File:      f,
 		},
-		owner:      make(map[uint64]ownerRef),
+		owner:      make(map[uint64]ownerRef, min(int64(len(text.Data)/ownerBytesPerInst), opts.MaxTotalInsts)),
 		entrySet:   make(map[uint64]bool),
 		knownBases: make(map[uint64]bool),
 		tableVer:   make(map[uint64]uint64),
@@ -390,22 +400,27 @@ func (b *builder) ensureBlock(addr uint64) *Block {
 }
 
 // split cuts block y before instruction idx, creating the tail block and
-// fall-through edge (the Figure 5 discover/split/merge sequence).
+// fall-through edge (the Figure 5 discover/split/merge sequence). The
+// tail shares y's backing arrays; both halves are capped so neither can
+// grow into the other.
 func (b *builder) split(y *Block, idx int) *Block {
-	addrs := y.InstAddrs()
-	cut := addrs[idx]
+	cut := y.Addr
+	for _, s := range y.Sizes[:idx] {
+		cut += uint64(s)
+	}
+	n := len(y.Insts)
 	z := &Block{
 		Addr:    cut,
-		Insts:   append([]x86.Inst(nil), y.Insts[idx:]...),
-		Sizes:   append([]int(nil), y.Sizes[idx:]...),
+		Insts:   y.Insts[idx:n:n],
+		Sizes:   y.Sizes[idx:n:n],
 		Succs:   y.Succs,
 		Fall:    y.Fall,
 		HasFall: y.HasFall,
 		Invalid: y.Invalid,
 		Table:   y.Table,
 	}
-	y.Insts = y.Insts[:idx]
-	y.Sizes = y.Sizes[:idx]
+	y.Insts = y.Insts[:idx:idx]
+	y.Sizes = y.Sizes[:idx:idx]
 	y.Succs = nil
 	y.Fall = cut
 	y.HasFall = true
@@ -414,8 +429,10 @@ func (b *builder) split(y *Block, idx int) *Block {
 	b.graphVersion++
 	delete(b.tableVer, y.Addr) // y's terminator changed; reanalyze
 	b.g.Blocks[cut] = z
-	for i := idx; i < len(addrs); i++ {
-		b.owner[addrs[i]] = ownerRef{block: z, idx: i - idx}
+	a := cut
+	for i, s := range z.Sizes {
+		b.owner[a] = ownerRef{block: z, idx: i}
+		a += uint64(s)
 	}
 	if z.Table != nil {
 		z.Table.BlockAdr = cut
@@ -442,6 +459,20 @@ func (b *builder) decode(addr uint64) *Block {
 		return blk
 	}
 
+	b.insts, b.sizes = b.insts[:0], b.sizes[:0]
+	b.decodeInsts(blk, addr)
+	if n := len(b.insts); n > 0 {
+		blk.Insts = make([]x86.Inst, n)
+		blk.Sizes = make([]int, n)
+		copy(blk.Insts, b.insts)
+		copy(blk.Sizes, b.sizes)
+	}
+	return blk
+}
+
+// decodeInsts decodes blk's instructions from addr into the builder's
+// scratch slices, setting the block's edges and validity as it ends.
+func (b *builder) decodeInsts(blk *Block, addr uint64) {
 	cur := addr
 	for {
 		if cur != addr {
@@ -449,25 +480,25 @@ func (b *builder) decode(addr uint64) *Block {
 			if _, ok := b.g.Blocks[cur]; ok {
 				blk.Fall = cur
 				blk.HasFall = true
-				return blk
+				return
 			}
 			if ref, ok := b.owner[cur]; ok && ref.block != blk {
 				b.split(ref.block, ref.idx)
 				blk.Fall = cur
 				blk.HasFall = true
-				return blk
+				return
 			}
 		}
-		if !b.inText(cur) || len(blk.Insts) >= b.opts.MaxBlockInsts {
+		if !b.inText(cur) || len(b.insts) >= b.opts.MaxBlockInsts {
 			blk.Invalid = true
-			return blk
+			return
 		}
 		b.totalInsts++
 		if b.totalInsts > b.opts.MaxTotalInsts {
 			b.fail(fmt.Errorf("cfg: %w",
 				&harden.BudgetExceeded{Resource: "cfg.insts", Limit: b.opts.MaxTotalInsts}))
 			blk.Invalid = true
-			return blk
+			return
 		}
 		off := cur - b.text.Addr
 		var in x86.Inst
@@ -480,11 +511,11 @@ func (b *builder) decode(addr uint64) *Block {
 		}
 		if err != nil {
 			blk.Invalid = true
-			return blk
+			return
 		}
-		b.owner[cur] = ownerRef{block: blk, idx: len(blk.Insts)}
-		blk.Insts = append(blk.Insts, in)
-		blk.Sizes = append(blk.Sizes, size)
+		b.owner[cur] = ownerRef{block: blk, idx: len(b.insts)}
+		b.insts = append(b.insts, in)
+		b.sizes = append(b.sizes, size)
 		next := cur + uint64(size)
 
 		// Decode-time harvest (plane mode): a RIP-relative reference to
@@ -500,7 +531,7 @@ func (b *builder) decode(addr uint64) *Block {
 
 		switch in.Op {
 		case x86.RET, x86.UD2, x86.HLT, x86.INT3:
-			return blk
+			return
 		case x86.JMP:
 			if tgt, ok := in.BranchTarget(cur, size); ok {
 				if b.inText(tgt) {
@@ -511,19 +542,19 @@ func (b *builder) decode(addr uint64) *Block {
 				}
 			}
 			// Indirect jumps are resolved later by table analysis.
-			return blk
+			return
 		case x86.JCC:
 			if tgt, ok := in.BranchTarget(cur, size); ok && b.inText(tgt) {
 				blk.Succs = append(blk.Succs, tgt)
 				b.enqueue(tgt)
 			} else {
 				blk.Invalid = true
-				return blk
+				return
 			}
 			blk.Fall = next
 			blk.HasFall = true
 			b.enqueue(next)
-			return blk
+			return
 		case x86.CALL:
 			// Calls do not end blocks: the fall-through edge is included
 			// without non-returning analysis (§3.2.2). Direct call
@@ -533,7 +564,7 @@ func (b *builder) decode(addr uint64) *Block {
 					b.addEntry(tgt)
 				} else {
 					blk.Invalid = true
-					return blk
+					return
 				}
 			}
 		}

@@ -461,7 +461,7 @@ func Render(entries []serialize.Entry, sets map[string]uint64) string {
 		for _, l := range e.Labels {
 			sec.L(l)
 		}
-		sec.Items = append(sec.Items, asm.Ins{X: e.Inst, Sym: e.Target, Add: e.Addend})
+		sec.Items = append(sec.Items, &asm.Ins{X: e.Inst, Sym: e.Target, Add: e.Addend})
 	}
 	return asm.Print(&prog)
 }

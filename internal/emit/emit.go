@@ -81,13 +81,22 @@ func Emit(in Input) ([]byte, *Layout, error) {
 	text.Align = elfx.PageSize
 	text.Addr = newBase
 	text.HasAddr = true
-	for _, e := range in.Entries {
+	// One slab holds every instruction; the items point into it, and the
+	// item list is sized exactly (labels plus instructions).
+	slab := make([]asm.Ins, len(in.Entries))
+	n := len(in.Entries)
+	for i := range in.Entries {
+		n += len(in.Entries[i].Labels)
+	}
+	text.Items = make([]asm.Item, 0, n)
+	for i := range in.Entries {
+		e := &in.Entries[i]
 		for _, l := range e.Labels {
 			text.L(l)
 		}
-		ins := asm.Ins{X: e.Inst, Sym: e.Target, Add: e.Addend,
+		slab[i] = asm.Ins{X: e.Inst, Sym: e.Target, Add: e.Addend,
 			DispPlus: e.DiffPlus, DispMinus: e.DiffMinus}
-		text.Items = append(text.Items, ins)
+		text.Items = append(text.Items, &slab[i])
 	}
 
 	ro := prog.Section(".suri.rodata", asm.Alloc)

@@ -6,7 +6,10 @@
 package serialize
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"repro/internal/cfg"
 	"repro/internal/harden"
@@ -45,22 +48,49 @@ type Entry struct {
 const TrapLabel = "LTRAP"
 
 // LabelFor names the new-code label of an original instruction address.
-func LabelFor(addr uint64) string { return fmt.Sprintf("LC_%x", addr) }
+func LabelFor(addr uint64) string { return "LC_" + strconv.FormatUint(addr, 16) }
 
 // Serialize linearizes the superset CFG. Blocks are emitted in ascending
 // address order; a block whose fall-through successor is not the next
 // emitted block gets an explicit jump (Algorithm 1's add_br_instruction).
 // Invalid (bogus) blocks keep their decoded prefix and end in a trap.
+//
+// The stream is allocated once: its length is counted up front, and its
+// capacity also covers the dispatch fixes the symbolizer inserts, so
+// later stages edit it in place.
 func Serialize(g *cfg.Graph) ([]Entry, error) {
 	if err := harden.Inject(harden.FPSerialize); err != nil {
 		return nil, fmt.Errorf("serialize: %w", err)
 	}
 	blocks := g.SortedBlocks()
-	var out []Entry
+
+	// Every block start is a label; one slab holds them all, and each
+	// block's label list is a capped one-element window into it, so an
+	// append by a later stage copies instead of clobbering a neighbour.
+	names := make([]string, len(blocks))
+	n := 1 // the shared trap
+	for bi, b := range blocks {
+		names[bi] = LabelFor(b.Addr)
+		n += len(b.Insts)
+		if len(b.Insts) == 0 || b.Invalid || (b.HasFall && !fallsThrough(blocks, bi)) {
+			n++ // a lone trap, a sealing trap, or an explicit jump
+		}
+	}
+	// labelOf resolves a branch target to its block's label, or the trap
+	// when the target starts no block (bogus code only).
+	labelOf := func(tgt uint64) string {
+		i, ok := slices.BinarySearchFunc(blocks, tgt, func(b *cfg.Block, a uint64) int {
+			return cmp.Compare(b.Addr, a)
+		})
+		if !ok {
+			return TrapLabel
+		}
+		return names[i]
+	}
+	out := make([]Entry, 0, n+fixRoom(g))
 
 	for bi, b := range blocks {
-		labels := []string{LabelFor(b.Addr)}
-		addrs := b.InstAddrs()
+		labels := names[bi : bi+1 : bi+1]
 
 		if len(b.Insts) == 0 {
 			// Degenerate invalid block (undecodable first byte): emit a
@@ -73,26 +103,25 @@ func Serialize(g *cfg.Graph) ([]Entry, error) {
 			continue
 		}
 
+		addr := b.Addr
 		for i, in := range b.Insts {
+			size := b.Sizes[i]
 			e := Entry{
 				Labels: labels,
 				Inst:   in,
-				Addr:   addrs[i],
-				Size:   b.Sizes[i],
+				Addr:   addr,
+				Size:   size,
 			}
 			labels = nil
 			// Direct branches become symbolic immediately: their targets
 			// are blocks (or harvested entries) by construction. Targets
 			// with no block only occur in bogus (never-executed) code and
 			// are routed to the trap.
-			if tgt, ok := in.BranchTarget(addrs[i], b.Sizes[i]); ok {
-				if _, known := g.Blocks[tgt]; known {
-					e.Target = LabelFor(tgt)
-				} else {
-					e.Target = TrapLabel
-				}
+			if tgt, ok := in.BranchTarget(addr, size); ok {
+				e.Target = labelOf(tgt)
 			}
 			out = append(out, e)
+			addr += uint64(size)
 		}
 
 		switch {
@@ -100,7 +129,7 @@ func Serialize(g *cfg.Graph) ([]Entry, error) {
 			// Bogus path: never executed; seal it.
 			out = append(out, Entry{Inst: x86.Inst{Op: x86.UD2}, Synth: true})
 		case b.HasFall:
-			if bi+1 < len(blocks) && blocks[bi+1].Addr == b.Fall {
+			if fallsThrough(blocks, bi) {
 				break // natural adjacency
 			}
 			out = append(out, Entry{
@@ -118,6 +147,23 @@ func Serialize(g *cfg.Graph) ([]Entry, error) {
 		Synth:  true,
 	})
 	return out, nil
+}
+
+// fallsThrough reports whether block bi's fall-through successor is the
+// next block in address order, so no explicit jump is needed.
+func fallsThrough(blocks []*cfg.Block, bi int) bool {
+	return bi+1 < len(blocks) && blocks[bi+1].Addr == blocks[bi].Fall
+}
+
+// fixRoom bounds the entries the symbolizer inserts for g's dispatch
+// sites: one lea per single-base table, and a 6n-3 entry if-then-else
+// chain for n candidate bases, so 6 per base covers both.
+func fixRoom(g *cfg.Graph) int {
+	n := 0
+	for _, t := range g.Tables {
+		n += 6 * len(t.Bases)
+	}
+	return n
 }
 
 // Count reports original and synthesized instruction counts, the

@@ -9,6 +9,7 @@ package symbolize
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/asm"
 	"repro/internal/cfg"
@@ -24,7 +25,8 @@ type Result struct {
 	TableItems []asm.Item
 
 	// Sets are additional absolute labels needed by the base-comparison
-	// code (original table addresses).
+	// code (original table addresses); nil when no site has several
+	// candidate bases.
 	Sets map[string]uint64
 
 	// Tables counts symbolized dispatch sites; MultiBase those that
@@ -47,11 +49,16 @@ func TableLabel(base uint64) string { return fmt.Sprintf("LJT_%x", base) }
 // Symbolize rewrites the serialized stream S into S': dispatch fixes are
 // inserted before each jump-table load, and the isolated tables are
 // returned for placement in a new read-only section.
+//
+// Symbolize consumes its input: the fixes are inserted into entries'
+// backing array (serialize.Serialize reserves the capacity for them), so
+// the caller must use only the returned stream afterwards. When the
+// graph has no tables the input is returned unchanged.
 func Symbolize(entries []serialize.Entry, g *cfg.Graph) ([]serialize.Entry, *Result, error) {
 	if err := harden.Inject(harden.FPSymbolize); err != nil {
 		return nil, nil, fmt.Errorf("symbolize: %w", err)
 	}
-	res := &Result{Sets: make(map[string]uint64)}
+	res := &Result{}
 
 	// Group dispatch sites by load address (two tables can share one
 	// load through superset merging), unioning candidate bases.
@@ -89,36 +96,80 @@ func Symbolize(entries []serialize.Entry, g *cfg.Graph) ([]serialize.Entry, *Res
 			res.NewEntries += n
 		}
 	}
+	if len(sites) == 0 {
+		return entries, res, nil
+	}
 
-	// Insert base-fix code before each load site.
-	var out []serialize.Entry
+	// First pass: build every base fix, in stream order, into one
+	// exact-size buffer, noting where each goes.
+	room := 0
+	for _, s := range sites {
+		room += fixLen(len(s.bases))
+	}
+	fixes := make([]serialize.Entry, 0, room)
+	at := make([]insertion, 0, len(sites))
 	labelN := 0
 	newLabel := func(p string) string {
 		labelN++
 		return fmt.Sprintf(".Lsym_%s%d", p, labelN)
 	}
-	for _, e := range entries {
-		if !e.Synth && e.Addr != 0 {
-			if s, ok := sites[e.Addr]; ok {
-				fix := buildFix(s.baseReg, s.bases, res, newLabel)
-				res.Inserted += len(fix)
-				res.Tables++
-				if len(s.bases) > 1 {
-					res.MultiBase++
-				}
-				// The load may carry labels (the block can be split here
-				// by a bogus over-approximated target, and the serializer
-				// may route real control flow through an explicit jump to
-				// that label). The fix must dominate every path into the
-				// load, so the labels move onto its first instruction.
-				fix[0].Labels = append(e.Labels, fix[0].Labels...)
-				e.Labels = nil
-				out = append(out, fix...)
-			}
+	for i := range entries {
+		e := &entries[i]
+		if e.Synth || e.Addr == 0 {
+			continue
 		}
-		out = append(out, e)
+		s, ok := sites[e.Addr]
+		if !ok {
+			continue
+		}
+		start := len(fixes)
+		fixes = buildFix(fixes, s.baseReg, s.bases, res, newLabel)
+		fix := fixes[start:]
+		res.Inserted += len(fix)
+		res.Tables++
+		if len(s.bases) > 1 {
+			res.MultiBase++
+		}
+		// The load may carry labels (the block can be split here by a
+		// bogus over-approximated target, and the serializer may route
+		// real control flow through an explicit jump to that label).
+		// The fix must dominate every path into the load, so the labels
+		// move onto its first instruction.
+		fix[0].Labels = append(e.Labels, fix[0].Labels...)
+		e.Labels = nil
+		at = append(at, insertion{pos: i, start: start})
 	}
-	return out, res, nil
+	return insertFixes(entries, fixes, at), res, nil
+}
+
+// insertion places the fix that starts at fixes[start] (and runs to the
+// next insertion's start) before stream entry pos.
+type insertion struct{ pos, start int }
+
+// insertFixes inserts the fixes into entries' backing array, growing it
+// only if the reserved capacity falls short. Entries move from the back,
+// each exactly once.
+func insertFixes(entries, fixes []serialize.Entry, at []insertion) []serialize.Entry {
+	n := len(entries)
+	out := slices.Grow(entries, len(fixes))[:n+len(fixes)]
+	r, w, end := n, len(out), len(fixes)
+	for k := len(at) - 1; k >= 0; k-- {
+		pos, fix := at[k].pos, fixes[at[k].start:end]
+		w -= r - pos
+		copy(out[w:], out[pos:r])
+		w -= len(fix)
+		copy(out[w:], fix)
+		r, end = pos, at[k].start
+	}
+	return out
+}
+
+// fixLen is the length of buildFix's output for n candidate bases.
+func fixLen(n int) int {
+	if n == 1 {
+		return 1
+	}
+	return 6*n - 3
 }
 
 func containsU64(xs []uint64, v uint64) bool {
@@ -149,8 +200,9 @@ func buildTable(g *cfg.Graph, base uint64, targets []uint64) ([]asm.Item, int, e
 // buildFix synthesizes the base-redirection code inserted before the
 // table load. With one candidate base the fix is a single unconditional
 // lea; with several it is the §3.5.2 if-then-else chain comparing the
-// live base register against each original table address.
-func buildFix(baseReg x86.Reg, bases []uint64, res *Result, newLabel func(string) string) []serialize.Entry {
+// live base register against each original table address. The fix is
+// appended to dst.
+func buildFix(dst []serialize.Entry, baseReg x86.Reg, bases []uint64, res *Result, newLabel func(string) string) []serialize.Entry {
 	lea := func(target string) serialize.Entry {
 		return serialize.Entry{
 			Inst: x86.Inst{Op: x86.LEA, W: 8, Dst: baseReg,
@@ -160,7 +212,7 @@ func buildFix(baseReg x86.Reg, bases []uint64, res *Result, newLabel func(string
 		}
 	}
 	if len(bases) == 1 {
-		return []serialize.Entry{lea(TableLabel(bases[0]))}
+		return append(dst, lea(TableLabel(bases[0])))
 	}
 
 	scratch := x86.R11
@@ -168,8 +220,7 @@ func buildFix(baseReg x86.Reg, bases []uint64, res *Result, newLabel func(string
 		scratch = x86.R10
 	}
 	done := newLabel("done")
-	var out []serialize.Entry
-	out = append(out, serialize.Entry{Inst: x86.Inst{Op: x86.PUSH, Src: scratch}, Synth: true})
+	out := append(dst, serialize.Entry{Inst: x86.Inst{Op: x86.PUSH, Src: scratch}, Synth: true})
 	for i, base := range bases {
 		if i == len(bases)-1 {
 			// Conservative analysis guarantees the true base is among the
@@ -178,6 +229,9 @@ func buildFix(baseReg x86.Reg, bases []uint64, res *Result, newLabel func(string
 			break
 		}
 		origLbl := repair.OrigLabel(base)
+		if res.Sets == nil {
+			res.Sets = make(map[string]uint64)
+		}
 		res.Sets[origLbl] = base
 		next := newLabel("next")
 		out = append(out,

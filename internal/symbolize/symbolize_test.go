@@ -1,6 +1,8 @@
 package symbolize
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/asm"
@@ -121,7 +123,7 @@ func TestBuildFixMultiBase(t *testing.T) {
 	res := &Result{Sets: map[string]uint64{}}
 	n := 0
 	newLabel := func(p string) string { n++; return p + "x" }
-	fix := buildFix(x86.RDX, []uint64{0x2000, 0x3000}, res, newLabel)
+	fix := buildFix(nil, x86.RDX, []uint64{0x2000, 0x3000}, res, newLabel)
 	// Must contain: push scratch, per-base compare chain, final
 	// unconditional lea, pop scratch.
 	if fix[0].Inst.Op != x86.PUSH {
@@ -149,8 +151,147 @@ func TestBuildFixMultiBase(t *testing.T) {
 		t.Errorf("expected 1 original-base set, got %d", len(res.Sets))
 	}
 	// Scratch register selection must avoid the base register.
-	fix2 := buildFix(x86.R11, []uint64{0x2000, 0x3000}, res, newLabel)
+	fix2 := buildFix(nil, x86.R11, []uint64{0x2000, 0x3000}, res, newLabel)
 	if r, ok := fix2[0].Inst.Src.(x86.Reg); !ok || r == x86.R11 {
 		t.Error("scratch register collides with base register")
+	}
+}
+
+// referenceSymbolize is the straightforward append-based construction of
+// S' that Symbolize's in-place insertion must reproduce: a fresh stream,
+// each load preceded by its fix, the load's labels moved onto the fix.
+func referenceSymbolize(entries []serialize.Entry, g *cfg.Graph) ([]serialize.Entry, *Result) {
+	res := &Result{}
+	bases := map[uint64][]uint64{}
+	regs := map[uint64]x86.Reg{}
+	for _, t := range g.Tables {
+		if _, ok := regs[t.LoadAddr]; !ok {
+			regs[t.LoadAddr] = t.BaseReg
+		}
+		for _, b := range t.Bases {
+			if !containsU64(bases[t.LoadAddr], b) {
+				bases[t.LoadAddr] = append(bases[t.LoadAddr], b)
+			}
+		}
+	}
+	n := 0
+	newLabel := func(p string) string {
+		n++
+		return fmt.Sprintf(".Lsym_%s%d", p, n)
+	}
+	var out []serialize.Entry
+	for _, e := range entries {
+		if bs, ok := bases[e.Addr]; ok && !e.Synth && e.Addr != 0 {
+			fix := buildFix(nil, regs[e.Addr], bs, res, newLabel)
+			fix[0].Labels = append(append([]string(nil), e.Labels...), fix[0].Labels...)
+			e.Labels = nil
+			out = append(out, fix...)
+			res.Inserted += len(fix)
+			res.Tables++
+			if len(bs) > 1 {
+				res.MultiBase++
+			}
+		}
+		out = append(out, e)
+	}
+	return out, res
+}
+
+// inPlaceCase is a synthetic stream of twelve instructions with dispatch
+// sites on the first entry, the last entry, and two adjacent entries;
+// the second adjacent load carries labels and is shared by two tables
+// whose bases are unioned.
+func inPlaceCase() ([]serialize.Entry, *cfg.Graph) {
+	const base = 0x1000
+	entries := make([]serialize.Entry, 12)
+	for i := range entries {
+		entries[i] = serialize.Entry{Inst: x86.Inst{Op: x86.NOP}, Addr: base + 4*uint64(i), Size: 4}
+	}
+	entries[0].Labels = []string{"first"}
+	entries[3].Labels = []string{"mid"}
+	entries[6].Labels = []string{"split_a", "split_b"}
+	at := func(i int) uint64 { return base + 4*uint64(i) }
+	tgt := at(2)
+	table := func(load int, reg x86.Reg, bases ...uint64) *cfg.JumpTable {
+		t := &cfg.JumpTable{LoadAddr: at(load), BaseReg: reg, Bases: bases,
+			Targets: map[uint64][]uint64{}}
+		for _, b := range bases {
+			t.Targets[b] = []uint64{tgt, 0xdead}
+		}
+		return t
+	}
+	g := &cfg.Graph{
+		Blocks: map[uint64]*cfg.Block{tgt: {Addr: tgt}},
+		Tables: []*cfg.JumpTable{
+			table(0, x86.RDX, 0x5000, 0x5100, 0x5200),
+			table(5, x86.RCX, 0x5300),
+			table(6, x86.R11, 0x5400),
+			table(6, x86.R11, 0x5400, 0x5500),
+			table(11, x86.RAX, 0x5600, 0x5700),
+		},
+	}
+	return entries, g
+}
+
+func cloneEntries(es []serialize.Entry, extra int) []serialize.Entry {
+	out := make([]serialize.Entry, len(es), len(es)+extra)
+	copy(out, es)
+	return out
+}
+
+// TestSymbolizeInPlaceMatchesAppend checks the in-place insertion
+// against the append-based reference, both when the input reserves room
+// for the fixes (as Serialize's output does; no reallocation) and when it
+// has none (the array must grow).
+func TestSymbolizeInPlaceMatchesAppend(t *testing.T) {
+	for _, extra := range []int{0, 64} {
+		entries, g := inPlaceCase()
+		want, wantRes := referenceSymbolize(cloneEntries(entries, 0), g)
+		in := cloneEntries(entries, extra)
+		out, res, err := Symbolize(in, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out, want) {
+			for i := range want {
+				if i >= len(out) || !reflect.DeepEqual(out[i], want[i]) {
+					t.Fatalf("room %d: entry %d differs:\n got %+v\nwant %+v", extra, i, out[min(i, len(out)-1)], want[i])
+				}
+			}
+			t.Fatalf("room %d: %d entries, want %d", extra, len(out), len(want))
+		}
+		if res.Tables != wantRes.Tables || res.MultiBase != wantRes.MultiBase ||
+			res.Inserted != wantRes.Inserted || !reflect.DeepEqual(res.Sets, wantRes.Sets) {
+			t.Errorf("room %d: result %d/%d/%d %v, want %d/%d/%d %v", extra,
+				res.Tables, res.MultiBase, res.Inserted, res.Sets,
+				wantRes.Tables, wantRes.MultiBase, wantRes.Inserted, wantRes.Sets)
+		}
+		if res.Tables != 4 || res.MultiBase != 3 {
+			t.Errorf("room %d: %d sites (%d multi-base), want 4 (3)", extra, res.Tables, res.MultiBase)
+		}
+		if reused := &out[0] == &in[:1][0]; reused != (extra >= res.Inserted) {
+			t.Errorf("room %d: backing array reused = %v with %d inserted", extra, reused, res.Inserted)
+		}
+	}
+}
+
+// TestSymbolizeNoTablesInPlace: without tables the input stream comes
+// back as is, and the only allocation is the *Result itself.
+func TestSymbolizeNoTablesInPlace(t *testing.T) {
+	entries, g := inPlaceCase()
+	g.Tables = nil
+	out, _, err := Symbolize(entries, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(entries) || &out[0] != &entries[0] {
+		t.Fatal("no-table stream was copied")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := Symbolize(entries, g); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("no-table Symbolize made %.0f allocations, want 1 (the Result)", n)
 	}
 }

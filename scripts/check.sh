@@ -15,7 +15,8 @@
 # smoke pass that replays the checked-in seed corpora under
 # testdata/fuzz/ without the fuzzing engine, and the fleet e2e smoke
 # (a coordinator fronting two in-process rewrite workers, including the
-# kill-one-worker-mid-batch failover test). Run from the repo root.
+# kill-one-worker-mid-batch failover test), and the benchmark module's
+# vet and tests. Run from the repo root.
 # Fails fast on the first problem.
 set -eu
 cd "$(dirname "$0")/.."
@@ -49,7 +50,10 @@ go test -race -run 'Plane|Frozen|Shared' ./internal/x86/... ./internal/cfg/...
 # invalidation across reloads (TestPlaneInvalidationBetweenRuns).
 go test -race -count=1 -run 'TestConcurrentSharedPlanesTiered|TestPlaneInvalidationBetweenRuns' \
     ./internal/emu/tiered/
-go test -run 'Allocs$' -count=1 ./internal/x86/... ./internal/emu/...
+# Allocation gates: cached plane decode and the emulator fetch span must
+# stay allocation-free; a whole rewrite must stay under its malloc and
+# byte ceilings (each pipeline stage sizes its stream once).
+go test -run 'Allocs$' -count=1 ./internal/x86/... ./internal/emu/... ./internal/core/...
 # Observability gates: the disabled paths (nil collector, live collector
 # without a flight recorder) must stay allocation-free, and the wire
 # formats (Prometheus exposition, flight JSON, trace JSON) must match
@@ -80,4 +84,7 @@ go build -o "$fuzzdir/surifuzz" ./cmd/surifuzz
 "$fuzzdir/surifuzz" -seeds 25 -start 1 -shape small > "$fuzzdir/run2.txt"
 cmp "$fuzzdir/run1.txt" "$fuzzdir/run2.txt"
 grep -q '^findings: 0$' "$fuzzdir/run1.txt"
+# The benchmark module (its own go.mod, outside `go test ./...`): its
+# traced driver calls the stage APIs directly, so vet and test it here.
+(cd benchmark && go vet . && go test -count=1 .)
 echo "check.sh: OK"
