@@ -253,8 +253,8 @@ func BenchmarkEmulatorTiered(b *testing.B) {
 // benchHotBin compiles the compute-heavy engine-ladder module once:
 // ~7M retired instructions per run, so execution dwarfs load/parse
 // setup and insts/sec measures the engine, not the loader. (The
-// standard bench module retires only ~17k instructions — fine for the
-// optimized-vs-legacy pairing, useless for comparing engines.)
+// standard bench module retires only ~17k instructions — fine for
+// pipeline benchmarks, useless for comparing engines.)
 func benchHotBin(b *testing.B) []byte {
 	b.Helper()
 	p := prog.Generate("bench_hot", 11, prog.Shape{Funcs: 8, Switches: 3, Globals: 8, MainLoop: 2048, Stmts: 12, NumInputs: 1})
@@ -487,62 +487,5 @@ func BenchmarkRewriteFlight(b *testing.B) {
 		if _, err := suri.Rewrite(bin, suri.Options{Obs: col.WithRequest("bench")}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// The *Legacy benchmarks below run the pre-optimization hot paths kept
-// in-tree as paired baselines (cfg.Options.Legacy, emu LegacyDecode,
-// asm.AssembleLegacy). scripts/bench.sh runs each pair back to back and
-// records the medians in BENCH_perf.json; the determinism guards
-// (TestRewriteLegacyParityAcrossSuites and friends) prove both paths
-// produce byte-identical output, so the deltas are pure speed.
-
-// BenchmarkRewriteLegacy is BenchmarkRewrite through the legacy decode
-// loop and re-measure-everything relaxer.
-func BenchmarkRewriteLegacy(b *testing.B) {
-	bin := benchRewriteBin(b)
-	b.SetBytes(int64(len(bin)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := suri.Rewrite(bin, suri.Options{LegacyHotPaths: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSupersetCFGLegacy is BenchmarkSupersetCFG without the decode
-// plane or version-skipped table reanalysis.
-func BenchmarkSupersetCFGLegacy(b *testing.B) {
-	bin := benchRewriteBin(b)
-	f, err := elfx.Read(bin)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := cfg.DefaultOptions()
-	opts.Legacy = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Build(f, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEmulatorLegacy is BenchmarkEmulator through the per-address
-// map icache and byte-at-a-time fetch.
-func BenchmarkEmulatorLegacy(b *testing.B) {
-	bin := benchRewriteBin(b)
-	var steps uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := emu.Run(bin, emu.Options{LegacyDecode: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.Steps
-	}
-	b.StopTimer()
-	if b.N > 0 {
-		b.ReportMetric(float64(steps)/float64(b.N), "instructions/op")
 	}
 }

@@ -65,37 +65,24 @@ func (r *Result) SectionData(name string) *OutSection {
 // Relaxation is incremental: encoded lengths are computed once per item
 // (symbolic branches once per form), so each layout round is pure address
 // arithmetic and each grow pass re-examines only branches still short.
-// Emission appends into one reused buffer per section. AssembleLegacy
-// runs the pre-optimization algorithm; both produce identical bytes.
+// Emission appends into one buffer per section.
 func Assemble(p *Program, base uint64) (*Result, error) {
-	a := assembler{prog: p, base: base, long: make(map[[2]int]bool)}
-	return a.run()
-}
-
-// AssembleLegacy is the pre-optimization assembler: every relaxation
-// round recomputes every item's encoded length from scratch and emission
-// encodes into fresh per-item buffers. It is retained as the paired
-// benchmark baseline and as the oracle for determinism tests — its
-// output is byte-identical to Assemble's.
-func AssembleLegacy(p *Program, base uint64) (*Result, error) {
-	a := assembler{prog: p, base: base, long: make(map[[2]int]bool), legacy: true}
+	a := assembler{prog: p, base: base}
 	return a.run()
 }
 
 type assembler struct {
-	prog   *Program
-	base   uint64
-	long   map[[2]int]bool // (section, item) -> branch forced to rel32
-	legacy bool
+	prog *Program
+	base uint64
 
 	syms   map[string]uint64
 	addrs  [][]uint64 // per section, per item
 	starts []uint64   // per section start address
 	ends   []uint64   // per section end address
 
-	// info caches per-item layout facts (nil in legacy mode): the fixed
-	// encoded size of non-branch items and both form lengths of symbolic
-	// branches, computed once before the first round.
+	// info caches per-item layout facts: the fixed encoded size of
+	// non-branch items and both form lengths of symbolic branches,
+	// computed once before the first round.
 	info [][]itemInfo
 }
 
@@ -119,10 +106,8 @@ type itemInfo struct {
 const maxRelaxRounds = 64
 
 func (a *assembler) run() (*Result, error) {
-	if !a.legacy {
-		if err := a.buildInfo(); err != nil {
-			return nil, err
-		}
+	if err := a.buildInfo(); err != nil {
+		return nil, err
 	}
 	rounds := 0
 	for round := 0; ; round++ {
@@ -179,14 +164,14 @@ func (a *assembler) buildInfo() error {
 						continue
 					}
 				}
-				n, err := a.itemSize(si, ii, it, 0)
+				n, err := x86.EncodedLen(v.X)
 				if err != nil {
 					return fmt.Errorf("asm: section %s item %d: %w", s.Name, ii, err)
 				}
-				infos[ii] = itemInfo{kind: kOther, size: n}
+				infos[ii] = itemInfo{kind: kOther, size: uint64(n)}
 			default:
 				// Bytes/Quad/QuadLit/LongLit/LongDiff/Space: constant size.
-				n, err := a.itemSize(si, ii, it, 0)
+				n, err := dataSize(it)
 				if err != nil {
 					return fmt.Errorf("asm: section %s item %d: %w", s.Name, ii, err)
 				}
@@ -199,13 +184,10 @@ func (a *assembler) buildInfo() error {
 }
 
 // layout assigns addresses to every item and defines all symbols under the
-// current relaxation state. In incremental mode this is pure arithmetic
-// over the item-info cache; symbol/address storage is allocated on the
-// first round and reused afterwards.
+// current relaxation state. This is pure arithmetic over the item-info
+// cache; symbol/address storage is allocated on the first round and
+// reused afterwards.
 func (a *assembler) layout() error {
-	if a.legacy {
-		return a.layoutLegacy()
-	}
 	first := a.syms == nil
 	if first {
 		a.syms = make(map[string]uint64)
@@ -271,79 +253,15 @@ func (a *assembler) layout() error {
 	return nil
 }
 
-// layoutLegacy is the pre-optimization layout pass: fresh maps/slices and
-// a full itemSize recomputation every round.
-func (a *assembler) layoutLegacy() error {
-	a.syms = make(map[string]uint64)
-	for _, set := range a.prog.Sets {
-		if _, dup := a.syms[set.Name]; dup {
-			return fmt.Errorf("asm: duplicate symbol %q", set.Name)
-		}
-		a.syms[set.Name] = set.Addr
-	}
-	a.addrs = make([][]uint64, len(a.prog.Sections))
-	a.starts = make([]uint64, len(a.prog.Sections))
-	a.ends = make([]uint64, len(a.prog.Sections))
-
-	cursor := a.base
-	for si, s := range a.prog.Sections {
-		align := s.Align
-		if align == 0 {
-			align = 1
-		}
-		cursor = alignUp(cursor, align)
-		if s.HasAddr {
-			if s.Addr < cursor {
-				return fmt.Errorf("asm: section %s fixed at %#x overlaps previous section ending at %#x",
-					s.Name, s.Addr, cursor)
-			}
-			cursor = s.Addr
-		}
-		a.starts[si] = cursor
-		a.addrs[si] = make([]uint64, len(s.Items))
-		for ii, it := range s.Items {
-			a.addrs[si][ii] = cursor
-			if lbl, ok := it.(Label); ok {
-				if _, dup := a.syms[lbl.Name]; dup {
-					return fmt.Errorf("asm: duplicate symbol %q in section %s", lbl.Name, s.Name)
-				}
-				a.syms[lbl.Name] = cursor
-				continue
-			}
-			n, err := a.itemSize(si, ii, it, cursor)
-			if err != nil {
-				return fmt.Errorf("asm: section %s item %d: %w", s.Name, ii, err)
-			}
-			cursor += n
-		}
-		a.ends[si] = cursor
-	}
-	return nil
-}
-
-func (a *assembler) itemSize(si, ii int, it Item, addr uint64) (uint64, error) {
+// dataSize is the encoded size of a data item.
+func dataSize(it Item) (uint64, error) {
 	switch v := it.(type) {
-	case *Ins:
-		in := v.X
-		if v.Sym != "" {
-			if _, isRel := in.Src.(x86.Rel); isRel && (in.Op == x86.JMP || in.Op == x86.JCC) {
-				in.Src = x86.Rel(0)
-				in.LongBranch = a.long[[2]int{si, ii}]
-			}
-		}
-		n, err := x86.EncodedLen(in)
-		return uint64(n), err
 	case Bytes:
 		return uint64(len(v.Data)), nil
 	case Quad, QuadLit:
 		return 8, nil
 	case LongLit, LongDiff:
 		return 4, nil
-	case AlignTo:
-		if v.N == 0 {
-			return 0, nil
-		}
-		return alignUp(addr, v.N) - addr, nil
 	case Space:
 		return v.N, nil
 	}
@@ -351,12 +269,9 @@ func (a *assembler) itemSize(si, ii int, it Item, addr uint64) (uint64, error) {
 }
 
 // growBranches promotes any symbolic rel8 branch whose displacement no
-// longer fits. It reports whether anything changed. In incremental mode
-// only still-short branches are examined, with cached form lengths.
+// longer fits. It reports whether anything changed. Only still-short
+// branches are examined, with cached form lengths.
 func (a *assembler) growBranches() (bool, error) {
-	if a.legacy {
-		return a.growBranchesLegacy()
-	}
 	grown := false
 	for si := range a.prog.Sections {
 		s := a.prog.Sections[si]
@@ -374,7 +289,6 @@ func (a *assembler) growBranches() (bool, error) {
 			rel := int64(target) + v.Add - int64(a.addrs[si][ii]+inf.shortLen)
 			if rel < -128 || rel > 127 {
 				inf.long = true
-				a.long[[2]int{si, ii}] = true
 				grown = true
 			}
 		}
@@ -382,61 +296,25 @@ func (a *assembler) growBranches() (bool, error) {
 	return grown, nil
 }
 
-func (a *assembler) growBranchesLegacy() (bool, error) {
-	grown := false
-	for si, s := range a.prog.Sections {
-		for ii, it := range s.Items {
-			v, ok := it.(*Ins)
-			if !ok || v.Sym == "" {
-				continue
-			}
-			if _, isRel := v.X.Src.(x86.Rel); !isRel || (v.X.Op != x86.JMP && v.X.Op != x86.JCC) {
-				continue
-			}
-			key := [2]int{si, ii}
-			if a.long[key] {
-				continue
-			}
-			target, ok := a.syms[v.Sym]
-			if !ok {
-				return false, fmt.Errorf("asm: undefined symbol %q in section %s", v.Sym, s.Name)
-			}
-			size, err := a.itemSize(si, ii, it, a.addrs[si][ii])
-			if err != nil {
-				return false, err
-			}
-			rel := int64(target) + v.Add - int64(a.addrs[si][ii]+size)
-			if rel < -128 || rel > 127 {
-				a.long[key] = true
-				grown = true
-			}
+// sizeOf returns the laid-out size of item ii of section si at addr.
+func (a *assembler) sizeOf(si, ii int, addr uint64) uint64 {
+	inf := &a.info[si][ii]
+	switch inf.kind {
+	case kLabel:
+		return 0
+	case kBranch:
+		if inf.long {
+			return inf.longLen
 		}
-	}
-	return grown, nil
-}
-
-// sizeOf returns the item's laid-out size, from the cache when present.
-func (a *assembler) sizeOf(si, ii int, it Item, addr uint64) (uint64, error) {
-	if a.info != nil {
-		inf := &a.info[si][ii]
-		switch inf.kind {
-		case kLabel:
-			return 0, nil
-		case kBranch:
-			if inf.long {
-				return inf.longLen, nil
-			}
-			return inf.shortLen, nil
-		case kAlign:
-			if inf.size == 0 {
-				return 0, nil
-			}
-			return alignUp(addr, inf.size) - addr, nil
-		default:
-			return inf.size, nil
+		return inf.shortLen
+	case kAlign:
+		if inf.size == 0 {
+			return 0
 		}
+		return alignUp(addr, inf.size) - addr
+	default:
+		return inf.size
 	}
-	return a.itemSize(si, ii, it, addr)
 }
 
 func (a *assembler) emit() (*Result, error) {
@@ -463,18 +341,8 @@ func (a *assembler) emit() (*Result, error) {
 		}
 		data := make([]byte, 0, out.Size)
 		for ii, it := range s.Items {
-			addr := a.addrs[si][ii]
-			if a.legacy {
-				b, relocs, err := a.emitItem(si, ii, it, addr)
-				if err != nil {
-					return nil, fmt.Errorf("asm: section %s item %d (%s): %w", s.Name, ii, ItemString(it), err)
-				}
-				data = append(data, b...)
-				res.Relocs = append(res.Relocs, relocs...)
-				continue
-			}
 			var err error
-			data, err = a.emitItemTo(res, data, si, ii, it, addr)
+			data, err = a.emitItemTo(res, data, si, ii, it, a.addrs[si][ii])
 			if err != nil {
 				return nil, fmt.Errorf("asm: section %s item %d (%s): %w", s.Name, ii, ItemString(it), err)
 			}
@@ -489,54 +357,8 @@ func (a *assembler) emit() (*Result, error) {
 	return res, nil
 }
 
-func (a *assembler) emitItem(si, ii int, it Item, addr uint64) ([]byte, []Reloc, error) {
-	switch v := it.(type) {
-	case Label:
-		return nil, nil, nil
-	case *Ins:
-		return a.emitIns(si, ii, v, addr)
-	case Bytes:
-		return v.Data, nil, nil
-	case Quad:
-		target, ok := a.resolve(v.Sym)
-		if !ok {
-			return nil, nil, fmt.Errorf("undefined symbol %q", v.Sym)
-		}
-		val := uint64(int64(target) + v.Add)
-		return binary.LittleEndian.AppendUint64(nil, val), []Reloc{{Offset: addr, Addend: val}}, nil
-	case QuadLit:
-		return binary.LittleEndian.AppendUint64(nil, uint64(v)), nil, nil
-	case LongLit:
-		return binary.LittleEndian.AppendUint32(nil, uint32(v)), nil, nil
-	case LongDiff:
-		plus, ok := a.resolve(v.Plus)
-		if !ok {
-			return nil, nil, fmt.Errorf("undefined symbol %q", v.Plus)
-		}
-		minus, ok := a.resolve(v.Minus)
-		if !ok {
-			return nil, nil, fmt.Errorf("undefined symbol %q", v.Minus)
-		}
-		diff := int64(plus) - int64(minus) + v.Add
-		if diff < -1<<31 || diff > 1<<31-1 {
-			return nil, nil, fmt.Errorf("difference %s-%s = %#x exceeds 32 bits", v.Plus, v.Minus, diff)
-		}
-		return binary.LittleEndian.AppendUint32(nil, uint32(int32(diff))), nil, nil
-	case AlignTo:
-		size, _ := a.itemSize(si, ii, it, addr)
-		sec := a.prog.Sections[si]
-		if sec.Flags&Exec != 0 {
-			return x86.NopBytes(int(size)), nil, nil
-		}
-		return make([]byte, size), nil, nil
-	case Space:
-		return make([]byte, v.N), nil, nil
-	}
-	return nil, nil, fmt.Errorf("unknown item type %T", it)
-}
-
 // emitItemTo appends the item's bytes to data (relocations go straight
-// into res), avoiding the per-item allocations of the legacy path.
+// into res).
 func (a *assembler) emitItemTo(res *Result, data []byte, si, ii int, it Item, addr uint64) ([]byte, error) {
 	switch v := it.(type) {
 	case Label:
@@ -572,7 +394,7 @@ func (a *assembler) emitItemTo(res *Result, data []byte, si, ii int, it Item, ad
 		}
 		return binary.LittleEndian.AppendUint32(data, uint32(int32(diff))), nil
 	case AlignTo:
-		size, _ := a.sizeOf(si, ii, it, addr)
+		size := a.sizeOf(si, ii, addr)
 		if a.prog.Sections[si].Flags&Exec != 0 {
 			return x86.AppendNopBytes(data, int(size)), nil
 		}
@@ -590,13 +412,12 @@ func appendZeros(data []byte, n int) []byte {
 	return data
 }
 
-// emitInsTo is emitIns in appending form, using the cached item sizes
-// and the allocation-free EncodeAppend.
+// emitInsTo appends the encoding of instruction item ii of section si,
+// resolving its symbolic operand against the cached item sizes.
 func (a *assembler) emitInsTo(data []byte, si, ii int, v *Ins, addr uint64) ([]byte, error) {
 	in := v.X
 	if v.DispPlus != "" || v.DispMinus != "" {
-		b, _, err := a.emitInsDiff(v)
-		return append(data, b...), err
+		return a.emitInsDiffTo(data, v)
 	}
 	if v.Sym == "" {
 		return x86.EncodeAppend(data, in)
@@ -605,20 +426,18 @@ func (a *assembler) emitInsTo(data []byte, si, ii int, v *Ins, addr uint64) ([]b
 	if !ok {
 		return data, fmt.Errorf("undefined symbol %q", v.Sym)
 	}
-	size, err := a.sizeOf(si, ii, v, addr)
-	if err != nil {
-		return data, err
-	}
+	size := a.sizeOf(si, ii, addr)
 	dest := int64(target) + v.Add
 	rel := dest - int64(addr+size)
 	mark := len(data)
+	var err error
 
 	if _, isRel := in.Src.(x86.Rel); isRel {
 		if rel < -1<<31 || rel > 1<<31-1 {
 			return data, fmt.Errorf("branch to %q out of rel32 range (%#x)", v.Sym, rel)
 		}
 		in.Src = x86.Rel(int32(rel))
-		in.LongBranch = a.long[[2]int{si, ii}]
+		in.LongBranch = a.info[si][ii].long
 		data, err = x86.EncodeAppend(data, in)
 		if err != nil {
 			return data, err
@@ -652,87 +471,28 @@ func (a *assembler) emitInsTo(data []byte, si, ii int, v *Ins, addr uint64) ([]b
 	return data, nil
 }
 
-func (a *assembler) emitIns(si, ii int, v *Ins, addr uint64) ([]byte, []Reloc, error) {
-	in := v.X
-	if v.DispPlus != "" || v.DispMinus != "" {
-		return a.emitInsDiff(v)
-	}
-	if v.Sym == "" {
-		b, err := x86.Encode(in)
-		return b, nil, err
-	}
-	target, ok := a.resolve(v.Sym)
-	if !ok {
-		return nil, nil, fmt.Errorf("undefined symbol %q", v.Sym)
-	}
-	size, err := a.itemSize(si, ii, v, addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	dest := int64(target) + v.Add
-	rel := dest - int64(addr+size)
-
-	if _, isRel := in.Src.(x86.Rel); isRel {
-		if rel < -1<<31 || rel > 1<<31-1 {
-			return nil, nil, fmt.Errorf("branch to %q out of rel32 range (%#x)", v.Sym, rel)
-		}
-		in.Src = x86.Rel(int32(rel))
-		in.LongBranch = a.long[[2]int{si, ii}]
-		b, err := x86.Encode(in)
-		if err != nil {
-			return nil, nil, err
-		}
-		if uint64(len(b)) != size {
-			return nil, nil, fmt.Errorf("branch size drifted: assumed %d, got %d", size, len(b))
-		}
-		return b, nil, nil
-	}
-
-	m, ok := in.MemArg()
-	if !ok || !m.Rip {
-		return nil, nil, fmt.Errorf("symbolic operand %q on instruction without relative operand: %s", v.Sym, in)
-	}
-	if rel < -1<<31 || rel > 1<<31-1 {
-		return nil, nil, fmt.Errorf("RIP reference to %q out of disp32 range (%#x)", v.Sym, rel)
-	}
-	m.Disp = int32(rel)
-	if _, isMem := in.Dst.(x86.Mem); isMem {
-		in.Dst = m
-	} else {
-		in.Src = m
-	}
-	b, err := x86.Encode(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	if uint64(len(b)) != size {
-		return nil, nil, fmt.Errorf("RIP operand size drifted: assumed %d, got %d", size, len(b))
-	}
-	return b, nil, nil
-}
-
-// emitInsDiff encodes an instruction whose memory displacement carries a
-// symbol difference.
-func (a *assembler) emitInsDiff(v *Ins) ([]byte, []Reloc, error) {
+// emitInsDiffTo appends the encoding of an instruction whose memory
+// displacement carries a symbol difference.
+func (a *assembler) emitInsDiffTo(data []byte, v *Ins) ([]byte, error) {
 	plus, ok := a.resolve(v.DispPlus)
 	if !ok {
-		return nil, nil, fmt.Errorf("undefined symbol %q", v.DispPlus)
+		return data, fmt.Errorf("undefined symbol %q", v.DispPlus)
 	}
 	minus, ok := a.resolve(v.DispMinus)
 	if !ok {
-		return nil, nil, fmt.Errorf("undefined symbol %q", v.DispMinus)
+		return data, fmt.Errorf("undefined symbol %q", v.DispMinus)
 	}
 	in := v.X
 	m, ok := in.MemArg()
 	if !ok || m.Rip {
-		return nil, nil, fmt.Errorf("displacement difference requires a non-RIP memory operand: %s", in)
+		return data, fmt.Errorf("displacement difference requires a non-RIP memory operand: %s", in)
 	}
 	if !m.Wide {
-		return nil, nil, fmt.Errorf("displacement difference requires a Wide memory operand: %s", in)
+		return data, fmt.Errorf("displacement difference requires a Wide memory operand: %s", in)
 	}
 	diff := int64(m.Disp) + int64(plus) - int64(minus)
 	if diff < -1<<31 || diff > 1<<31-1 {
-		return nil, nil, fmt.Errorf("displacement %s-%s = %#x exceeds 32 bits", v.DispPlus, v.DispMinus, diff)
+		return data, fmt.Errorf("displacement %s-%s = %#x exceeds 32 bits", v.DispPlus, v.DispMinus, diff)
 	}
 	m.Disp = int32(diff)
 	if _, isMem := in.Dst.(x86.Mem); isMem {
@@ -740,8 +500,7 @@ func (a *assembler) emitInsDiff(v *Ins) ([]byte, []Reloc, error) {
 	} else {
 		in.Src = m
 	}
-	b, err := x86.Encode(in)
-	return b, nil, err
+	return x86.EncodeAppend(data, in)
 }
 
 func (a *assembler) resolve(name string) (uint64, bool) {

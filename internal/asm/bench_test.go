@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// The incremental-vs-legacy assembler pair; scripts/bench.sh captures
-// the whole-pipeline version of this in BENCH_perf.json.
+// benchProgram is a large seeded program with several relaxation
+// rounds.
 func benchProgram() *Program { return randomProgram(rand.New(rand.NewSource(3)), 4000) }
 
 func BenchmarkAssemble(b *testing.B) {
@@ -15,17 +15,6 @@ func BenchmarkAssemble(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Assemble(p, 0x1000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAssembleLegacy(b *testing.B) {
-	p := benchProgram()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AssembleLegacy(p, 0x1000); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -70,20 +70,6 @@ type Options struct {
 	// harden.ErrCanceled. Callers wire a context's Done channel here.
 	Cancel <-chan struct{}
 
-	// Plane, if non-nil, is a pre-warmed decode plane over the text
-	// section's bytes, letting repeated builds of the same binary (e.g.
-	// validated-rewrite retries) skip re-decoding. It must have been
-	// built over the same text slab; a mismatched plane is ignored.
-	// When nil, the builder allocates a fresh plane (unless Legacy).
-	Plane *x86.Plane
-
-	// Legacy disables the decode-plane hot paths: every decode runs the
-	// raw decoder, entry harvesting rescans all blocks each round, and
-	// jump-table analysis re-runs for every dispatch every round. This
-	// is the pre-optimization behaviour, retained as the paired-bench
-	// baseline and the oracle for determinism tests.
-	Legacy bool
-
 	// Trace, if set, records sub-spans of the build (entry harvesting,
 	// recursive disassembly, jump-table slicing). Nil disables tracing
 	// at zero cost.
@@ -146,9 +132,6 @@ type builder struct {
 	knownBases  map[uint64]bool
 	useBarriers bool
 
-	// plane memoizes decode results per text offset (nil in Legacy mode).
-	plane *x86.Plane
-
 	// insts/sizes are decode's scratch: a block's instructions are
 	// appended here and copied once into exact-size Block slices.
 	insts []x86.Inst
@@ -162,7 +145,7 @@ type builder struct {
 	tableVer     map[uint64]uint64
 
 	// harvestGrew records whether decode-time harvesting added an entry
-	// since the last round boundary (replaces the legacy full rescan).
+	// since the last round boundary.
 	harvestGrew bool
 
 	// totalInsts counts instructions decoded across the whole build
@@ -230,16 +213,12 @@ func Build(f *elfx.File, opts Options) (*Graph, error) {
 		knownBases: make(map[uint64]bool),
 		tableVer:   make(map[uint64]uint64),
 	}
-	if !opts.Legacy {
-		b.plane = opts.Plane
-		if b.plane == nil || b.plane.Len() != len(text.Data) {
-			b.plane = x86.NewPlane(text.Data)
-		}
-		b.g.Plane = b.plane
-	}
 	if err := b.run(); err != nil {
 		return nil, err
 	}
+	// Every counted instruction was decoded: the only count that skips
+	// its decode trips the budget and fails the build.
+	b.g.decodes = uint64(b.totalInsts)
 	return b.g, nil
 }
 
@@ -264,17 +243,10 @@ func (b *builder) run() error {
 		span = tr.Start("disasm")
 		span.SetInt("round", int64(round))
 		b.drain()
-		var grew bool
-		if b.opts.Legacy {
-			// Legacy: rescan every block for RIP references to endbr64.
-			grew = b.harvestFromCode()
-			b.drain()
-		} else {
-			// Plane mode: harvesting happened inline at decode time (each
-			// instruction is scanned exactly once, when first decoded).
-			grew = b.harvestGrew
-			b.harvestGrew = false
-		}
+		// Harvesting happened inline at decode time: each instruction is
+		// scanned exactly once, when first decoded.
+		grew := b.harvestGrew
+		b.harvestGrew = false
 		span.SetInt("blocks", int64(len(b.g.Blocks)))
 		span.End()
 		if b.err != nil {
@@ -501,14 +473,7 @@ func (b *builder) decodeInsts(blk *Block, addr uint64) {
 			return
 		}
 		off := cur - b.text.Addr
-		var in x86.Inst
-		var size int
-		var err error
-		if b.plane != nil {
-			in, size, err = b.plane.Decode(int(off))
-		} else {
-			in, size, err = x86.Decode(b.text.Data[off:])
-		}
+		in, size, err := x86.Decode(b.text.Data[off:])
 		if err != nil {
 			blk.Invalid = true
 			return
@@ -518,14 +483,12 @@ func (b *builder) decodeInsts(blk *Block, addr uint64) {
 		b.sizes = append(b.sizes, size)
 		next := cur + uint64(size)
 
-		// Decode-time harvest (plane mode): a RIP-relative reference to
+		// Decode-time harvest (§3.2.1): a RIP-relative reference to
 		// endbr64 is a static property of the instruction, so scanning it
-		// once here replaces the legacy per-round rescan of every block.
-		if !b.opts.Legacy {
-			if t, ok := in.RipTarget(cur, size); ok && b.inText(t) && IsEndbr(b.f, t) {
-				if b.addEntry(t) {
-					b.harvestGrew = true
-				}
+		// once here covers every block without a per-round rescan.
+		if t, ok := in.RipTarget(cur, size); ok && b.inText(t) && IsEndbr(b.f, t) {
+			if b.addEntry(t) {
+				b.harvestGrew = true
 			}
 		}
 
@@ -570,23 +533,4 @@ func (b *builder) decodeInsts(blk *Block, addr uint64) {
 		}
 		cur = next
 	}
-}
-
-// harvestFromCode applies the conservative entry heuristics over the code
-// decoded so far (§3.2.1): RIP-relative references to endbr64.
-func (b *builder) harvestFromCode() bool {
-	grew := false
-	for _, blk := range b.g.SortedBlocks() {
-		addrs := blk.InstAddrs()
-		for i, in := range blk.Insts {
-			if t, ok := in.RipTarget(addrs[i], blk.Sizes[i]); ok {
-				if b.inText(t) && IsEndbr(b.f, t) {
-					if b.addEntry(t) {
-						grew = true
-					}
-				}
-			}
-		}
-	}
-	return grew
 }

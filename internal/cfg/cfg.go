@@ -96,11 +96,8 @@ type Graph struct {
 	// the notes make the degradation observable to callers and verdicts.
 	Degraded []string
 
-	// Plane is the decode plane the build warmed over the text section
-	// (nil under Options.Legacy). Callers can pass it to later builds of
-	// the same binary via Options.Plane, or Freeze it to share across
-	// goroutines.
-	Plane *x86.Plane
+	// decodes counts the x86.Decode calls the build made.
+	decodes uint64
 
 	// preds is built lazily.
 	preds map[uint64][]uint64
@@ -189,9 +186,11 @@ type Stats struct {
 	TableEntries int
 	Invalid      int
 
-	// PlaneHits/PlaneMisses are the decode plane's cache counters at the
-	// time Stats was taken (zero under Options.Legacy).
-	PlaneHits   uint64
+	// PlaneMisses is the number of x86.Decode calls the build made: the
+	// same on every build of the same binary. The name survives from
+	// when builds decoded through a memoizing plane and counted its
+	// misses; the benchmark and suri.Stats still read it under this
+	// name.
 	PlaneMisses uint64
 }
 
@@ -202,9 +201,7 @@ func (g *Graph) Stats() Stats {
 		Instructions: g.NumInstructions(),
 		Entries:      len(g.Entries),
 		Tables:       len(g.Tables),
-	}
-	if g.Plane != nil {
-		st.PlaneHits, st.PlaneMisses = g.Plane.Stats()
+		PlaneMisses:  g.decodes,
 	}
 	for _, b := range g.Blocks {
 		if b.Invalid {

@@ -25,25 +25,21 @@ func (b *builder) analyzeAllTables() (bool, error) {
 		if last.Op != x86.JMP || !last.IsIndirectBranch() {
 			continue
 		}
-		if !b.opts.Legacy {
-			// Dirty-version skip: a table analyzed at the current graph
-			// version cannot produce a different result (the analysis is
-			// a pure function of graph state + known bases). On the
-			// converged final round this makes the pass O(#tables).
-			if v, ok := b.tableVer[blk.Addr]; ok && v == b.graphVersion {
-				if blk.Table != nil {
-					tables = append(tables, blk.Table)
-				}
-				continue
+		// Dirty-version skip: a table analyzed at the current graph
+		// version cannot produce a different result (the analysis is a
+		// pure function of graph state + known bases). On the converged
+		// final round this makes the pass O(#tables).
+		if v, ok := b.tableVer[blk.Addr]; ok && v == b.graphVersion {
+			if blk.Table != nil {
+				tables = append(tables, blk.Table)
 			}
+			continue
 		}
 		t, err := b.analyzeTable(blk)
 		if err != nil {
 			return false, err
 		}
-		if !b.opts.Legacy {
-			b.tableVer[blk.Addr] = b.graphVersion
-		}
+		b.tableVer[blk.Addr] = b.graphVersion
 		if t == nil {
 			blk.Table = nil
 			continue

@@ -20,7 +20,6 @@ import (
 	"repro/internal/repair"
 	"repro/internal/serialize"
 	"repro/internal/symbolize"
-	"repro/internal/x86"
 )
 
 // ErrNotCETPIE is returned for binaries outside SURI's problem scope
@@ -73,11 +72,6 @@ type Options struct {
 	// .suri.instr section of the rewritten binary.
 	Passes []instr.Pass
 
-	// Plane, if set, supplies the decode plane for the CFG builder —
-	// typically a frozen plane shared across concurrent rewrites of
-	// the same binary (see x86.Plane.Freeze).
-	Plane *x86.Plane
-
 	// AllowNonCET skips the problem-scope check (used by experiments).
 	AllowNonCET bool
 
@@ -97,11 +91,6 @@ type Options struct {
 	// sub-spans inside the CFG builder) and feeds pipeline statistics
 	// into the metric registry. Nil disables collection at zero cost.
 	Obs *obs.Collector
-
-	// LegacyHotPaths selects the pre-optimization CFG decode loop and
-	// assembler relaxation — the paired-benchmark baseline (scripts/
-	// bench.sh). Output bytes are identical either way.
-	LegacyHotPaths bool
 }
 
 // Stats aggregates the pipeline measurements reported in §4.2.4/§4.3.1.
@@ -127,9 +116,8 @@ type Stats struct {
 	RewrittenBytes int
 
 	// Hot-path instrumentation: branch-relaxation layout passes and
-	// decode-plane cache behavior during CFG construction.
+	// x86.Decode calls during CFG construction (cfg.Stats.PlaneMisses).
 	RelaxRounds int
-	PlaneHits   uint64
 	PlaneMisses uint64
 
 	// Instrumentation passes (internal/instr).
@@ -237,10 +225,6 @@ func Rewrite(bin []byte, opts Options) (*Result, error) {
 	copts.MaxBlocks = budget.Blocks
 	copts.Cancel = opts.Cancel
 	copts.Trace = tr
-	copts.Legacy = opts.LegacyHotPaths
-	if opts.Plane != nil {
-		copts.Plane = opts.Plane
-	}
 
 	// 1. Superset CFG Builder.
 	var g *cfg.Graph
@@ -374,7 +358,6 @@ func Rewrite(bin []byte, opts Options) (*Result, error) {
 			InstrItems: instrItems,
 			Sets:       sets,
 			Obs:        opts.Obs,
-			Legacy:     opts.LegacyHotPaths,
 		})
 		if err != nil {
 			return err
@@ -401,7 +384,6 @@ func Rewrite(bin []byte, opts Options) (*Result, error) {
 		AdjustedRelas:      layout.AdjustedRelas,
 		RewrittenBytes:     len(out),
 		RelaxRounds:        layout.RelaxRounds,
-		PlaneHits:          gst.PlaneHits,
 		PlaneMisses:        gst.PlaneMisses,
 		InstrPasses:        instrStats[0],
 		InstrInserted:      instrStats[1],
@@ -436,7 +418,6 @@ func feedMetrics(reg *obs.Registry, s Stats) {
 	reg.Counter("suri.adjusted_relas").Add(int64(s.AdjustedRelas))
 	reg.Counter("suri.rewritten_bytes").Add(int64(s.RewrittenBytes))
 	reg.Counter("suri.relax_rounds").Add(int64(s.RelaxRounds))
-	reg.Counter("suri.plane_hits").Add(int64(s.PlaneHits))
 	reg.Counter("suri.plane_misses").Add(int64(s.PlaneMisses))
 	reg.Counter("instr_passes_run").Add(int64(s.InstrPasses))
 	reg.Counter("instr_entries_inserted").Add(int64(s.InstrInserted))

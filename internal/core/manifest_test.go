@@ -64,10 +64,9 @@ func manifestCases(t *testing.T) []manifestCase {
 // TestRewriteManifest pins the rewriter's output byte for byte: the
 // SHA-256 of every rewritten binary in the corpus must match the
 // checked-in manifest. Stage-internal refactors (buffer sizing, in-place
-// insertion, item representation) must not move a single byte; the
-// legacy-parity tests cannot catch such a change because both paths
-// share the stages. Run with -update to regenerate the manifest after a
-// deliberate output change.
+// insertion, item representation, decode paths) must not move a single
+// byte. Run with -update to regenerate the manifest after a deliberate
+// output change.
 func TestRewriteManifest(t *testing.T) {
 	var got bytes.Buffer
 	for _, c := range manifestCases(t) {

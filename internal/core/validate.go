@@ -52,7 +52,7 @@ type ValidateOptions struct {
 	// Engine selects the differential executions' emulator engine:
 	// EngineAuto (the default) runs the tiered superblock engine linked
 	// in above, EngineInterpreter forces the plane-fetch interpreter
-	// (the A/B baseline). Options.LegacyHotPaths still overrides both.
+	// (the engine A/B baseline).
 	Engine emu.EngineKind
 }
 
@@ -97,7 +97,7 @@ func RewriteValidated(bin []byte, opts ValidateOptions) (*ValidatedResult, error
 	// One validator for both attempts: the original binary's parsed
 	// file, emulator machine, and predecoded pages carry over across the
 	// retry and across every input.
-	v := &validator{orig: bin, legacy: opts.LegacyHotPaths, engine: opts.Engine}
+	v := &validator{orig: bin, engine: opts.Engine}
 	// Surface what the tiered engine did across every differential run —
 	// both attempts, both binaries — on the request's metric registry
 	// (-stats-json, /metrics, surimon).
@@ -164,7 +164,6 @@ func canceled(ch <-chan struct{}) bool {
 // rewritten binary likewise reuses one machine across all inputs.
 type validator struct {
 	orig   []byte
-	legacy bool
 	engine emu.EngineKind
 
 	origF *elfx.File
@@ -212,14 +211,14 @@ func (v *validator) validate(rewritten []byte, inputs [][]byte, emuSteps uint64)
 		}
 	}()
 	for _, in := range inputs {
-		a, err := runOn(&v.origM, v.origF, emu.Options{Input: in, MaxSteps: emuSteps, LegacyDecode: v.legacy, Engine: v.engine})
+		a, err := runOn(&v.origM, v.origF, emu.Options{Input: in, MaxSteps: emuSteps, Engine: v.engine})
 		if err != nil {
 			return fmt.Errorf("suri: validate: original binary: %w", err)
 		}
 		// Bound the rewritten run by a generous multiple of the
 		// original's work: a mis-symbolized binary can loop forever, and
 		// this turns that into a quick typed failure.
-		b, err := runOn(&rewrittenM, rf, emu.Options{Input: in, MaxSteps: a.Steps*10 + 1_000_000, LegacyDecode: v.legacy, Engine: v.engine})
+		b, err := runOn(&rewrittenM, rf, emu.Options{Input: in, MaxSteps: a.Steps*10 + 1_000_000, Engine: v.engine})
 		if err != nil {
 			return fmt.Errorf("suri: validate: rewritten binary: %w", err)
 		}

@@ -34,10 +34,6 @@ type Input struct {
 	// Obs, if set, receives emission metrics (assembler relaxation
 	// rounds, emitted bytes). Nil disables collection at zero cost.
 	Obs *obs.Collector
-
-	// Legacy assembles with the pre-optimization (full re-measure per
-	// relaxation round) assembler — the paired-benchmark baseline.
-	Legacy bool
 }
 
 // TablePatch is one in-place jump-table entry rewrite.
@@ -118,11 +114,7 @@ func Emit(in Input) ([]byte, *Layout, error) {
 	if err := harden.Inject(harden.FPEmitAssemble); err != nil {
 		return nil, nil, fmt.Errorf("emit: %w", err)
 	}
-	assemble := asm.Assemble
-	if in.Legacy {
-		assemble = asm.AssembleLegacy
-	}
-	res, err := assemble(prog, newBase)
+	res, err := asm.Assemble(prog, newBase)
 	if err != nil {
 		return nil, nil, fmt.Errorf("emit: assembling S': %w", err)
 	}

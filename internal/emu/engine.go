@@ -163,14 +163,12 @@ func (m *Machine) SetEngineState(s any) { m.engineState = s }
 // bytes (the tiered translation cache) must revalidate against it.
 func (m *Machine) PlaneVersion() uint64 { return m.planeVersion }
 
-// InvalidatePlanes drops every cached decode product — page planes,
-// the legacy icache — and bumps the plane version so downstream caches
-// (tiered translations) drop theirs too. Reload calls this when it
-// detects a different image or bias; tests use it to simulate decode
-// invalidation between runs.
+// InvalidatePlanes drops the page decode planes and bumps the plane
+// version so downstream caches (tiered translations) drop theirs too.
+// Reload calls this when it detects a different image or bias; tests
+// use it to simulate decode invalidation between runs.
 func (m *Machine) InvalidatePlanes() {
 	m.planes = make(map[uint64]*x86.Plane)
-	m.icache = nil
 	m.planeVersion++
 }
 
@@ -186,8 +184,9 @@ func (m *Machine) HeatSeed() map[uint64]uint64 { return m.heatSeed }
 func (m *Machine) SetHeatSeed(s map[uint64]uint64) { m.heatSeed = s }
 
 // FetchInst decodes the instruction at addr through the machine's
-// fetch path (page planes, or the legacy icache under LegacyDecode)
-// without executing it. The error is the raw fetch error, unwrapped.
+// fetch path (the page plane, or a ranged fetch for instructions it
+// cannot serve) without executing it. The error is the raw fetch error,
+// without the "at <addr>" prefix Run adds.
 func (m *Machine) FetchInst(addr uint64) (x86.Inst, int, error) {
 	return m.fetch(addr)
 }
@@ -196,30 +195,6 @@ func (m *Machine) FetchInst(addr uint64) (x86.Inst, int, error) {
 // page-aligned address pa, building it on first touch, or nil when the
 // page is unmapped or not executable.
 func (m *Machine) PagePlaneAt(pa uint64) *x86.Plane { return m.pagePlane(pa) }
-
-// DonatePlanes freezes the machine's page decode planes and returns
-// them for adoption by other machines running the identical image at
-// the identical bias (see AdoptPlanes). Freezing makes them safe to
-// share across goroutines; this machine keeps using them too.
-func (m *Machine) DonatePlanes() map[uint64]*x86.Plane {
-	out := make(map[uint64]*x86.Plane, len(m.planes))
-	for pa, pl := range m.planes {
-		pl.Freeze()
-		out[pa] = pl
-	}
-	return out
-}
-
-// AdoptPlanes installs frozen planes donated by another machine that
-// ran the identical image at the identical bias. Non-frozen planes are
-// ignored (sharing warm planes across goroutines would race).
-func (m *Machine) AdoptPlanes(planes map[uint64]*x86.Plane) {
-	for pa, pl := range planes {
-		if pl.Frozen() {
-			m.planes[pa] = pl
-		}
-	}
-}
 
 // DoSyscall executes the syscall the machine's RIP has just advanced
 // past, exactly as the interpreter's SYSCALL case does (RCX/R11

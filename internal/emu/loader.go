@@ -34,11 +34,6 @@ type Options struct {
 	// in Result.Prof. Disabled costs nothing.
 	Profile bool
 
-	// LegacyDecode selects the pre-plane fetch path (per-address map
-	// cache, byte-at-a-time fetch) — the paired-benchmark baseline.
-	// It forces the interpreter regardless of Engine.
-	LegacyDecode bool
-
 	// Engine selects the execution engine: EngineAuto (default) runs
 	// the tiered engine when linked in, EngineInterpreter forces the
 	// interpreter, EngineTiered fails if no tiered engine is linked.
@@ -128,7 +123,6 @@ func loadInto(m *Machine, f *elfx.File, opts Options) error {
 	if opts.Profile {
 		m.Prof = NewProfile()
 	}
-	m.LegacyDecode = opts.LegacyDecode
 	m.Engine = opts.Engine
 	if opts.HeatSeed != nil {
 		m.heatSeed = opts.HeatSeed

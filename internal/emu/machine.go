@@ -63,14 +63,8 @@ type Machine struct {
 	// block heat, syscall log, CET events). Nil disables all hooks.
 	Prof *Profile
 
-	// LegacyDecode selects the pre-plane fetch path: a per-address map
-	// cache filled by byte-at-a-time Mem.Fetch calls. Retained as the
-	// paired-benchmark baseline and the oracle for determinism tests.
-	LegacyDecode bool
-
 	// Engine selects the execution engine (see EngineKind). EngineAuto
-	// resolves to the tiered engine when one is linked in, unless
-	// LegacyDecode forces the legacy interpreter.
+	// resolves to the tiered engine when one is linked in.
 	Engine EngineKind
 
 	// profSeq is the address the previous instruction would fall through
@@ -82,9 +76,6 @@ type Machine struct {
 	// are never writable (W^X is enforced at load), so planes stay valid
 	// for the machine's lifetime and survive Reset.
 	planes map[uint64]*x86.Plane
-
-	// icache is the legacy per-address decode cache (LegacyDecode only).
-	icache map[uint64]cachedInst
 
 	// planeVersion is bumped by InvalidatePlanes; caches keyed on
 	// decoded bytes (the tiered translation cache) revalidate against
@@ -107,11 +98,6 @@ type Machine struct {
 	loadedBias uint64
 }
 
-type cachedInst struct {
-	in   x86.Inst
-	size int
-}
-
 // defaultMaxSteps is the step budget applied when Options.MaxSteps is 0.
 const defaultMaxSteps = 500_000_000
 
@@ -132,11 +118,11 @@ func (m *Machine) Exited() (bool, int) { return m.exited, m.exitCode }
 
 // Reset returns the machine to its pre-load state — registers, flags,
 // memory, I/O, CET state, step counter — while keeping the predecoded
-// page planes (and the legacy icache). It exists so repeated runs of the
-// same image (validated-rewrite retries, one run per input) skip
-// re-decoding: the caller contract is that the machine is re-loaded with
-// the identical image at the identical bias, which makes the cached
-// decodes of the immutable executable pages carry over soundly.
+// page planes. It exists so repeated runs of the same image
+// (validated-rewrite retries, one run per input) skip re-decoding: the
+// caller contract is that the machine is re-loaded with the identical
+// image at the identical bias, which makes the cached decodes of the
+// immutable executable pages carry over soundly.
 func (m *Machine) Reset() {
 	m.Mem = NewMemory()
 	m.Regs = [16]uint64{}
@@ -167,14 +153,6 @@ func (m *Machine) Reset() {
 // trace hook, profile counters, CET endbr64 enforcement, error text —
 // is preserved exactly.
 func (m *Machine) Run() error {
-	if m.LegacyDecode {
-		for !m.exited {
-			if err := m.Step(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	if m.Engine == EngineTiered && tieredRunFn == nil {
 		return fmt.Errorf("emu: tiered engine requested but not linked into this binary")
 	}
@@ -280,13 +258,9 @@ func (m *Machine) Step() error {
 	return nil
 }
 
-// fetch decodes the instruction at addr, using the page decode plane
-// (or the legacy per-address cache under LegacyDecode). Executable pages
-// are never writable, so cached decodes stay valid.
+// fetch decodes the instruction at addr, using the page decode plane.
+// Executable pages are never writable, so cached decodes stay valid.
 func (m *Machine) fetch(addr uint64) (x86.Inst, int, error) {
-	if m.LegacyDecode {
-		return m.fetchLegacy(addr)
-	}
 	pa := addr &^ (PageSize - 1)
 	if pl := m.pagePlane(pa); pl != nil {
 		if in, size, err := pl.Decode(int(addr - pa)); err == nil {
@@ -308,7 +282,7 @@ func (m *Machine) pagePlane(pa uint64) *x86.Plane {
 	if p == nil {
 		return nil
 	}
-	pl := x86.NewExecPlane(p.data[:])
+	pl := x86.NewPlane(p.data[:])
 	m.planes[pa] = pl
 	return pl
 }
@@ -327,33 +301,6 @@ func (m *Machine) fetchSlow(addr uint64) (x86.Inst, int, error) {
 	if err != nil {
 		return x86.Inst{}, 0, fmt.Errorf("undecodable instruction (% x): %w", buf[:minInt(n, 8)], err)
 	}
-	return in, size, nil
-}
-
-// fetchLegacy is the pre-plane fetch path, kept verbatim as the paired
-// benchmark baseline: per-address map cache, byte-at-a-time fetch loop.
-func (m *Machine) fetchLegacy(addr uint64) (x86.Inst, int, error) {
-	if c, ok := m.icache[addr]; ok {
-		return c.in, c.size, nil
-	}
-	var buf [15]byte
-	n := 0
-	for ; n < len(buf); n++ {
-		if err := m.Mem.Fetch(addr+uint64(n), buf[n:n+1]); err != nil {
-			break
-		}
-	}
-	if n == 0 {
-		return x86.Inst{}, 0, &Fault{Addr: addr, Kind: "exec"}
-	}
-	in, size, err := x86.Decode(buf[:n])
-	if err != nil {
-		return x86.Inst{}, 0, fmt.Errorf("undecodable instruction (% x): %w", buf[:minInt(n, 8)], err)
-	}
-	if m.icache == nil {
-		m.icache = make(map[uint64]cachedInst)
-	}
-	m.icache[addr] = cachedInst{in: in, size: size}
 	return in, size, nil
 }
 

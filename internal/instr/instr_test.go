@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/cc"
-	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/elfx"
 	"repro/internal/emu"
@@ -318,25 +317,15 @@ func TestShadowStackCleanRun(t *testing.T) {
 	}
 }
 
-// TestSharedPlaneConcurrentInstrumented shares one frozen decode plane
-// across concurrent instrumented rewrites — the farm's pattern for
-// serving ?instrument= requests of a hot binary. Run under -race this
-// proves pass application and plane sharing are data-race free.
-func TestSharedPlaneConcurrentInstrumented(t *testing.T) {
+// TestConcurrentInstrumented runs concurrent instrumented rewrites of
+// one binary — the farm's pattern for serving ?instrument= requests of a
+// hot binary — and checks each against the sequential result. Run under
+// -race this proves pass application is data-race free.
+func TestConcurrentInstrumented(t *testing.T) {
 	bin, err := cc.Compile(instrModule(), cc.DefaultConfig())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	f, err := elfx.Read(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := cfg.Build(f, cfg.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm.Plane.Freeze()
-
 	want, err := core.Rewrite(bin, core.Options{Passes: mustParse(t, "coverage,shadowstack")})
 	if err != nil {
 		t.Fatal(err)
@@ -347,10 +336,7 @@ func TestSharedPlaneConcurrentInstrumented(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := core.Rewrite(bin, core.Options{
-				Passes: mustParse(t, "coverage,shadowstack"),
-				Plane:  warm.Plane,
-			})
+			res, err := core.Rewrite(bin, core.Options{Passes: mustParse(t, "coverage,shadowstack")})
 			if err != nil {
 				t.Errorf("concurrent instrumented rewrite: %v", err)
 				return

@@ -1,63 +1,17 @@
 package x86
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// Plane is a per-binary decode plane: a flat table indexed by byte
-// offset into one text slab that memoizes the result of Decode at each
-// offset, making every decode after the first a single array load.
-// Within one superset-disassembly pass the builder rarely revisits an
-// offset, so the plane's value is reuse: a rebuild of the same text
-// (cfg.Options.Plane), the emulator fetching one page's instructions
-// millions of times, or a frozen plane shared by farm workers.
+// Plane is a decode plane over one text slab: a table indexed by byte
+// offset that memoizes the result of Decode at each offset, making every
+// decode after the first a single indexed load and a struct copy. The
+// emulator keeps one per executable page, where the same instructions
+// are fetched millions of times.
 //
-// A Plane is single-goroutine while warm. After Freeze it becomes
-// immutable and safe to share across goroutines: cached entries are
-// read-only, cold offsets decode on the fly without being written back,
-// and the hit/miss counters switch to an atomic pair.
-//
-// Two storage modes trade hit cost against GC cost:
-//
-//   - NewPlane stores pointer-free flattened instructions. The chunk
-//     memory is invisible to the garbage collector (no scan, no write
-//     barriers), which matters for whole-binary planes that live as
-//     long as a CFG; a hit re-materializes the Inst (cheap, but boxing
-//     a Mem or large Imm operand can allocate).
-//   - NewExecPlane stores decoded Insts directly. A hit is a plain
-//     struct copy — the right shape for the emulator, where one page's
-//     instructions are fetched millions of times — at the price of
-//     pointer-bearing chunks the GC must scan.
-//
-// Entry storage is chunked and allocated on first touch. Flat chunks
-// are additionally sized on demand within the chunk: superset
-// disassembly decodes at instruction boundaries, not at every byte, so
-// a flat chunk holds only a small index array up front (1KB of zeroing
-// instead of a full 32KB entry table) and appends real entries as
-// offsets are decoded — a cold single-pass build, the dominant CFG
-// shape, pays roughly one entry's worth of storage per decoded
-// instruction instead of 64 bytes per text byte. Boxed chunks keep the
-// direct entry-per-offset array: the emulator fetches each decoded
-// offset millions of times, so the hit path must be a single indexed
-// load with no indirection, and the chunk's one-time zeroing cost is
-// noise against the fetch volume it serves.
+// A Plane is not safe for concurrent use: each machine owns its planes.
+// Entry storage is chunked and allocated on first touch, one entry per
+// offset, so the hit path has no indirection beyond the chunk index.
 type Plane struct {
-	text  []byte
-	flat  []*flatChunk
-	boxed []*boxedChunk
-
-	frozen bool
-
-	// Warm-phase counters: plain integers, because atomics on the
-	// decode hot path cost more than the memoization saves on a cold
-	// build. Freeze folds them into the shared atomic pair.
-	hits   uint64
-	misses uint64
-
-	sharedHits   atomic.Uint64
-	sharedMisses atomic.Uint64
+	text   []byte
+	chunks []*planeChunk
 }
 
 // planeChunkShift sizes a chunk at 512 entries: big enough to amortize
@@ -69,221 +23,35 @@ const (
 	planeChunkMask  = planeChunkLen - 1
 )
 
-// A boxed chunk stores one entry per offset with an inline state byte:
+// A planeChunk stores one entry per offset with an inline state byte:
 // the emulator's fetch loop hits the same entries millions of times,
 // so the hit path is one indexed load and a branch.
-type boxedChunk struct {
-	ents [planeChunkLen]boxedEntry
+type planeChunk struct {
+	ents [planeChunkLen]planeEntry
 }
 
-// A flat chunk is an index array plus an append-grown entry slice. The
-// index encodes the entry state inline: 0 cold, 1 undecodable, 2
-// truncated, and >=planeFirst an offset+planeFirst into ents. Error
-// states need no entry at all, and successful decodes claim exactly
-// one slot each, so a chunk's footprint tracks the number of decoded
-// offsets instead of the chunk span.
-type flatChunk struct {
-	idx  [planeChunkLen]uint16
-	ents []flatEntry
-}
-
-// planeEntsInit sizes the first entry block at a quarter chunk:
-// typical superset builds decode roughly a fifth to a third of a
-// chunk's offsets, so the first block usually suffices and pooled
-// chunks keep their grown capacity across builds. Growing from Go's
-// tiny default capacities instead was measurable on cold builds —
-// repeated growslice copies cost more than the decodes they cached.
-const planeEntsInit = planeChunkLen / 4
-
-// Flat-chunk recycling. A cold single-pass build stores entries
-// nothing ever reads back, so its real cost is the allocation rate: a
-// fresh chunk plus entry block per 512 text bytes, discarded with the
-// graph. Dead planes return their chunks here (via a GC cleanup
-// registered in NewPlane), and reuse only has to re-zero the 1KB
-// index — the index gates entry validity, so recycled entry memory is
-// adopted as-is with whatever stale bytes it holds. Boxed chunks are
-// not pooled: reuse would have to re-zero the full 32KB entry array,
-// which costs what the fresh allocation's zeroing costs.
-var flatChunkPool = sync.Pool{New: func() any { return &flatChunk{} }}
-
-func newFlatChunk() *flatChunk {
-	c := flatChunkPool.Get().(*flatChunk)
-	c.idx = [planeChunkLen]uint16{}
-	c.ents = c.ents[:0]
-	return c
-}
-
-// releaseChunks is the AddCleanup hook: it runs once the plane is
-// unreachable, so no goroutine can still be decoding through these
-// chunks. It captures the chunk index slice, not the plane (a
-// cleanup argument must not keep its object alive).
-func releaseChunks(flat []*flatChunk) {
-	for _, c := range flat {
-		if c != nil {
-			flatChunkPool.Put(c)
-		}
-	}
-}
-
-func (c *flatChunk) grow() {
-	next := planeEntsInit
-	if n := 2 * cap(c.ents); n > next {
-		next = n
-	}
-	ents := make([]flatEntry, len(c.ents), next)
-	copy(ents, c.ents)
-	c.ents = ents
-}
-
-// Index states. Decode can only fail with the two sentinel errors
+// Entry states. Decode can only fail with the two sentinel errors
 // (plus the >15-byte length check, which is ErrBadInstruction), so the
-// error is folded into the flat index / boxed state byte instead of
-// stored as an interface.
+// error is folded into the state byte instead of stored as an
+// interface.
 const (
-	planeCold  uint16 = iota
-	planeBad          // decoded to ErrBadInstruction
-	planeTrunc        // decoded to ErrTruncated
-	planeFirst        // flat: first real entry, ents[idx-planeFirst]
-	planeOK           // boxed: successful decode stored inline
+	planeCold  uint8 = iota
+	planeBad         // decoded to ErrBadInstruction
+	planeTrunc       // decoded to ErrTruncated
+	planeOK          // successful decode stored inline
 )
 
-type boxedEntry struct {
+type planeEntry struct {
 	inst  Inst
 	size  uint8
-	state uint16
+	state uint8
 }
 
-// flatEntry is a pointer-free image of a decoded instruction. Operand
-// interfaces are collapsed into tagged unions so a populated entry
-// slice is noscan memory.
-type flatEntry struct {
-	op    Op
-	cond  Cond
-	w     uint8
-	srcW  uint8
-	flags uint8 // bit0 HasImm3, bit1 NoTrack, bit2 LongBranch
-	size  uint8
-	imm3  int64
-	dst   flatArg
-	src   flatArg
-}
-
-// flatArg kinds.
-const (
-	faNone byte = iota
-	faReg
-	faImm
-	faMem
-	faRel
-)
-
-// flatArg packs one operand into 16 bytes: val doubles as the
-// immediate / relative value and the memory displacement (a Mem disp
-// is int32, so the int64 field holds it exactly). Entry size matters
-// here — a cold superset build allocates one entry per decoded offset
-// and never reads most of them back, so every byte of entry is a byte
-// of GC allocation rate on the cold path.
-type flatArg struct {
-	kind   byte
-	reg    Reg   // faReg: the register; faMem: the base
-	index  Reg   // faMem
-	scale  uint8 // faMem
-	mflags uint8 // faMem: bit0 Rip, bit1 Wide
-	val    int64 // faImm / faRel value, faMem displacement
-}
-
-func flattenArg(a Arg, fa *flatArg) bool {
-	switch v := a.(type) {
-	case nil:
-		fa.kind = faNone
-	case Reg:
-		fa.kind, fa.reg = faReg, v
-	case Imm:
-		fa.kind, fa.val = faImm, int64(v)
-	case Rel:
-		fa.kind, fa.val = faRel, int64(v)
-	case Mem:
-		fa.kind = faMem
-		fa.reg, fa.index, fa.scale, fa.val = v.Base, v.Index, v.Scale, int64(v.Disp)
-		fa.mflags = 0
-		if v.Rip {
-			fa.mflags |= 1
-		}
-		if v.Wide {
-			fa.mflags |= 2
-		}
-	default:
-		return false
-	}
-	return true
-}
-
-func (fa *flatArg) arg() Arg {
-	switch fa.kind {
-	case faReg:
-		return fa.reg
-	case faImm:
-		return Imm(fa.val)
-	case faRel:
-		return Rel(fa.val)
-	case faMem:
-		return Mem{Base: fa.reg, Index: fa.index, Scale: fa.scale, Disp: int32(fa.val),
-			Rip: fa.mflags&1 != 0, Wide: fa.mflags&2 != 0}
-	}
-	return nil
-}
-
-func (e *flatEntry) store(in Inst, size int) bool {
-	if !flattenArg(in.Dst, &e.dst) || !flattenArg(in.Src, &e.src) {
-		return false
-	}
-	e.op, e.cond, e.w, e.srcW, e.imm3 = in.Op, in.Cond, in.W, in.SrcW, in.Imm3
-	e.flags = 0
-	if in.HasImm3 {
-		e.flags |= 1
-	}
-	if in.NoTrack {
-		e.flags |= 2
-	}
-	if in.LongBranch {
-		e.flags |= 4
-	}
-	e.size = uint8(size)
-	return true
-}
-
-func (e *flatEntry) inst() Inst {
-	return Inst{
-		Op: e.op, Cond: e.cond, W: e.w, SrcW: e.srcW,
-		Dst: e.dst.arg(), Src: e.src.arg(),
-		Imm3: e.imm3, HasImm3: e.flags&1 != 0,
-		NoTrack: e.flags&2 != 0, LongBranch: e.flags&4 != 0,
-	}
-}
-
-func chunkCount(n int) int { return (n + planeChunkMask) >> planeChunkShift }
-
-// NewPlane builds a cold decode plane over text with pointer-free
-// (GC-invisible) entry storage. Only the chunk index is allocated up
-// front; entry chunks materialize on first decode.
+// NewPlane builds a cold decode plane over text. Only the chunk index is
+// allocated up front; entry chunks materialize on first decode.
 func NewPlane(text []byte) *Plane {
-	p := &Plane{text: text, flat: make([]*flatChunk, chunkCount(len(text)))}
-	runtime.AddCleanup(p, releaseChunks, p.flat)
-	return p
+	return &Plane{text: text, chunks: make([]*planeChunk, (len(text)+planeChunkMask)>>planeChunkShift)}
 }
-
-// NewExecPlane builds a cold decode plane whose entries store the
-// decoded Inst directly, making hits a plain copy. Use for small, hot
-// slabs (the emulator's executable pages).
-func NewExecPlane(text []byte) *Plane {
-	return &Plane{text: text, boxed: make([]*boxedChunk, chunkCount(len(text)))}
-}
-
-// Text returns the slab the plane decodes. Callers must not mutate it.
-func (p *Plane) Text() []byte { return p.text }
-
-// Len returns the slab length in bytes.
-func (p *Plane) Len() int { return len(p.text) }
 
 // Decode returns the instruction at byte offset off, memoizing the
 // result. Offsets outside the slab return ErrTruncated. The returned
@@ -293,134 +61,28 @@ func (p *Plane) Decode(off int) (Inst, int, error) {
 	if off < 0 || off >= len(p.text) {
 		return Inst{}, 0, ErrTruncated
 	}
-	if p.boxed != nil {
-		return p.decodeBoxed(off)
-	}
-	return p.decodeFlat(off)
-}
-
-func (p *Plane) decodeFlat(off int) (Inst, int, error) {
-	c := p.flat[off>>planeChunkShift]
+	c := p.chunks[off>>planeChunkShift]
 	if c == nil {
-		if p.frozen {
-			p.sharedMisses.Add(1)
-			return Decode(p.text[off:])
-		}
-		c = newFlatChunk()
-		p.flat[off>>planeChunkShift] = c
-	}
-	switch ix := c.idx[off&planeChunkMask]; ix {
-	case planeCold:
-	case planeBad, planeTrunc:
-		p.count(true)
-		return Inst{}, 0, planeErr(ix)
-	default:
-		p.count(true)
-		e := &c.ents[ix-planeFirst]
-		return e.inst(), int(e.size), nil
-	}
-	p.count(false)
-	in, n, err := Decode(p.text[off:])
-	if !p.frozen {
-		switch {
-		case err == nil:
-			if cap(c.ents) == len(c.ents) {
-				c.grow()
-			}
-			// Store in place: the slot may hold stale bytes from a
-			// recycled chunk, but every field an entry's kind reads is
-			// written here, so no zeroing pass is needed.
-			slot := len(c.ents)
-			c.ents = c.ents[:slot+1]
-			if c.ents[slot].store(in, n) {
-				c.idx[off&planeChunkMask] = planeFirst + uint16(slot)
-			} else {
-				c.ents = c.ents[:slot]
-			}
-		case err == ErrTruncated:
-			c.idx[off&planeChunkMask] = planeTrunc
-		default:
-			c.idx[off&planeChunkMask] = planeBad
-		}
-	}
-	return in, n, err
-}
-
-func (p *Plane) decodeBoxed(off int) (Inst, int, error) {
-	c := p.boxed[off>>planeChunkShift]
-	if c == nil {
-		if p.frozen {
-			p.sharedMisses.Add(1)
-			return Decode(p.text[off:])
-		}
-		c = &boxedChunk{}
-		p.boxed[off>>planeChunkShift] = c
+		c = &planeChunk{}
+		p.chunks[off>>planeChunkShift] = c
 	}
 	e := &c.ents[off&planeChunkMask]
-	if e.state != planeCold {
-		p.count(true)
-		if e.state == planeOK {
-			return e.inst, int(e.size), nil
-		}
-		return Inst{}, 0, planeErr(e.state)
+	switch e.state {
+	case planeOK:
+		return e.inst, int(e.size), nil
+	case planeBad:
+		return Inst{}, 0, ErrBadInstruction
+	case planeTrunc:
+		return Inst{}, 0, ErrTruncated
 	}
-	p.count(false)
 	in, n, err := Decode(p.text[off:])
-	if !p.frozen {
-		switch {
-		case err == nil:
-			e.inst, e.size, e.state = in, uint8(n), planeOK
-		case err == ErrTruncated:
-			e.state = planeTrunc
-		default:
-			e.state = planeBad
-		}
+	switch {
+	case err == nil:
+		e.inst, e.size, e.state = in, uint8(n), planeOK
+	case err == ErrTruncated:
+		e.state = planeTrunc
+	default:
+		e.state = planeBad
 	}
 	return in, n, err
-}
-
-func (p *Plane) count(hit bool) {
-	if p.frozen {
-		if hit {
-			p.sharedHits.Add(1)
-		} else {
-			p.sharedMisses.Add(1)
-		}
-		return
-	}
-	if hit {
-		p.hits++
-	} else {
-		p.misses++
-	}
-}
-
-func planeErr(state uint16) error {
-	if state == planeTrunc {
-		return ErrTruncated
-	}
-	return ErrBadInstruction
-}
-
-// Freeze makes the plane immutable: subsequent Decode calls never write
-// entries (cold offsets decode fresh each time), which makes the plane
-// safe to share across goroutines — e.g. one warm plane reused by every
-// farm worker validating the same binary.
-func (p *Plane) Freeze() {
-	if p.frozen {
-		return
-	}
-	p.sharedHits.Add(p.hits)
-	p.sharedMisses.Add(p.misses)
-	p.hits, p.misses = 0, 0
-	p.frozen = true
-}
-
-// Frozen reports whether Freeze has been called.
-func (p *Plane) Frozen() bool { return p.frozen }
-
-// Stats returns the cumulative hit/miss counts. A hit is a Decode
-// served from a memoized entry; a miss ran the real decoder.
-func (p *Plane) Stats() (hits, misses uint64) {
-	return p.sharedHits.Load() + p.hits, p.sharedMisses.Load() + p.misses
 }

@@ -2,8 +2,6 @@ package x86
 
 import (
 	"errors"
-	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -35,43 +33,24 @@ func planeTestText(t *testing.T) []byte {
 }
 
 // TestPlaneMatchesColdDecode is the decode-plane determinism oracle: at
-// every offset, in both storage modes, the memoized result (first call
-// populates, second call hits the cache) must equal a cold Decode of
-// the same bytes — same instruction (field for field, including the
-// re-materialized operands of the flat mode), same length, same
-// sentinel error.
+// every offset the memoized result (first call populates, second call
+// hits the cache) must equal a cold Decode of the same bytes — same
+// instruction, same length, same sentinel error.
 func TestPlaneMatchesColdDecode(t *testing.T) {
 	text := planeTestText(t)
-	for _, mode := range []struct {
-		name string
-		p    *Plane
-	}{{"flat", NewPlane(text)}, {"exec", NewExecPlane(text)}} {
-		p := mode.p
-		t.Run(mode.name, func(t *testing.T) {
-			for pass := 0; pass < 2; pass++ {
-				for off := 0; off < len(text); off++ {
-					wantIn, wantN, wantErr := Decode(text[off:])
-					in, n, err := p.Decode(off)
-					if !errors.Is(err, wantErr) || (err == nil) != (wantErr == nil) {
-						t.Fatalf("pass %d off %d: err %v, cold decode %v", pass, off, err, wantErr)
-					}
-					if err != nil {
-						continue
-					}
-					if n != wantN || in != wantIn {
-						t.Fatalf("pass %d off %d: got %#v (%d bytes), cold decode %#v (%d bytes)",
-							pass, off, in, n, wantIn, wantN)
-					}
-				}
+	p := NewPlane(text)
+	for pass := 0; pass < 2; pass++ {
+		for off := 0; off < len(text); off++ {
+			wantIn, wantN, wantErr := Decode(text[off:])
+			in, n, err := p.Decode(off)
+			if !errors.Is(err, wantErr) || (err == nil) != (wantErr == nil) {
+				t.Fatalf("pass %d off %d: err %v, cold decode %v", pass, off, err, wantErr)
 			}
-			hits, misses := p.Stats()
-			if misses != uint64(len(text)) {
-				t.Errorf("misses = %d, want one per offset (%d)", misses, len(text))
+			if err == nil && (n != wantN || in != wantIn) {
+				t.Fatalf("pass %d off %d: got %#v (%d bytes), cold decode %#v (%d bytes)",
+					pass, off, in, n, wantIn, wantN)
 			}
-			if hits != uint64(len(text)) {
-				t.Errorf("hits = %d, want one per offset on the second pass (%d)", hits, len(text))
-			}
-		})
+		}
 	}
 }
 
@@ -85,51 +64,12 @@ func TestPlaneOutOfRange(t *testing.T) {
 	}
 }
 
-// TestPlaneFrozenShared shares one frozen plane across goroutines
-// hammering random offsets — the farm's validate-retry pattern. Run
-// under -race this proves the frozen plane is read-safe; the result
-// check proves cold offsets still decode correctly without write-back.
-func TestPlaneFrozenShared(t *testing.T) {
-	text := planeTestText(t)
-	p := NewPlane(text)
-	// Warm roughly half the offsets, then freeze.
-	for off := 0; off < len(text); off += 2 {
-		p.Decode(off)
-	}
-	p.Freeze()
-	if !p.Frozen() {
-		t.Fatal("Frozen() = false after Freeze")
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for i := 0; i < 2000; i++ {
-				off := r.Intn(len(text))
-				wantIn, wantN, wantErr := Decode(text[off:])
-				in, n, err := p.Decode(off)
-				if (err == nil) != (wantErr == nil) {
-					t.Errorf("off %d: err %v, cold decode %v", off, err, wantErr)
-					return
-				}
-				if err == nil && (n != wantN || in.Op != wantIn.Op) {
-					t.Errorf("off %d: got %v/%d, want %v/%d", off, in.Op, n, wantIn.Op, wantN)
-					return
-				}
-			}
-		}(int64(g))
-	}
-	wg.Wait()
-}
-
-// TestPlaneDecodeAllocs gates the hot paths: a cached exec-plane lookup
-// (the emulator's per-step fetch) must not allocate, and neither may
+// TestPlaneDecodeAllocs gates the hot paths: a cached plane lookup (the
+// emulator's per-step fetch) must not allocate, and neither may
 // the arithmetic EncodedLen.
 func TestPlaneDecodeAllocs(t *testing.T) {
 	text := planeTestText(t)
-	p := NewExecPlane(text)
+	p := NewPlane(text)
 	for off := 0; off < len(text); off++ {
 		p.Decode(off)
 	}
@@ -138,7 +78,7 @@ func TestPlaneDecodeAllocs(t *testing.T) {
 			p.Decode(off)
 		}
 	}); avg != 0 {
-		t.Errorf("cached exec Plane.Decode allocates %.1f times per sweep, want 0", avg)
+		t.Errorf("cached Plane.Decode allocates %.1f times per sweep, want 0", avg)
 	}
 
 	in := Inst{Op: MOV, W: 8, Dst: RAX, Src: Imm(1234)}

@@ -1,15 +1,11 @@
 #!/bin/sh
-# Paired hot-path benchmarks (BENCH_perf.json): runs the optimized and
-# legacy variants of BenchmarkRewrite, BenchmarkSupersetCFG, and
-# BenchmarkEmulator as COUNT separate single-round `go test` invocations
-# (`-count=N` would run one benchmark's rounds back to back, so round i
-# of a pair would not share machine conditions; a loop of -count=1 runs
-# keeps the fast and legacy variants adjacent within every round), then
-# records per-round samples, medians, paired per-round speedups, and
-# emulated instructions/second for the emulator pair. The determinism guards
-# (TestRewriteLegacyParityAcrossSuites, TestAssembleIncrementalMatchesLegacy,
-# TestPlaneModeMatchesLegacy) prove both paths produce byte-identical
-# output, so the deltas here are pure speed. Run from the repo root:
+# Hot-path benchmarks (BENCH_perf.json): runs BenchmarkRewrite,
+# BenchmarkSupersetCFG, and BenchmarkEmulator as COUNT separate
+# single-round `go test` invocations (`-count=N` would run one
+# benchmark's rounds back to back, so round i of a pair would not share
+# machine conditions; a loop of -count=1 runs keeps every benchmark of a
+# round adjacent), then records per-round samples, medians, and emulated
+# instructions/second. Run from the repo root:
 #
 #	scripts/bench.sh            # COUNT=5 rounds, BENCHTIME=20x
 #	COUNT=3 BENCHTIME=5x scripts/bench.sh
@@ -60,7 +56,7 @@ OUT="${OUT:-BENCH_perf.json}"
 # module, and RewriteValidated runs it twice), so it gets its own
 # benchtime.
 EBENCHTIME="${EBENCHTIME:-5x}"
-PERFBENCH='Benchmark(Rewrite|RewriteLegacy|SupersetCFG|SupersetCFGLegacy|Emulator|EmulatorLegacy)$'
+PERFBENCH='Benchmark(Rewrite|SupersetCFG|Emulator)$'
 ENGBENCH='Benchmark(EmulatorHotInterp|EmulatorHotTiered|ValidateInterp|ValidateTiered)$'
 
 # Warm-up round (discarded): first iterations pay compile, page-cache,
@@ -93,16 +89,16 @@ function samples(name,    s, i) {
 	for (i = 1; i <= n[name]; i++) s = s (i > 1 ? ", " : "") ns[name, i]
 	return s
 }
-function speedups(fast, legacy,    s, i, rounds) {
-	rounds = n[fast] < n[legacy] ? n[fast] : n[legacy]
+function speedups(fast, base,    s, i, rounds) {
+	rounds = n[fast] < n[base] ? n[fast] : n[base]
 	s = ""
 	for (i = 1; i <= rounds; i++)
-		s = s (i > 1 ? ", " : "") sprintf("%.2f", ns[legacy, i] / ns[fast, i])
+		s = s (i > 1 ? ", " : "") sprintf("%.2f", ns[base, i] / ns[fast, i])
 	return s
 }
-function medspeed(fast, legacy,    i, rounds, r) {
-	rounds = n[fast] < n[legacy] ? n[fast] : n[legacy]
-	for (i = 1; i <= rounds; i++) r[i] = ns[legacy, i] / ns[fast, i]
+function medspeed(fast, base,    i, rounds, r) {
+	rounds = n[fast] < n[base] ? n[fast] : n[base]
+	for (i = 1; i <= rounds; i++) r[i] = ns[base, i] / ns[fast, i]
 	return median(r, rounds)
 }
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
@@ -120,37 +116,20 @@ function medspeed(fast, legacy,    i, rounds, r) {
 }
 END {
 	printf "{\n"
-	printf "  \"benchmark\": \"optimized vs legacy hot paths: Rewrite, SupersetCFG, Emulator\",\n"
-	printf "  \"go\": \"%d x (go test -bench ... -benchtime=%s -count=1), warm-up round discarded; fast and legacy variants adjacent within each round\",\n", count, benchtime
+	printf "  \"benchmark\": \"hot paths: Rewrite, SupersetCFG, Emulator\",\n"
+	printf "  \"go\": \"%d x (go test -bench ... -benchtime=%s -count=1), warm-up round discarded; all benchmarks adjacent within each round\",\n", count, benchtime
 	printf "  \"cpu\": \"%s\",\n", cpu
 	printf "  \"samples_ns_per_op\": {\n"
 	printf "    \"rewrite\": [%s],\n", samples("Rewrite")
-	printf "    \"rewrite_legacy\": [%s],\n", samples("RewriteLegacy")
 	printf "    \"superset_cfg\": [%s],\n", samples("SupersetCFG")
-	printf "    \"superset_cfg_legacy\": [%s],\n", samples("SupersetCFGLegacy")
-	printf "    \"emulator\": [%s],\n", samples("Emulator")
-	printf "    \"emulator_legacy\": [%s]\n", samples("EmulatorLegacy")
+	printf "    \"emulator\": [%s]\n", samples("Emulator")
 	printf "  },\n"
 	printf "  \"median_ns_per_op\": {\n"
-	printf "    \"rewrite\": %d, \"rewrite_legacy\": %d,\n", median2("Rewrite"), median2("RewriteLegacy")
-	printf "    \"superset_cfg\": %d, \"superset_cfg_legacy\": %d,\n", median2("SupersetCFG"), median2("SupersetCFGLegacy")
-	printf "    \"emulator\": %d, \"emulator_legacy\": %d\n", median2("Emulator"), median2("EmulatorLegacy")
+	printf "    \"rewrite\": %d, \"superset_cfg\": %d, \"emulator\": %d\n", median2("Rewrite"), median2("SupersetCFG"), median2("Emulator")
 	printf "  },\n"
-	printf "  \"paired_speedup_per_round\": {\n"
-	printf "    \"rewrite\": [%s],\n", speedups("Rewrite", "RewriteLegacy")
-	printf "    \"superset_cfg\": [%s],\n", speedups("SupersetCFG", "SupersetCFGLegacy")
-	printf "    \"emulator\": [%s]\n", speedups("Emulator", "EmulatorLegacy")
-	printf "  },\n"
-	printf "  \"median_paired_speedup\": {\n"
-	printf "    \"rewrite\": %.2f,\n", medspeed("Rewrite", "RewriteLegacy")
-	printf "    \"superset_cfg\": %.2f,\n", medspeed("SupersetCFG", "SupersetCFGLegacy")
-	printf "    \"emulator\": %.2f\n", medspeed("Emulator", "EmulatorLegacy")
-	printf "  },\n"
-	ifast = iops["Emulator", 1]; ileg = iops["EmulatorLegacy", 1]
-	printf "  \"emulator_insts_per_sec\": {\n"
-	printf "    \"optimized\": %d, \"legacy\": %d,\n", ifast * 1e9 / median2("Emulator"), ileg * 1e9 / median2("EmulatorLegacy")
-	printf "    \"instructions_per_op\": %d, \"instructions_per_op_legacy\": %d\n", ifast, ileg
-	printf "  },\n"
+	iemu = iops["Emulator", 1]
+	printf "  \"emulator_insts_per_sec\": %d,\n", iemu * 1e9 / median2("Emulator")
+	printf "  \"emulator_instructions_per_op\": %d,\n", iemu
 	ihot = iops["EmulatorHotInterp", 1]
 	printf "  \"tiered_emulator\": {\n"
 	printf "    \"instructions_per_op\": %d,\n", ihot
@@ -164,9 +143,6 @@ END {
 	printf "    \"validate_median_paired_speedup\": %.2f\n", medspeed("ValidateTiered", "ValidateInterp")
 	printf "  },\n"
 	printf "  \"notes\": [\n"
-	printf "    \"Both variants execute identical work: the emulator pair retires the same instructions/op and the rewrite pair produces byte-identical binaries (see the *Legacy parity tests).\",\n"
-	printf "    \"Legacy paths stay in-tree behind Options.LegacyHotPaths / cfg.Options.Legacy / emu LegacyDecode / asm.AssembleLegacy, so this comparison is re-runnable at any commit.\",\n"
-	printf "    \"superset_cfg measures a single cold build, where the plane is mostly store overhead (intra-build hits are ~zero by design: the builder owner map already avoids re-decoding). Plane hits accrue on reuse — warm rebuilds of the same text via cfg.Options.Plane and frozen planes shared across farm goroutines. The rewrite win comes from decode-time entry harvesting (replacing the legacy per-round all-block rescan), version-gated jump-table re-analysis, and incremental relaxation.\",\n"
 	printf "    \"tiered_emulator compares the interpreter against the tiered superblock engine on an execution-bound (~7M-instruction) module, cold machines — translation cost included. Parity tests (internal/emu/tiered) pin the engines bit-identical across the 48-config corpus: same steps, profile, CET events, syscalls, and error text. validate_median_ms is the full RewriteValidated latency (pipeline + two differential executions) with the engine forced either way.\"\n"
 	printf "  ]\n"
 	printf "}\n"

@@ -3,13 +3,12 @@
 # packages (obs has concurrent counters; core drives the traced
 # pipeline; farm is the concurrent rewrite pool + cache + HTTP layer;
 # harden's failpoints are armed via atomics; elfx parses hostile input;
-# instr runs concurrent instrumented rewrites over one frozen decode
-# plane; x86 and cfg share frozen decode planes across goroutines;
-# emu/tiered executes translated superblocks over shared frozen
-# planes), the
+# instr runs concurrent instrumented rewrites of one binary; cfg runs
+# concurrent builds of one binary; emu/tiered runs concurrent machines,
+# each with its own decode planes and translations), the
 # hot-path allocation gates (cached plane decode, emulator fetch span,
 # and arithmetic encode must stay allocation-free), one-iteration
-# benchmark smokes to keep the paired rewrite and instrumentation
+# benchmark smokes to keep the rewrite and instrumentation
 # benchmarks runnable, an end-to-end coverage-pass smoke (rewrite with
 # the coverage pass, emulate, check the bitmap filled), and a fuzz
 # smoke pass that replays the checked-in seed corpora under
@@ -43,12 +42,12 @@ go test -race ./internal/fleet/...
 # a key's owning worker must be absorbed by a successor replica as a
 # cache hit (TestE2EKillWorkerPrimary).
 go test -race -count=1 -run 'TestChaosSoak|TestE2EKillWorkerPrimary' ./internal/fleet/
-go test -race -run 'Plane|Frozen|Shared' ./internal/x86/... ./internal/cfg/...
+go test -race -run 'TestConcurrentBuilds' ./internal/cfg/...
 # Tiered-emulator race gate: concurrent machines executing translated
-# superblocks over one shared frozen decode plane
-# (TestConcurrentSharedPlanesTiered), plus translation-cache
-# invalidation across reloads (TestPlaneInvalidationBetweenRuns).
-go test -race -count=1 -run 'TestConcurrentSharedPlanesTiered|TestPlaneInvalidationBetweenRuns' \
+# superblocks, each over its own decode planes
+# (TestConcurrentMachinesTiered), plus translation-cache invalidation
+# across reloads (TestPlaneInvalidationBetweenRuns).
+go test -race -count=1 -run 'TestConcurrentMachinesTiered|TestPlaneInvalidationBetweenRuns' \
     ./internal/emu/tiered/
 # Allocation gates: cached plane decode and the emulator fetch span must
 # stay allocation-free; a whole rewrite must stay under its malloc and
@@ -60,7 +59,7 @@ go test -run 'Allocs$' -count=1 ./internal/x86/... ./internal/emu/... ./internal
 # their goldens.
 go test -run 'ZeroAlloc$' -count=1 ./internal/obs/
 go test -run 'Golden|Flight|Quantile' -count=1 ./internal/obs/ ./internal/emu/
-go test -run '^$' -bench 'Benchmark(Rewrite|RewriteLegacy|RewriteFlight)$' -benchtime=1x . >/dev/null
+go test -run '^$' -bench 'Benchmark(Rewrite|RewriteFlight)$' -benchtime=1x . >/dev/null
 # Tiered bench smoke: one iteration each of the engine ladder keeps the
 # interpreter-vs-tiered rows of bench.sh runnable.
 go test -run '^$' -bench 'Benchmark(EmulatorTiered|EmulatorHotInterp|EmulatorHotTiered|ValidateTiered)$' \
