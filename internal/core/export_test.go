@@ -5,4 +5,5 @@ package core
 var (
 	TrapModule    = trapModule
 	CxxTrapModule = cxxTrapModule
+	Update        = update
 )

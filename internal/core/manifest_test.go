@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,8 +16,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/mini"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/rewrite_manifest.txt")
 
 const manifestPath = "testdata/rewrite_manifest.txt"
 
@@ -81,7 +78,7 @@ func TestRewriteManifest(t *testing.T) {
 		sum := sha256.Sum256(res.Binary)
 		fmt.Fprintf(&got, "%s %s\n", hex.EncodeToString(sum[:]), c.name)
 	}
-	if *update {
+	if *core.Update {
 		if err := os.WriteFile(manifestPath, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
