@@ -154,6 +154,14 @@ type Result struct {
 
 // Rewrite runs the full SURI pipeline over a binary image.
 func Rewrite(bin []byte, opts Options) (*Result, error) {
+	return rewrite(bin, nil, opts, nil)
+}
+
+// rewrite is Rewrite for a caller that rewrites one image more than once.
+// With f nil it parses and scope-checks bin under the pipeline's span, as
+// Rewrite does; a later call passes that file back in f and skips both.
+// start, if set, is called with the file before the CFG build begins.
+func rewrite(bin []byte, f *elfx.File, opts Options, start func(*elfx.File)) (*Result, error) {
 	tr := opts.Obs.Trace()
 	reg := opts.Obs.Metrics()
 	root := tr.Start("rewrite")
@@ -208,12 +216,17 @@ func Rewrite(bin []byte, opts Options) (*Result, error) {
 		}
 	}
 
-	f, err := elfx.Read(bin)
-	if err != nil {
-		return nil, fail("elf", err)
+	if f == nil {
+		var err error
+		if f, err = elfx.Read(bin); err != nil {
+			return nil, fail("elf", err)
+		}
+		if !opts.AllowNonCET && (!f.IsPIE() || !f.HasCET()) {
+			return nil, ErrNotCETPIE
+		}
 	}
-	if !opts.AllowNonCET && (!f.IsPIE() || !f.HasCET()) {
-		return nil, ErrNotCETPIE
+	if start != nil {
+		start(f)
 	}
 	budget := opts.Budget.WithDefaults()
 	copts := cfg.DefaultOptions()

@@ -85,6 +85,12 @@ type ValidatedResult struct {
 // exhaustion, and behavioural divergence all end in a usable binary and
 // a Verdict; the only error returned is cancellation, where the caller
 // has already gone away.
+//
+// The original binary's runs need nothing from the rewrite, so they go
+// on a second goroutine as soon as the first attempt has parsed and
+// scope-checked the input, overlapping the rest of the pipeline; the
+// rewritten run on an input waits only for the original's run on it.
+// That goroutine has exited by the time RewriteValidated returns.
 func RewriteValidated(bin []byte, opts ValidateOptions) (*ValidatedResult, error) {
 	inputs := opts.Inputs
 	if len(inputs) == 0 {
@@ -95,20 +101,22 @@ func RewriteValidated(bin []byte, opts ValidateOptions) (*ValidatedResult, error
 	var reason string
 	attempts := 0
 	// One validator for both attempts: the original binary's parsed
-	// file, emulator machine, and predecoded pages carry over across the
-	// retry and across every input.
-	v := &validator{orig: bin, engine: opts.Engine}
+	// file, emulator machine, predecoded pages and completed runs carry
+	// over across the retry and across every input.
+	v := &validator{inputs: inputs, engine: opts.Engine, cancel: opts.Cancel, quit: make(chan struct{})}
 	// Surface what the tiered engine did across every differential run —
 	// both attempts, both binaries — on the request's metric registry
-	// (-stats-json, /metrics, surimon).
+	// (-stats-json, /metrics, surimon). Deferred first, so it runs after
+	// stop has joined the goroutine that owns the original's machine.
 	defer func() { feedTierMetrics(opts.Obs.Metrics(), v.tierTotal()) }()
+	defer v.stop()
 	for i, budget := range budgets {
 		attempts++
 		ropts := opts.Options
 		ropts.Budget = budget
-		res, err := Rewrite(bin, ropts)
+		res, err := rewrite(bin, v.origF, ropts, func(f *elfx.File) { v.start(f, budget.EmuSteps) })
 		if err == nil {
-			err = v.validate(res.Binary, inputs, budget.EmuSteps)
+			err = v.validate(res.Binary, budget.EmuSteps)
 			if err == nil {
 				verdict := VerdictValidated
 				if i > 0 {
@@ -159,15 +167,32 @@ func canceled(ch <-chan struct{}) bool {
 
 // validator runs the differential executions of a guarded rewrite. It
 // amortizes setup across attempts and inputs: the original binary is
-// parsed once and executed on a single machine whose predecoded page
-// planes survive emu.Reload (same image, same bias), and each attempt's
-// rewritten binary likewise reuses one machine across all inputs.
+// parsed once, by the pipeline, and executed on a single machine whose
+// predecoded page planes survive emu.Reload (same image, same bias),
+// and each attempt's rewritten binary likewise reuses one machine
+// across all inputs.
+//
+// The original's runs execute in input order on a goroutine of their
+// own, which alone touches origM until it has exited; it sends each
+// run on results and closes results when it exits. It stops after the
+// first failed run, between inputs once quit or cancel is closed, and
+// otherwise after the last input.
 type validator struct {
-	orig   []byte
+	inputs [][]byte
 	engine emu.EngineKind
+	cancel <-chan struct{}
+	quit   chan struct{}
 
 	origF *elfx.File
 	origM *emu.Machine
+
+	// results carries the running goroutine's runs, steps is the step
+	// budget it runs them under, and received holds every run received
+	// so far, indexed by input. Only the caller's goroutine touches
+	// these.
+	results  chan origRun
+	steps    uint64
+	received []origRun
 
 	// tier accumulates the tiered-engine counters of retired rewritten-
 	// binary machines (one per attempt); the long-lived origM is added in
@@ -175,8 +200,120 @@ type validator struct {
 	tier emu.TierStats
 }
 
+// origRun is the original binary's run on one input, or the value of a
+// panic that ended the goroutine.
+type origRun struct {
+	res      *emu.Result
+	err      error
+	panicked any
+}
+
+// start has the original's runs under way for an attempt with the
+// given step budget. The first call starts them on f; a later one
+// repeats a failed run under a changed budget.
+func (v *validator) start(f *elfx.File, steps uint64) {
+	if v.results == nil {
+		v.origF = f
+		v.launch(0, steps)
+		return
+	}
+	v.rerunFailed(steps)
+}
+
+// launch starts the goroutine on inputs[from:].
+func (v *validator) launch(from int, steps uint64) {
+	v.steps = steps
+	// One slot per run, so the goroutine never blocks on a send.
+	v.results = make(chan origRun, len(v.inputs)-from)
+	go v.runOriginals(from, steps, v.results)
+}
+
+// rerunFailed relaunches the runs from the last received one if it
+// failed under a budget other than steps. Runs that completed are kept:
+// the emulator is deterministic, so a run that finished within one
+// budget finishes the same way within the wider one.
+func (v *validator) rerunFailed(steps uint64) {
+	n := len(v.received)
+	if n == 0 || v.received[n-1].err == nil || v.steps == steps {
+		return
+	}
+	v.join() // the goroutine stopped after the failed run
+	v.received = v.received[:n-1]
+	v.launch(n-1, steps)
+}
+
+// runOriginals runs the original on inputs[from:] in order, sending
+// each run on results.
+func (v *validator) runOriginals(from int, steps uint64, results chan<- origRun) {
+	defer close(results)
+	// Hand a panic to the caller's goroutine, which raises it again where
+	// the caller can recover it (the farm turns a job's panic into an
+	// error). The panicking run sent nothing, so its slot is free.
+	defer func() {
+		if p := recover(); p != nil {
+			results <- origRun{panicked: p}
+		}
+	}()
+	for _, in := range v.inputs[from:] {
+		select {
+		case <-v.quit:
+			return
+		case <-v.cancel:
+			return
+		default:
+		}
+		res, err := runOn(&v.origM, v.origF, emu.Options{Input: in, MaxSteps: steps, Engine: v.engine})
+		results <- origRun{res: res, err: err}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// original returns the original's run on input i under the step budget
+// steps, waiting for it if it has not finished yet.
+func (v *validator) original(i int, steps uint64) (*emu.Result, error) {
+	for {
+		for len(v.received) <= i {
+			r, ok := <-v.results
+			if !ok {
+				// The goroutine stops short of a run only when canceled.
+				return nil, harden.ErrCanceled
+			}
+			if r.panicked != nil {
+				panic(r.panicked)
+			}
+			v.received = append(v.received, r)
+		}
+		if r := v.received[i]; r.err == nil || v.steps == steps {
+			return r.res, r.err
+		}
+		v.rerunFailed(steps)
+	}
+}
+
+// stop makes the goroutine skip the remaining inputs and waits for it to
+// exit. It runs once, when RewriteValidated returns.
+func (v *validator) stop() {
+	close(v.quit)
+	v.join()
+}
+
+// join waits for the goroutine to exit, discarding the runs nobody
+// asked for; a panic among them is raised again here.
+func (v *validator) join() {
+	if v.results == nil {
+		return
+	}
+	for r := range v.results {
+		if r.panicked != nil {
+			panic(r.panicked)
+		}
+	}
+}
+
 // tierTotal sums the tiered-engine counters over every machine the
-// validator ran.
+// validator ran. Call it only after stop.
 func (v *validator) tierTotal() emu.TierStats {
 	t := v.tier
 	if ts := v.origM.TierStats(); ts != nil {
@@ -190,14 +327,7 @@ func (v *validator) tierTotal() emu.TierStats {
 // original that cannot run under the emulator makes behaviour
 // preservation unprovable, which is reported as a failure — the caller
 // falls back to the original, the only binary known to be correct.
-func (v *validator) validate(rewritten []byte, inputs [][]byte, emuSteps uint64) error {
-	if v.origF == nil {
-		f, err := elfx.Read(v.orig)
-		if err != nil {
-			return fmt.Errorf("suri: validate: original binary: %w", err)
-		}
-		v.origF = f
-	}
+func (v *validator) validate(rewritten []byte, emuSteps uint64) error {
 	rf, err := elfx.Read(rewritten)
 	if err != nil {
 		return fmt.Errorf("suri: validate: rewritten binary: %w", err)
@@ -210,8 +340,8 @@ func (v *validator) validate(rewritten []byte, inputs [][]byte, emuSteps uint64)
 			v.tier.Add(*ts)
 		}
 	}()
-	for _, in := range inputs {
-		a, err := runOn(&v.origM, v.origF, emu.Options{Input: in, MaxSteps: emuSteps, Engine: v.engine})
+	for i, in := range v.inputs {
+		a, err := v.original(i, emuSteps)
 		if err != nil {
 			return fmt.Errorf("suri: validate: original binary: %w", err)
 		}
