@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table of the paper's evaluation, plus
-// throughput benchmarks for the pipeline's stages. Each table bench
-// rebuilds its (scaled-down) corpus outside the timer and reports the
-// reproduced headline metrics via b.ReportMetric, so
+// two profiling entry points (a rewrite and a tiered emulator run).
+// Each table bench rebuilds its (scaled-down) corpus outside the timer
+// and reports the reproduced headline metrics via b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //
@@ -10,19 +10,13 @@
 package suri_test
 
 import (
-	"context"
 	"testing"
-	"time"
 
 	suri "repro"
 	"repro/internal/baseline"
 	"repro/internal/cc"
-	"repro/internal/cfg"
-	"repro/internal/elfx"
 	"repro/internal/emu"
 	"repro/internal/eval"
-	"repro/internal/farm"
-	"repro/internal/obs"
 	"repro/internal/prog"
 )
 
@@ -215,277 +209,25 @@ func BenchmarkRewrite(b *testing.B) {
 	}
 }
 
-// BenchmarkSupersetCFG measures superset CFG construction alone (§3.2).
-func BenchmarkSupersetCFG(b *testing.B) {
-	p := prog.Generate("bench", 9, prog.Shape{Funcs: 6, Switches: 2, Globals: 6, MainLoop: 16, Stmts: 8, NumInputs: 1})
-	bin, err := cc.Compile(p.Module, cc.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := elfx.Read(bin)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Build(f, cfg.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEmulator measures interpreter speed (instructions/second).
-// The engine is pinned: the tiered engine is linked into this binary
-// (through core's validation path), so EngineAuto would no longer
-// measure the interpreter.
-func BenchmarkEmulator(b *testing.B) {
-	benchEmulator(b, emu.Options{Engine: emu.EngineInterpreter})
-}
-
-// BenchmarkEmulatorTiered is the same run through the tiered
-// superblock engine — cold: every iteration loads a fresh machine and
-// re-translates, so the rate includes translation cost. This is the
-// shape core.RewriteValidated pays on its first input.
-func BenchmarkEmulatorTiered(b *testing.B) {
-	benchEmulator(b, emu.Options{Engine: emu.EngineTiered})
-}
-
-// benchHotBin compiles the compute-heavy engine-ladder module once:
-// ~7M retired instructions per run, so execution dwarfs load/parse
-// setup and insts/sec measures the engine, not the loader. (The
-// standard bench module retires only ~17k instructions — fine for
-// pipeline benchmarks, useless for comparing engines.)
-func benchHotBin(b *testing.B) []byte {
-	b.Helper()
+// BenchmarkEmulatorHotTiered runs a compute-heavy module (~7M retired
+// instructions per run, so execution dwarfs load and parse) on the
+// tiered superblock engine: the profiling entry point for the engine's
+// run loop.
+func BenchmarkEmulatorHotTiered(b *testing.B) {
 	p := prog.Generate("bench_hot", 11, prog.Shape{Funcs: 8, Switches: 3, Globals: 8, MainLoop: 2048, Stmts: 12, NumInputs: 1})
 	bin, err := cc.Compile(p.Module, cc.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	return bin
-}
-
-func benchEmulatorHot(b *testing.B, engine emu.EngineKind) {
-	b.Helper()
-	bin := benchHotBin(b)
 	var steps uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := emu.Run(bin, emu.Options{Engine: engine})
+		res, err := emu.Run(bin, emu.Options{Engine: emu.EngineTiered})
 		if err != nil {
 			b.Fatal(err)
 		}
 		steps += res.Steps
 	}
 	b.StopTimer()
-	if b.N > 0 {
-		b.ReportMetric(float64(steps)/float64(b.N), "instructions/op")
-	}
-}
-
-// BenchmarkEmulatorHotInterp / BenchmarkEmulatorHotTiered are the
-// engine ladder BENCH_perf.json's tiered_emulator section records:
-// identical work (same instructions/op), interpreter vs tiered.
-func BenchmarkEmulatorHotInterp(b *testing.B) { benchEmulatorHot(b, emu.EngineInterpreter) }
-func BenchmarkEmulatorHotTiered(b *testing.B) { benchEmulatorHot(b, emu.EngineTiered) }
-
-func benchEmulator(b *testing.B, opts emu.Options) {
-	b.Helper()
-	bin := benchRewriteBin(b)
-	var steps uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := emu.Run(bin, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.Steps
-	}
-	b.StopTimer()
-	if b.N > 0 {
-		b.ReportMetric(float64(steps)/float64(b.N), "instructions/op")
-	}
-}
-
-// BenchmarkEmulatorTieredWarm reuses one machine across iterations via
-// emu.Reload, so the translation cache stays hot — the steady state of
-// a validator or fleet worker executing the same image repeatedly.
-func BenchmarkEmulatorTieredWarm(b *testing.B) {
-	bin := benchRewriteBin(b)
-	f, err := elfx.Read(bin)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := emu.Options{Engine: emu.EngineTiered}
-	m, err := emu.LoadFile(f, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := m.Run(); err != nil { // warm the translation cache
-		b.Fatal(err)
-	}
-	var steps uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := emu.Reload(m, f, opts); err != nil {
-			b.Fatal(err)
-		}
-		if err := m.Run(); err != nil {
-			b.Fatal(err)
-		}
-		steps += m.Steps
-	}
-	b.StopTimer()
-	if b.N > 0 {
-		b.ReportMetric(float64(steps)/float64(b.N), "instructions/op")
-	}
-}
-
-// benchValidate measures the full guarded rewrite — pipeline plus two
-// differential executions of the hot module — with the validation
-// engine forced, so the Interp/Tiered pair isolates what the tiered
-// emulator buys end to end on execution-bound validation.
-func benchValidate(b *testing.B, engine emu.EngineKind) {
-	b.Helper()
-	bin := benchHotBin(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vres, err := suri.RewriteValidated(bin, suri.ValidateOptions{Engine: engine})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if vres.Verdict != suri.VerdictValidated {
-			b.Fatalf("verdict %s: %s", vres.Verdict, vres.Reason)
-		}
-	}
-}
-
-// BenchmarkValidateInterp is the validated-rewrite latency with the
-// interpreter forced (the pre-tiered baseline).
-func BenchmarkValidateInterp(b *testing.B) { benchValidate(b, emu.EngineInterpreter) }
-
-// BenchmarkValidateTiered is the validated-rewrite latency on the
-// tiered engine (the ?validate=1 serving default).
-func BenchmarkValidateTiered(b *testing.B) { benchValidate(b, emu.EngineTiered) }
-
-// benchRewriteBin compiles the standard benchmark module once.
-func benchRewriteBin(b *testing.B) []byte {
-	b.Helper()
-	p := prog.Generate("bench", 9, prog.Shape{Funcs: 6, Switches: 2, Globals: 6, MainLoop: 16, Stmts: 8, NumInputs: 1})
-	bin, err := cc.Compile(p.Module, cc.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return bin
-}
-
-// benchFarm runs the full SURI evaluation loop (rewrite + behaviour
-// check per case) over a fixed corpus, sequentially or on a farm pool.
-// BENCH_farm.json records the paired sequential-vs--j medians.
-func benchFarm(b *testing.B, workers int) {
-	cases := benchCorpus(b, "ubuntu20.04", 4)
-	var pool *farm.Pool
-	if workers > 1 {
-		pool = farm.New(farm.Config{Workers: workers})
-		defer pool.Close()
-	}
-	tool := eval.SURI()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := eval.RunToolFarm(context.Background(), tool, cases, nil, pool)
-		if st.Completed == 0 {
-			b.Fatal("no case completed")
-		}
-	}
-	b.ReportMetric(float64(len(cases)), "cases")
-}
-
-// BenchmarkFarmSequential is the nil-pool baseline (surieval without -j).
-func BenchmarkFarmSequential(b *testing.B) { benchFarm(b, 1) }
-
-// BenchmarkFarmJ4 is the same corpus on a 4-worker pool (surieval -j 4).
-func BenchmarkFarmJ4(b *testing.B) { benchFarm(b, 4) }
-
-// BenchmarkFarmJ8 is the same corpus on an 8-worker pool (surieval -j 8).
-func BenchmarkFarmJ8(b *testing.B) { benchFarm(b, 8) }
-
-// benchFarmLatency measures the pool on latency-bound tasks (each job
-// parks on a timer, as jobs blocked on I/O would). Unlike the CPU-bound
-// rewrite benchmarks above, the achievable speedup here is set by the
-// pool's concurrency alone, not by the host's online core count.
-func benchFarmLatency(b *testing.B, workers int) {
-	const tasks = 32
-	const lat = 2 * time.Millisecond
-	pool := farm.New(farm.Config{Workers: workers})
-	defer pool.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, errs := pool.Map(context.Background(), "latency", tasks, func(int) farm.Task {
-			return func(ctx context.Context) (any, error) {
-				t := time.NewTimer(lat)
-				defer t.Stop()
-				select {
-				case <-t.C:
-					return nil, nil
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			}
-		})
-		for _, e := range errs {
-			if e != nil {
-				b.Fatal(e)
-			}
-		}
-	}
-	b.ReportMetric(float64(tasks), "tasks")
-}
-
-// BenchmarkFarmLatencySequential is the 1-worker latency baseline.
-func BenchmarkFarmLatencySequential(b *testing.B) { benchFarmLatency(b, 1) }
-
-// BenchmarkFarmLatencyJ4 runs the latency-bound tasks on 4 workers.
-func BenchmarkFarmLatencyJ4(b *testing.B) { benchFarmLatency(b, 4) }
-
-// BenchmarkRewriteUntraced is the nil-collector baseline for the
-// observability overhead claim: compare against BenchmarkRewriteTraced.
-func BenchmarkRewriteUntraced(b *testing.B) {
-	bin := benchRewriteBin(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := suri.Rewrite(bin, suri.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRewriteTraced runs the same rewrite with a live collector
-// (fresh per iteration, as cmd/suri -trace would allocate it).
-func BenchmarkRewriteTraced(b *testing.B) {
-	bin := benchRewriteBin(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := suri.Rewrite(bin, suri.Options{Obs: obs.New()}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRewriteFlight is the surid service configuration: a live
-// collector with the always-on flight recorder attached (shared across
-// iterations, as the server shares one ring across requests), journaling
-// every stage completion. Compare against BenchmarkRewriteTraced for
-// the recorder's marginal cost.
-func BenchmarkRewriteFlight(b *testing.B) {
-	bin := benchRewriteBin(b)
-	col := obs.New().EnableFlight(4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := suri.Rewrite(bin, suri.Options{Obs: col.WithRequest("bench")}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.ReportMetric(float64(steps)/float64(b.N), "instructions/op")
 }

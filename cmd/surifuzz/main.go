@@ -3,22 +3,19 @@
 // both emulator engines against the reference interpreter; divergences
 // are minimized into .mini regression files.
 //
-// The plain output is deterministic for a given flag set (no timing, no
+// The output is deterministic for a given flag set (no timing, no
 // machine state), so CI can run the same campaign twice and require
-// byte-identical reports. -json adds wall-clock throughput figures for
-// benchmarking.
+// byte-identical reports.
 //
 // Usage:
 //
-//	surifuzz [-seeds 25] [-start 1] [-shape small|medium|large] [-out DIR] [-json]
+//	surifuzz [-seeds 25] [-start 1] [-shape small|medium|large] [-out DIR]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/prog"
@@ -31,7 +28,6 @@ func main() {
 	start := flag.Int64("start", 1, "first seed")
 	shape := flag.String("shape", "small", "program shape: small|medium|large")
 	out := flag.String("out", "", "directory for minimized regression files")
-	asJSON := flag.Bool("json", false, "emit the full report as JSON with timing")
 	flag.Parse()
 
 	sh, ok := prog.ShapeByName(*shape)
@@ -46,35 +42,18 @@ func main() {
 		}
 	}
 
-	t0 := time.Now()
 	rep := gen.Fuzz(gen.FuzzOptions{Seeds: *seeds, Start: *start, Shape: sh, OutDir: *out})
-	elapsed := time.Since(t0)
 
-	if *asJSON {
-		doc := struct {
-			*gen.Report
-			Shape       string  `json:"shape"`
-			ElapsedSec  float64 `json:"elapsed_sec"`
-			ProgramsSec float64 `json:"programs_per_sec"`
-		}{rep, *shape, elapsed.Seconds(), float64(*seeds) / elapsed.Seconds()}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintf(os.Stderr, "surifuzz: %v\n", err)
-			os.Exit(1)
-		}
-	} else {
-		fmt.Printf("surifuzz: seeds %d..%d shape=%s\n", *start, *start+int64(*seeds)-1, *shape)
-		fmt.Printf("verdicts: validated=%d degraded=%d fallback=%d\n",
-			rep.Validated, rep.Degraded, rep.Fallback)
-		fmt.Printf("coverage: %d keys\n", rep.Coverage)
-		fmt.Printf("findings: %d\n", len(rep.Findings))
-		for _, f := range rep.Findings {
-			fmt.Printf("  seed=%d kind=%s config=%s feats=%s detail=%s\n",
-				f.Seed, f.Kind, f.Config, f.Features, f.Detail)
-			if f.Path != "" {
-				fmt.Printf("    regression: %s\n", f.Path)
-			}
+	fmt.Printf("surifuzz: seeds %d..%d shape=%s\n", *start, *start+int64(*seeds)-1, *shape)
+	fmt.Printf("verdicts: validated=%d degraded=%d fallback=%d\n",
+		rep.Validated, rep.Degraded, rep.Fallback)
+	fmt.Printf("coverage: %d keys\n", rep.Coverage)
+	fmt.Printf("findings: %d\n", len(rep.Findings))
+	for _, f := range rep.Findings {
+		fmt.Printf("  seed=%d kind=%s config=%s feats=%s detail=%s\n",
+			f.Seed, f.Kind, f.Config, f.Features, f.Detail)
+		if f.Path != "" {
+			fmt.Printf("    regression: %s\n", f.Path)
 		}
 	}
 	if len(rep.Findings) > 0 {

@@ -1,6 +1,10 @@
 package gen
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -96,8 +100,29 @@ func TestDeriveCaseSpansAxes(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/fuzz_report.txt")
+
+const fuzzReportPath = "testdata/fuzz_report.txt"
+
+// formatReport renders the deterministic part of a findings-free
+// campaign report: its verdict counts, the coverage-growth curve and
+// the sorted coverage keys, one per line.
+func formatReport(r *Report) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "seeds %d start %d\n", r.Seeds, r.Start)
+	fmt.Fprintf(&b, "verdicts validated=%d degraded=%d fallback=%d\n", r.Validated, r.Degraded, r.Fallback)
+	fmt.Fprintf(&b, "growth %s\n", strings.Trim(fmt.Sprint(r.Growth), "[]"))
+	for _, k := range r.CoverageKeys {
+		fmt.Fprintf(&b, "key %s\n", k)
+	}
+	return b.Bytes()
+}
+
 // TestFuzzDeterministic: two runs of the same small campaign must
-// produce identical reports, findings and coverage included.
+// produce identical reports, findings and coverage included, and the
+// report must match testdata/fuzz_report.txt byte for byte. Run with
+// -update to regenerate the golden after a deliberate change to the
+// generator, the pipeline or the coverage keys.
 func TestFuzzDeterministic(t *testing.T) {
 	opts := FuzzOptions{Seeds: 3, Start: 101, Shape: prog.Shapes["small"]}
 	a := Fuzz(opts)
@@ -118,5 +143,20 @@ func TestFuzzDeterministic(t *testing.T) {
 		if a.Growth[i] < a.Growth[i-1] {
 			t.Fatalf("coverage shrank: %v", a.Growth)
 		}
+	}
+
+	got := formatReport(a)
+	if *update {
+		if err := os.WriteFile(fuzzReportPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(fuzzReportPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("report differs from %s\ngot:\n%s\nwant:\n%s", fuzzReportPath, got, want)
 	}
 }

@@ -110,11 +110,43 @@ func passSets(t *testing.T) map[string][]instr.Pass {
 	return sets
 }
 
+// runSteps is the retired-instruction count of one emulated run of each
+// rewritten binary on testInputs()[0]: "none" is the uninstrumented
+// rewrite, the rest are the passSets entries. The counts are
+// deterministic, so any change in what a pass inserts on the executed
+// path shows here.
+var runSteps = map[string]uint64{
+	"none":        7136,
+	"coverage":    14885,
+	"counters":    14024,
+	"calltrace":   7256,
+	"shadowstack": 13128,
+	"all":         27885,
+}
+
+// checkRunSteps runs a rewritten binary on testInputs()[0] and compares
+// its retired-instruction count against runSteps[name].
+func checkRunSteps(t *testing.T, name string, bin []byte) {
+	t.Helper()
+	want, ok := runSteps[name]
+	if !ok {
+		t.Fatalf("%s: no pinned step count", name)
+	}
+	run, err := emu.Run(bin, emu.Options{Input: testInputs()[0]})
+	if err != nil {
+		t.Fatalf("%s: run: %v", name, err)
+	}
+	if run.Steps != want {
+		t.Errorf("%s: %d retired instructions, want %d", name, run.Steps, want)
+	}
+}
+
 // TestStandardPassesValidated is the framework's core guarantee: every
 // standard pass, and the composed all-passes pipeline, produces a
 // binary that passes differential validation with a first-attempt
 // "validated" verdict, and the instrumented stream preserves the
-// original entries as a subsequence.
+// original entries as a subsequence. Each binary's step count on one
+// input is pinned in runSteps.
 func TestStandardPassesValidated(t *testing.T) {
 	bin, err := cc.Compile(instrModule(), cc.DefaultConfig())
 	if err != nil {
@@ -125,6 +157,7 @@ func TestStandardPassesValidated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("uninstrumented rewrite: %v", err)
 	}
+	checkRunSteps(t, "none", base.Binary)
 
 	for name, passes := range passSets(t) {
 		t.Run(name, func(t *testing.T) {
@@ -140,6 +173,7 @@ func TestStandardPassesValidated(t *testing.T) {
 					vres.Verdict, vres.Attempts, vres.Reason)
 			}
 			res := vres.Result
+			checkRunSteps(t, name, res.Binary)
 
 			// Superset invariant: the original (non-synthesized) entries
 			// survive in order — passes insert, never reorder or delete.
@@ -377,83 +411,4 @@ func TestParseList(t *testing.T) {
 	if !ok || fp == "" {
 		t.Errorf("standard passes must be fingerprintable (got %q, %v)", fp, ok)
 	}
-}
-
-// benchCase builds the benchmark binary once per process.
-var benchBin []byte
-
-func benchBinary(b *testing.B) []byte {
-	b.Helper()
-	if benchBin == nil {
-		bin, err := cc.Compile(instrModule(), cc.DefaultConfig())
-		if err != nil {
-			b.Fatalf("compile: %v", err)
-		}
-		benchBin = bin
-	}
-	return benchBin
-}
-
-func benchRewrite(b *testing.B, list string) {
-	bin := benchBinary(b)
-	var passes []instr.Pass
-	if list != "" {
-		var err error
-		passes, err = instr.ParseList(list)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Rewrite(bin, core.Options{Passes: passes}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchRun(b *testing.B, list string) {
-	bin := benchBinary(b)
-	var passes []instr.Pass
-	if list != "" {
-		var err error
-		passes, err = instr.ParseList(list)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	res, err := core.Rewrite(bin, core.Options{Passes: passes})
-	if err != nil {
-		b.Fatal(err)
-	}
-	input := testInputs()[0]
-	var steps uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run, err := emu.Run(res.Binary, emu.Options{Input: input})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps = run.Steps
-	}
-	b.ReportMetric(float64(steps), "steps/op")
-}
-
-func BenchmarkInstrRewriteNone(b *testing.B)        { benchRewrite(b, "") }
-func BenchmarkInstrRewriteCoverage(b *testing.B)    { benchRewrite(b, "coverage") }
-func BenchmarkInstrRewriteCounters(b *testing.B)    { benchRewrite(b, "counters") }
-func BenchmarkInstrRewriteCalltrace(b *testing.B)   { benchRewrite(b, "calltrace") }
-func BenchmarkInstrRewriteShadowstack(b *testing.B) { benchRewrite(b, "shadowstack") }
-func BenchmarkInstrRewriteAll(b *testing.B) {
-	benchRewrite(b, "coverage,counters,calltrace,shadowstack")
-}
-
-func BenchmarkInstrRunNone(b *testing.B)        { benchRun(b, "") }
-func BenchmarkInstrRunCoverage(b *testing.B)    { benchRun(b, "coverage") }
-func BenchmarkInstrRunCounters(b *testing.B)    { benchRun(b, "counters") }
-func BenchmarkInstrRunCalltrace(b *testing.B)   { benchRun(b, "calltrace") }
-func BenchmarkInstrRunShadowstack(b *testing.B) { benchRun(b, "shadowstack") }
-func BenchmarkInstrRunAll(b *testing.B) {
-	benchRun(b, "coverage,counters,calltrace,shadowstack")
 }

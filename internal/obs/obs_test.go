@@ -149,7 +149,7 @@ func TestNilPathZeroAlloc(t *testing.T) {
 
 // TestFlightlessCollectorZeroAlloc: a live collector WITHOUT a flight
 // recorder must also record events allocation-free — that is the
-// "disabled recorder" configuration benchmarked in BENCH_obs.json.
+// "disabled recorder" configuration of a traced rewrite.
 func TestFlightlessCollectorZeroAlloc(t *testing.T) {
 	c := New().MetricsOnly()
 	n := testing.AllocsPerRun(200, func() {

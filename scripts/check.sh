@@ -7,10 +7,11 @@
 # concurrent builds of one binary; emu/tiered runs concurrent machines,
 # each with its own decode planes and translations), the
 # hot-path allocation gates (cached plane decode, emulator fetch span,
-# and arithmetic encode must stay allocation-free), one-iteration
-# benchmark smokes to keep the rewrite and instrumentation
-# benchmarks runnable, an end-to-end coverage-pass smoke (rewrite with
-# the coverage pass, emulate, check the bitmap filled), and a fuzz
+# and arithmetic encode must stay allocation-free), a one-iteration
+# smoke of the two profiling benchmarks (BenchmarkRewrite and
+# BenchmarkEmulatorHotTiered), an end-to-end coverage-pass smoke
+# (rewrite with the coverage pass, emulate, check the bitmap filled),
+# the fixed-seed corpus-fuzzer soak, and a fuzz
 # smoke pass that replays the checked-in seed corpora under
 # testdata/fuzz/ without the fuzzing engine, and the fleet e2e smoke
 # (a coordinator fronting two in-process rewrite workers, including the
@@ -59,13 +60,9 @@ go test -run 'Allocs$' -count=1 ./internal/x86/... ./internal/emu/... ./internal
 # their goldens.
 go test -run 'ZeroAlloc$' -count=1 ./internal/obs/
 go test -run 'Golden|Flight|Quantile' -count=1 ./internal/obs/ ./internal/emu/
-go test -run '^$' -bench 'Benchmark(Rewrite|RewriteFlight)$' -benchtime=1x . >/dev/null
-# Tiered bench smoke: one iteration each of the engine ladder keeps the
-# interpreter-vs-tiered rows of bench.sh runnable.
-go test -run '^$' -bench 'Benchmark(EmulatorTiered|EmulatorHotInterp|EmulatorHotTiered|ValidateTiered)$' \
-    -benchtime=1x . >/dev/null
-go test -run '^$' -bench 'BenchmarkInstr(Rewrite|Run)(None|Coverage)$' -benchtime=1x \
-    ./internal/instr >/dev/null
+# Profiling-benchmark smoke: one iteration each keeps the two entry
+# points runnable.
+go test -run '^$' -bench 'Benchmark(Rewrite|EmulatorHotTiered)$' -benchtime=1x . >/dev/null
 go test -run 'TestCoverageArtifact' -count=1 ./internal/instr >/dev/null
 go test -run=Fuzz ./internal/elfx/... ./internal/ehframe/... \
     ./internal/x86/... ./internal/core/...
