@@ -191,15 +191,17 @@ func loadInto(m *Machine, f *elfx.File, opts Options) error {
 		m.Mem.Protect(p.vaddr, p.memsz, p.perm)
 	}
 
-	// Stack.
-	m.Mem.Map(stackTop-stackSize, stackSize, PermR|PermW)
+	// Stack: a demand-zero range, so a run allocates only the pages it
+	// touches. The range is page-rounded, as Map would round it.
+	m.Mem.AddAutoRW(pageRange(stackTop-stackSize, stackSize))
 	m.Regs[x86.RSP] = stackTop - 64
 
 	// Thread-local storage (x86-64 variant 2): the thread pointer (FS
 	// base) sits at the end of the thread's TLS block, so local-exec
 	// access is fs:[-offset]. Like the glibc TCB, [TP] holds the thread
 	// pointer itself, which compiled code loads (mov r, fs:[0]) to form
-	// ordinary base+index addresses into the block.
+	// ordinary base+index addresses into the block. The area is
+	// demand-zero like the stack.
 	for _, seg := range f.Segments {
 		if seg.Type != elfx.PTTLS {
 			continue
@@ -207,7 +209,7 @@ func loadInto(m *Machine, f *elfx.File, opts Options) error {
 		if seg.Memsz > tlsAreaSize-16 {
 			return fmt.Errorf("emu: PT_TLS block of %d bytes exceeds the %d-byte TLS area", seg.Memsz, tlsAreaSize)
 		}
-		m.Mem.Map(tlsTP-tlsAreaSize, tlsAreaSize+PageSize, PermR|PermW)
+		m.Mem.AddAutoRW(pageRange(tlsTP-tlsAreaSize, tlsAreaSize+PageSize))
 		if seg.Filesz > 0 {
 			if seg.Off+seg.Filesz > uint64(len(f.Raw)) {
 				return fmt.Errorf("emu: PT_TLS segment at %#x overruns file", seg.Vaddr)
@@ -230,6 +232,12 @@ func loadInto(m *Machine, f *elfx.File, opts Options) error {
 	m.RIP = bias + f.Entry
 	m.EnforceCET = f.HasCET() && !opts.DisableCET
 	return nil
+}
+
+// pageRange returns the page-aligned range covering [addr, addr+size):
+// the pages Map would create for the same arguments.
+func pageRange(addr, size uint64) Range {
+	return Range{Start: addr &^ (PageSize - 1), End: (addr + size + PageSize - 1) &^ (PageSize - 1)}
 }
 
 // relocations returns the file's rebase relocations, preferring the

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/harden"
 	"repro/internal/x86"
@@ -347,16 +348,22 @@ func (m *Machine) syscall() error {
 		if n < 0 || n > 1<<24 {
 			return fmt.Errorf("emu: unreasonable write length %d", n)
 		}
-		data := make([]byte, n)
-		if err := m.Mem.Read(buf, data); err != nil {
+		// Read straight into the tail of the output stream; a fault
+		// truncates it back, so the stream is unchanged. An unknown fd
+		// still reads (into Stdout's spare capacity, then drops the
+		// bytes): the fault check comes before -EBADF.
+		out := &m.Stdout
+		if fd == 2 {
+			out = &m.Stderr
+		}
+		old := len(*out)
+		*out = slices.Grow(*out, n)[:old+n]
+		if err := m.Mem.Read(buf, (*out)[old:]); err != nil {
+			*out = (*out)[:old]
 			return err
 		}
-		switch fd {
-		case 1:
-			m.Stdout = append(m.Stdout, data...)
-		case 2:
-			m.Stderr = append(m.Stderr, data...)
-		default:
+		if fd != 1 && fd != 2 {
+			*out = (*out)[:old]
 			m.Regs[x86.RAX] = ^uint64(8) // -EBADF
 			return nil
 		}

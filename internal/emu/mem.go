@@ -30,8 +30,9 @@ type page struct {
 type Memory struct {
 	pages map[uint64]*page
 
-	// AutoRW ranges are mapped read-write on first touch (the sanitizer
-	// shadow region).
+	// autoRW holds the demand-zero ranges: each page in them is mapped
+	// read-write, zero-filled, on its first data access (the stack, the
+	// TLS area, the sanitizer shadow region).
 	autoRW []Range
 }
 
@@ -86,7 +87,11 @@ func (m *Memory) Protect(addr, size uint64, perm uint8) {
 	}
 }
 
-// AddAutoRW registers a range that is mapped read-write on demand.
+// AddAutoRW registers a demand-zero range: a data access to any address
+// in it maps that page read-write and zero-filled, exactly as if the
+// page had been mapped up front, so a run allocates only the pages it
+// touches. Instruction fetch never maps these pages, so executing from
+// one faults "exec" like any non-executable page.
 func (m *Memory) AddAutoRW(r Range) { m.autoRW = append(m.autoRW, r) }
 
 // Fault is a memory access violation.
@@ -100,22 +105,29 @@ func (f *Fault) Error() string {
 }
 
 func (m *Memory) pageFor(addr uint64, need uint8, kind string) (*page, error) {
-	pa := addr &^ (PageSize - 1)
-	p, ok := m.pages[pa]
-	if !ok {
-		for _, r := range m.autoRW {
-			if r.Contains(addr) {
-				p = &page{perm: PermR | PermW}
-				m.pages[pa] = p
-				ok = true
-				break
-			}
-		}
-	}
-	if !ok || p.perm&need != need {
+	p := m.dataPage(addr)
+	if p == nil || p.perm&need != need {
 		return nil, &Fault{Addr: addr, Kind: kind}
 	}
 	return p, nil
+}
+
+// dataPage returns the page containing addr for a data access, mapping
+// it first when addr lies in a demand-zero range, or nil when the page
+// is unmapped.
+func (m *Memory) dataPage(addr uint64) *page {
+	pa := addr &^ (PageSize - 1)
+	if p, ok := m.pages[pa]; ok {
+		return p
+	}
+	for _, r := range m.autoRW {
+		if r.Contains(addr) {
+			p := &page{perm: PermR | PermW}
+			m.pages[pa] = p
+			return p
+		}
+	}
+	return nil
 }
 
 // Read copies size bytes at addr, checking read permission.
@@ -153,8 +165,9 @@ func (m *Memory) FetchSpan(addr uint64, buf []byte) int {
 	return done
 }
 
-// execPage returns the executable page containing addr, or nil. AutoRW
-// ranges are never executable, so no on-demand mapping happens here.
+// execPage returns the executable page containing addr, or nil.
+// Demand-zero ranges are never executable, so no on-demand mapping
+// happens here.
 func (m *Memory) execPage(addr uint64) *page {
 	p, ok := m.pages[addr&^(PageSize-1)]
 	if !ok || p.perm&PermX == 0 {
@@ -164,25 +177,14 @@ func (m *Memory) execPage(addr uint64) *page {
 }
 
 // PageData returns the backing bytes of the page containing addr when
-// it is mapped with the needed permission, or nil. AutoRW ranges map
-// on demand, exactly as a faulting access would. The tiered engine's
-// data TLB caches the returned slice; it never allocates on the miss
-// path, so callers can probe freely and fall back to Read/Write for
-// the canonical Fault error.
+// it is mapped with the needed permission, or nil. Demand-zero ranges
+// map on first touch, exactly as a faulting access would. The tiered
+// engine's data TLB caches the returned slice; it never allocates on
+// the miss path, so callers can probe freely and fall back to
+// Read/Write for the canonical Fault error.
 func (m *Memory) PageData(addr uint64, need uint8) []byte {
-	pa := addr &^ (PageSize - 1)
-	p, ok := m.pages[pa]
-	if !ok {
-		for _, r := range m.autoRW {
-			if r.Contains(addr) {
-				p = &page{perm: PermR | PermW}
-				m.pages[pa] = p
-				ok = true
-				break
-			}
-		}
-	}
-	if !ok || p.perm&need != need {
+	p := m.dataPage(addr)
+	if p == nil || p.perm&need != need {
 		return nil
 	}
 	return p.data[:]
@@ -237,6 +239,10 @@ func (m *Memory) WriteU64(addr uint64, v uint64, width int) error {
 }
 
 // MappedRanges returns the mapped page ranges, coalesced, for debugging.
+// Demand-zero pages (the stack, the TLS area, the sanitizer shadow)
+// appear only once touched: a fresh load lists its ELF segments, and
+// the stack shows up as the pages the program has used, not as the
+// whole reserved range.
 func (m *Memory) MappedRanges() []Range {
 	addrs := make([]uint64, 0, len(m.pages))
 	for pa := range m.pages {

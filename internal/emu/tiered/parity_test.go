@@ -126,12 +126,7 @@ func TestParityCorpus(t *testing.T) {
 			inputs = inputs[:2]
 		}
 		for vi, vals := range inputs {
-			input := make([]byte, 0, len(vals)*8)
-			for _, v := range vals {
-				for b := 0; b < 8; b++ {
-					input = append(input, byte(uint64(v)>>(8*b)))
-				}
-			}
+			input := encodeInput(vals)
 			label := c.Prog.Name + "/" + c.Config.String()
 
 			ires, ierr := emu.Run(c.Bin, emu.Options{
@@ -336,12 +331,7 @@ func TestParityCxxAxes(t *testing.T) {
 			inputs = inputs[:2]
 		}
 		for _, vals := range inputs {
-			input := make([]byte, 0, len(vals)*8)
-			for _, v := range vals {
-				for b := 0; b < 8; b++ {
-					input = append(input, byte(uint64(v)>>(8*b)))
-				}
-			}
+			input := encodeInput(vals)
 			label := "cxx/" + cs
 			ires, ierr := emu.Run(bin, emu.Options{Input: input, Profile: true, Engine: emu.EngineInterpreter})
 			tres, terr := emu.Run(bin, emu.Options{Input: input, Profile: true, Engine: emu.EngineTiered})

@@ -77,11 +77,13 @@ const (
 
 // opMeta retains per-instruction identity for the dispatch loop's
 // profile hooks and error wrapping — the data the interpreter would
-// have in hand at the equivalent step.
+// have in hand at the equivalent step. It is pointer-free and 16
+// bytes; the error path re-reads the full instruction through the
+// machine's memoized plane decode (see opError).
 type opMeta struct {
-	in   x86.Inst
 	addr uint64
-	size int
+	op   x86.Op
+	size uint8
 }
 
 // block is one translated superblock.
@@ -122,6 +124,11 @@ type engine struct {
 	// err carries the raw error out of a uop closure to the dispatch
 	// loop, which wraps it exactly as the interpreter would.
 	err error
+
+	// opsBuf and metaBuf are translate's growth buffers: a block is
+	// built in them and then copied out at its exact size.
+	opsBuf  []uop
+	metaBuf []opMeta
 }
 
 // TierStats implements the reporter interface emu.(*Machine).TierStats
@@ -288,8 +295,7 @@ func (e *engine) runFast(b *block) (fell bool, err error) {
 		default: // uErr
 			e.stats.TierSteps += uint64(i + 1)
 			e.stats.ExitError++
-			mt := &b.meta[i]
-			return false, fmt.Errorf("at %#x (%s): %w", mt.addr, mt.in, e.err)
+			return false, e.opError(b.meta[i].addr)
 		}
 	}
 }
@@ -309,7 +315,7 @@ func (e *engine) runProfiled(b *block) (fell bool, err error) {
 			m.TraceFn(mt.addr)
 		}
 		if p := m.Prof; p != nil {
-			p.Opcode[mt.in.Op]++
+			p.Opcode[mt.op]++
 			if mt.addr != m.ProfSeq() {
 				p.Heat[mt.addr]++
 			}
@@ -339,7 +345,16 @@ func (e *engine) runProfiled(b *block) (fell bool, err error) {
 		default: // uErr
 			e.stats.TierSteps += uint64(i + 1)
 			e.stats.ExitError++
-			return false, fmt.Errorf("at %#x (%s): %w", mt.addr, mt.in, e.err)
+			return false, e.opError(mt.addr)
 		}
 	}
+}
+
+// opError wraps e.err exactly as the interpreter wraps a failing
+// instruction's error. The instruction text comes from FetchInst: the
+// same memoized plane decode the block was translated from, so the
+// message is byte-identical to the one a block-held Inst would give.
+func (e *engine) opError(addr uint64) error {
+	in, _, _ := e.m.FetchInst(addr)
+	return fmt.Errorf("at %#x (%s): %w", addr, in, e.err)
 }

@@ -22,9 +22,9 @@ func (e *engine) translate(entry uint64) *block {
 	if pl == nil {
 		return nil
 	}
-	b := &block{entry: entry}
+	ops, meta := e.opsBuf[:0], e.metaBuf[:0]
 	addr := entry
-	for len(b.ops) < maxBlockOps && addr&^(emu.PageSize-1) == pa {
+	for len(ops) < maxBlockOps && addr&^(emu.PageSize-1) == pa {
 		in, size, err := pl.Decode(int(addr - pa))
 		if err != nil {
 			break
@@ -33,18 +33,23 @@ func (e *engine) translate(entry uint64) *block {
 		if u == nil {
 			break
 		}
-		b.ops = append(b.ops, u)
-		b.meta = append(b.meta, opMeta{in: in, addr: addr, size: size})
+		ops = append(ops, u)
+		meta = append(meta, opMeta{addr: addr, op: in.Op, size: uint8(size)})
 		addr += uint64(size)
 		if term {
 			break
 		}
 	}
-	if len(b.ops) == 0 {
+	e.opsBuf, e.metaBuf = ops, meta
+	if len(ops) == 0 {
 		return nil
 	}
-	b.endFall = addr
 	e.stats.Translations++
-	e.stats.TransInsts += uint64(len(b.ops))
-	return b
+	e.stats.TransInsts += uint64(len(ops))
+	return &block{
+		entry:   entry,
+		ops:     append([]uop(nil), ops...),
+		meta:    append([]opMeta(nil), meta...),
+		endFall: addr,
+	}
 }

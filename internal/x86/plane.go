@@ -2,55 +2,54 @@ package x86
 
 // Plane is a decode plane over one text slab: a table indexed by byte
 // offset that memoizes the result of Decode at each offset, making every
-// decode after the first a single indexed load and a struct copy. The
+// decode after the first two indexed loads and a struct copy. The
 // emulator keeps one per executable page, where the same instructions
 // are fetched millions of times.
 //
 // A Plane is not safe for concurrent use: each machine owns its planes.
-// Entry storage is chunked and allocated on first touch, one entry per
-// offset, so the hit path has no indirection beyond the chunk index.
+// Storage is split in two: a slot per offset records the offset's
+// state, and the instructions themselves live in a dense entry slice
+// that grows only for offsets that decode. A run touches a small part
+// of each page (instruction starts, not every byte), so the plane's
+// size follows the code the program executes, not the slab length.
 type Plane struct {
-	text   []byte
-	chunks []*planeChunk
+	text  []byte
+	slots []planeSlot
+	ents  []planeEntry
 }
 
-// planeChunkShift sizes a chunk at 512 entries: big enough to amortize
-// the allocation across a basic block's worth of decodes, small enough
-// that a sparse text touch pattern stays cheap.
+// A planeSlot is one offset's state. Decode can only fail with the two
+// sentinel errors (plus the >15-byte length check, which is
+// ErrBadInstruction), so each failure gets a reserved slot value
+// instead of a stored error; any other nonzero value is 1 + the index
+// of the offset's entry in Plane.ents.
+type planeSlot uint16
+
 const (
-	planeChunkShift = 9
-	planeChunkLen   = 1 << planeChunkShift
-	planeChunkMask  = planeChunkLen - 1
+	slotCold  planeSlot = 0
+	slotBad   planeSlot = ^planeSlot(0)     // decoded to ErrBadInstruction
+	slotTrunc planeSlot = ^planeSlot(0) - 1 // decoded to ErrTruncated
 )
 
-// A planeChunk stores one entry per offset with an inline state byte:
-// the emulator's fetch loop hits the same entries millions of times,
-// so the hit path is one indexed load and a branch.
-type planeChunk struct {
-	ents [planeChunkLen]planeEntry
-}
-
-// Entry states. Decode can only fail with the two sentinel errors
-// (plus the >15-byte length check, which is ErrBadInstruction), so the
-// error is folded into the state byte instead of stored as an
-// interface.
-const (
-	planeCold  uint8 = iota
-	planeBad         // decoded to ErrBadInstruction
-	planeTrunc       // decoded to ErrTruncated
-	planeOK          // successful decode stored inline
-)
+// MaxPlaneText is the longest slab a Plane covers. Each successful
+// decode takes one entry and each offset decodes at most once, so a
+// slab of at most MaxPlaneText bytes can never run out of slot values.
+// The emulator's slabs are single pages, far below the bound.
+const MaxPlaneText = int(slotTrunc) - 1
 
 type planeEntry struct {
-	inst  Inst
-	size  uint8
-	state uint8
+	inst Inst
+	size uint8
 }
 
-// NewPlane builds a cold decode plane over text. Only the chunk index is
-// allocated up front; entry chunks materialize on first decode.
+// NewPlane builds a cold decode plane over text, which must be at most
+// MaxPlaneText bytes long (a longer slab panics). Only the slot array
+// is allocated up front; entries are appended as offsets decode.
 func NewPlane(text []byte) *Plane {
-	return &Plane{text: text, chunks: make([]*planeChunk, (len(text)+planeChunkMask)>>planeChunkShift)}
+	if len(text) > MaxPlaneText {
+		panic("x86: NewPlane slab longer than MaxPlaneText")
+	}
+	return &Plane{text: text, slots: make([]planeSlot, len(text))}
 }
 
 // Decode returns the instruction at byte offset off, memoizing the
@@ -61,28 +60,25 @@ func (p *Plane) Decode(off int) (Inst, int, error) {
 	if off < 0 || off >= len(p.text) {
 		return Inst{}, 0, ErrTruncated
 	}
-	c := p.chunks[off>>planeChunkShift]
-	if c == nil {
-		c = &planeChunk{}
-		p.chunks[off>>planeChunkShift] = c
-	}
-	e := &c.ents[off&planeChunkMask]
-	switch e.state {
-	case planeOK:
-		return e.inst, int(e.size), nil
-	case planeBad:
+	switch s := p.slots[off]; s {
+	case slotCold:
+	case slotBad:
 		return Inst{}, 0, ErrBadInstruction
-	case planeTrunc:
+	case slotTrunc:
 		return Inst{}, 0, ErrTruncated
+	default:
+		e := &p.ents[s-1]
+		return e.inst, int(e.size), nil
 	}
 	in, n, err := Decode(p.text[off:])
 	switch {
 	case err == nil:
-		e.inst, e.size, e.state = in, uint8(n), planeOK
+		p.ents = append(p.ents, planeEntry{inst: in, size: uint8(n)})
+		p.slots[off] = planeSlot(len(p.ents))
 	case err == ErrTruncated:
-		e.state = planeTrunc
+		p.slots[off] = slotTrunc
 	default:
-		e.state = planeBad
+		p.slots[off] = slotBad
 	}
 	return in, n, err
 }

@@ -2,6 +2,7 @@ package x86
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -35,23 +36,62 @@ func planeTestText(t *testing.T) []byte {
 // TestPlaneMatchesColdDecode is the decode-plane determinism oracle: at
 // every offset the memoized result (first call populates, second call
 // hits the cache) must equal a cold Decode of the same bytes — same
-// instruction, same length, same sentinel error.
+// instruction, same length, same sentinel error. It covers the mixed
+// test slab and two whole 4 KiB pages, the emulator's slab size: one of
+// encoded instructions (every mid-instruction offset included) and one
+// of random bytes.
 func TestPlaneMatchesColdDecode(t *testing.T) {
-	text := planeTestText(t)
+	code := planeTestText(t)
+	planeEquivalence(t, code)
+
+	page := make([]byte, 0, 4096+len(code))
+	for len(page) < 4096 {
+		page = append(page, code...)
+	}
+	planeEquivalence(t, page[:4096])
+
+	junk := make([]byte, 4096)
+	rand.New(rand.NewSource(7)).Read(junk)
+	planeEquivalence(t, junk)
+}
+
+// planeEquivalence checks every offset of text twice — cold, then
+// cached — against a direct Decode of the same bytes: same instruction,
+// same length, same sentinel error.
+func planeEquivalence(t *testing.T, text []byte) {
+	t.Helper()
 	p := NewPlane(text)
-	for pass := 0; pass < 2; pass++ {
-		for off := 0; off < len(text); off++ {
+	for _, name := range []string{"cold", "cached"} {
+		for off := range text {
 			wantIn, wantN, wantErr := Decode(text[off:])
 			in, n, err := p.Decode(off)
-			if !errors.Is(err, wantErr) || (err == nil) != (wantErr == nil) {
-				t.Fatalf("pass %d off %d: err %v, cold decode %v", pass, off, err, wantErr)
+			if err != wantErr {
+				t.Fatalf("%s off %d: err %v, Decode %v", name, off, err, wantErr)
 			}
-			if err == nil && (n != wantN || in != wantIn) {
-				t.Fatalf("pass %d off %d: got %#v (%d bytes), cold decode %#v (%d bytes)",
-					pass, off, in, n, wantIn, wantN)
+			if in != wantIn || n != wantN {
+				t.Fatalf("%s off %d: got %v (%d bytes), Decode %v (%d bytes)", name, off, in, n, wantIn, wantN)
 			}
 		}
 	}
+}
+
+// TestPlaneSlabBound pins the slot bound: on a slab of MaxPlaneText
+// NOPs every offset decodes, so the last entry index takes the largest
+// slot value, which must not collide with the failure slots; one byte
+// more is refused.
+func TestPlaneSlabBound(t *testing.T) {
+	text := make([]byte, MaxPlaneText)
+	for i := range text {
+		text[i] = 0x90
+	}
+	planeEquivalence(t, text)
+
+	defer func() {
+		if recover() == nil {
+			t.Error("NewPlane accepted a slab longer than MaxPlaneText")
+		}
+	}()
+	NewPlane(make([]byte, MaxPlaneText+1))
 }
 
 // TestPlaneOutOfRange checks the slab bounds behave like truncation.

@@ -52,7 +52,10 @@ go test -race -count=1 -run 'TestConcurrentMachinesTiered|TestPlaneInvalidationB
     ./internal/emu/tiered/
 # Allocation gates: cached plane decode and the emulator fetch span must
 # stay allocation-free; a whole rewrite must stay under its malloc and
-# byte ceilings (each pipeline stage sizes its stream once).
+# byte ceilings (each pipeline stage sizes its stream once); a tiered
+# emulator run must stay under its per-run byte ceiling
+# (TestTieredRunAllocs: demand-zero stack, compact decode planes, slim
+# block metadata).
 go test -run 'Allocs$' -count=1 ./internal/x86/... ./internal/emu/... ./internal/core/...
 # Observability gates: the disabled paths (nil collector, live collector
 # without a flight recorder) must stay allocation-free, and the wire
