@@ -78,10 +78,13 @@ type TierStats struct {
 	Blocks    uint64 `json:"blocks"`
 	TierSteps uint64 `json:"tier_steps"`
 
-	// CacheHits are block lookups served by the translation cache;
-	// CacheMisses fell through to the interpreter (cold, still
-	// warming, or untranslatable). Invalidations counts cache flushes
-	// from plane invalidation (image or bias change on reload).
+	// CacheHits are leader lookups that found a translated block;
+	// CacheMisses found none and fell through to the interpreter: a
+	// cold leader still below the translation threshold (its
+	// straight-line run steps), or a negative entry whose first
+	// instruction the translator declines (one step). Invalidations
+	// counts cache flushes from plane invalidation (image or bias
+	// change on reload).
 	CacheHits     uint64 `json:"cache_hits"`
 	CacheMisses   uint64 `json:"cache_misses"`
 	Invalidations uint64 `json:"invalidations"`
@@ -94,10 +97,11 @@ type TierStats struct {
 	ExitExit   uint64 `json:"exit_exit"`   // program exited inside the block
 
 	// GuardBudget counts blocks skipped because the step budget could
-	// expire inside them (those instructions single-step instead);
-	// GuardCET counts block entries deferred to the interpreter for a
-	// pending endbr64 check (its counters and violation error are the
-	// ground truth).
+	// expire inside them (one instruction steps instead); GuardCET
+	// counts indirect-branch entries into a block that does not start
+	// with endbr64, deferred to one interpreter step, which raises the
+	// missing-endbr64 violation. A block that starts with endbr64
+	// performs a pending check itself and is not counted.
 	GuardBudget uint64 `json:"guard_budget"`
 	GuardCET    uint64 `json:"guard_cet"`
 }

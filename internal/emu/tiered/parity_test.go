@@ -162,7 +162,7 @@ func TestParityCorpus(t *testing.T) {
 	if totalSteps == 0 {
 		t.Fatal("corpus executed nothing")
 	}
-	if frac := float64(tierSteps) / float64(totalSteps); frac < 0.5 {
+	if frac := float64(tierSteps) / float64(totalSteps); frac < 0.95 {
 		t.Errorf("tiered engine covered only %.1f%% of steps — parity would be vacuous", 100*frac)
 	} else {
 		t.Logf("tiered coverage: %.1f%% of %d steps", 100*float64(tierSteps)/float64(totalSteps), totalSteps)
@@ -188,17 +188,19 @@ func snapshot(m *emu.Machine, err error) machineState {
 	}
 }
 
-// buildRaw maps raw code bytes at base on a fresh machine with a stack.
+// buildRaw maps raw code bytes at 0x1000 (as many executable pages as
+// they need, at least one) on a fresh machine with a stack.
 func buildRaw(t *testing.T, code []byte, engine emu.EngineKind) *emu.Machine {
 	t.Helper()
 	m := emu.NewMachine()
 	m.Engine = engine
 	m.MaxSteps = 2000
-	m.Mem.Map(0x1000, emu.PageSize, emu.PermR|emu.PermW)
+	size := max(uint64(len(code)+emu.PageSize-1)&^(emu.PageSize-1), emu.PageSize)
+	m.Mem.Map(0x1000, size, emu.PermR|emu.PermW)
 	if err := m.Mem.Write(0x1000, code); err != nil {
 		t.Fatal(err)
 	}
-	m.Mem.Protect(0x1000, emu.PageSize, emu.PermR|emu.PermX)
+	m.Mem.Protect(0x1000, size, emu.PermR|emu.PermX)
 	m.Mem.Map(0x7FF00000-0x10000, 0x10000, emu.PermR|emu.PermW)
 	m.Regs[x86.RSP] = 0x7FF00000 - 64
 	m.RIP = 0x1000

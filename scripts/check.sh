@@ -46,9 +46,15 @@ go test -race -count=1 -run 'TestChaosSoak|TestE2EKillWorkerPrimary' ./internal/
 go test -race -run 'TestConcurrentBuilds' ./internal/cfg/...
 # Tiered-emulator race gate: concurrent machines executing translated
 # superblocks, each over its own decode planes
-# (TestConcurrentMachinesTiered), plus translation-cache invalidation
-# across reloads (TestPlaneInvalidationBetweenRuns).
-go test -race -count=1 -run 'TestConcurrentMachinesTiered|TestPlaneInvalidationBetweenRuns' \
+# (TestConcurrentMachinesTiered), translation-cache invalidation across
+# reloads (TestPlaneInvalidationBetweenRuns), and the engine staying in
+# translated code: a warm corpus run interprets at most 0.1% of its
+# steps (TestWarmRunStaysTranslated), endbr64-led indirect entries pass
+# their check inside translated blocks (TestIndirectEntryEndbr), and
+# execution re-enters translated code after a page-boundary or declined
+# block end (TestReentryAfterForcedExit).
+go test -race -count=1 \
+    -run 'TestConcurrentMachinesTiered|TestPlaneInvalidationBetweenRuns|TestWarmRunStaysTranslated|TestIndirectEntryEndbr|TestReentryAfterForcedExit' \
     ./internal/emu/tiered/
 # Allocation gates: cached plane decode and the emulator fetch span must
 # stay allocation-free; a whole rewrite must stay under its malloc and
