@@ -51,16 +51,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
+	"net"
 	"os"
-	"os/signal"
 	"runtime"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/farm"
@@ -118,24 +115,11 @@ func main() {
 		EnablePprof:    *enablePprof,
 		ErrorLog:       log.Default(),
 	})
-	srv := &http.Server{Addr: *addr, Handler: server}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		<-ctx.Done()
-		log.Print("surid: draining")
-		// Flip health to 503 first so load balancers stop sending new
-		// traffic, then let in-flight requests finish.
-		server.SetDraining(true)
-		shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutCtx); err != nil {
-			log.Printf("surid: shutdown: %v", err)
-		}
-	}()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "surid:", err)
+		os.Exit(1)
+	}
 
 	if *register != "" {
 		// Self-registration: announce this worker to the fleet
@@ -158,11 +142,10 @@ func main() {
 
 	log.Printf("surid: listening on %s (%d workers, cache %d entries, dir %q, flight %d)",
 		*addr, pool.Workers(), *cacheEntries, *cacheDir, *flightEvents)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	// Closing the pool drains the farm: no goroutines leak past this call.
+	if err := farm.ServeAndDrain(context.Background(), "surid", ln, server, server.SetDraining, pool.Close); err != nil {
 		fmt.Fprintln(os.Stderr, "surid:", err)
 		os.Exit(1)
 	}
-	<-done       // in-flight requests finished
-	pool.Close() // farm drained; no goroutines leak past this line
 	log.Print("surid: bye")
 }

@@ -36,35 +36,32 @@
 // ring successors (PUT /cache on the worker), so killing a key's owner
 // costs a failover cache hit, not a recompute; -hedge-after D races a
 // forward against the ring successor once it has been in flight longer
-// than max(D, -hedge-multiplier × the worker's rolling -hedge-quantile
-// latency), first success wins, the loser is canceled. -chaos arms
+// than max(D, 2 × the worker's rolling p90 latency), first success
+// wins, the loser is canceled. -chaos arms
 // seeded transport faults (drop, delay, 5xx, slow-body, probe flap) for
 // soak-testing exactly those paths.
 //
 // Usage:
 //
-//	surifleet [-addr :8650] [-workers URL,URL,...] [-replicas N]
+//	surifleet [-addr :8650] [-workers URL,URL,...]
 //	          [-cache-dir DIR] [-cache-entries N] [-max-inflight N]
-//	          [-degrade-at N] [-batch-concurrency N] [-max-body BYTES]
-//	          [-timeout D] [-health-interval D] [-retry N]
-//	          [-replicate N] [-replica-queue N] [-hedge-after D]
-//	          [-hedge-quantile Q] [-hedge-multiplier M] [-chaos SPEC]
+//	          [-degrade-at N] [-max-body BYTES] [-timeout D]
+//	          [-health-interval D] [-replicate N] [-replica-queue N]
+//	          [-hedge-after D] [-chaos SPEC]
 //	          [-budget N] [-budget-steps N] [-flight N]
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
+	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/farm"
 	"repro/internal/fleet"
 	"repro/internal/harden"
 	"repro/internal/obs"
@@ -73,21 +70,16 @@ import (
 func main() {
 	addr := flag.String("addr", ":8650", "listen address")
 	workers := flag.String("workers", "", "comma-separated worker base URLs (more can register at runtime)")
-	replicas := flag.Int("replicas", 0, "virtual nodes per worker on the hash ring (0 = 64)")
 	cacheDir := flag.String("cache-dir", "", "shared disk tier for rewrite artifacts (empty = memory only)")
 	cacheEntries := flag.Int("cache-entries", 256, "coordinator in-memory artifact cache size (LRU)")
 	maxInflight := flag.Int("max-inflight", 0, "in-flight requests before shedding with 503 (0 = 256)")
 	degradeAt := flag.Int("degrade-at", 0, "in-flight requests before ?validate=1 degrades to a plain rewrite (0 = max-inflight/2)")
-	batchConcurrency := flag.Int("batch-concurrency", 0, "concurrent jobs per batch (0 = max-inflight/2)")
 	maxBody := flag.Int64("max-body", 0, "max request body / batch line bytes (0 = 64 MiB)")
 	reqTimeout := flag.Duration("timeout", 0, "per-request deadline (0 = none)")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "worker health poll period (0 = disabled)")
-	retry := flag.Int("retry", 0, "ring successors to try per request (0 = all)")
 	replicate := flag.Int("replicate", 0, "push each executed artifact to this many ring successors (0 = off)")
 	replicaQueue := flag.Int("replica-queue", 0, "async replication backlog before drop-and-count (0 = 64)")
 	hedgeAfter := flag.Duration("hedge-after", 0, "hedge threshold floor: race the ring successor once a forward exceeds it (0 = hedging off)")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0, "per-worker rolling latency quantile the hedge threshold tracks (0 = 0.9)")
-	hedgeMultiplier := flag.Float64("hedge-multiplier", 0, "hedge at this multiple of the worker's quantile latency (0 = 2)")
 	chaos := flag.String("chaos", "", "transport fault plan: seed:<n>[:maxVictims[:minDur]] or mode:worker[:dur[:after[:times]]] ';'-chained (modes: "+strings.Join(harden.ChaosModes, ", ")+")")
 	budgetInsts := flag.Int64("budget", 0, "default decoded-instruction budget, must match the workers (0 = pipeline default)")
 	budgetSteps := flag.Uint64("budget-steps", 0, "default emulator-step budget, must match the workers (0 = pipeline default)")
@@ -105,25 +97,20 @@ func main() {
 		}
 	}
 	coord, err := fleet.NewCoordinator(fleet.Options{
-		Workers:          workerURLs,
-		Replicas:         *replicas,
-		CacheEntries:     *cacheEntries,
-		CacheDir:         *cacheDir,
-		MaxInflight:      *maxInflight,
-		DegradeAt:        *degradeAt,
-		BatchConcurrency: *batchConcurrency,
-		MaxBodyBytes:     *maxBody,
-		Budget:           harden.Budget{TotalInsts: *budgetInsts, EmuSteps: *budgetSteps},
-		RequestTimeout:   *reqTimeout,
-		HealthInterval:   *healthInterval,
-		Retry:            *retry,
-		Replicate:        *replicate,
-		ReplicaQueue:     *replicaQueue,
-		HedgeAfter:       *hedgeAfter,
-		HedgeQuantile:    *hedgeQuantile,
-		HedgeMultiplier:  *hedgeMultiplier,
-		Obs:              col,
-		ErrorLog:         log.Default(),
+		Workers:        workerURLs,
+		CacheEntries:   *cacheEntries,
+		CacheDir:       *cacheDir,
+		MaxInflight:    *maxInflight,
+		DegradeAt:      *degradeAt,
+		MaxBodyBytes:   *maxBody,
+		Budget:         harden.Budget{TotalInsts: *budgetInsts, EmuSteps: *budgetSteps},
+		RequestTimeout: *reqTimeout,
+		HealthInterval: *healthInterval,
+		Replicate:      *replicate,
+		ReplicaQueue:   *replicaQueue,
+		HedgeAfter:     *hedgeAfter,
+		Obs:            col,
+		ErrorLog:       log.Default(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "surifleet:", err)
@@ -145,30 +132,17 @@ func main() {
 		defer disarm()
 		log.Printf("surifleet: CHAOS ARMED %q -> %v", *chaos, plan.Points())
 	}
-	srv := &http.Server{Addr: *addr, Handler: coord}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		<-ctx.Done()
-		log.Print("surifleet: draining")
-		coord.SetDraining(true)
-		shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutCtx); err != nil {
-			log.Printf("surifleet: shutdown: %v", err)
-		}
-	}()
-
-	log.Printf("surifleet: listening on %s (%d workers, cache %d entries, dir %q, health every %s)",
-		*addr, len(workerURLs), *cacheEntries, *cacheDir, *healthInterval)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "surifleet:", err)
 		os.Exit(1)
 	}
-	<-done
-	coord.Close()
+
+	log.Printf("surifleet: listening on %s (%d workers, cache %d entries, dir %q, health every %s)",
+		*addr, len(workerURLs), *cacheEntries, *cacheDir, *healthInterval)
+	if err := farm.ServeAndDrain(context.Background(), "surifleet", ln, coord, coord.SetDraining, coord.Close); err != nil {
+		fmt.Fprintln(os.Stderr, "surifleet:", err)
+		os.Exit(1)
+	}
 	log.Print("surifleet: bye")
 }

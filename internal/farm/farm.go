@@ -336,8 +336,7 @@ func (p *Pool) run(wi int, j *job) {
 		if err == nil || attempt >= p.cfg.Retries || !IsTransient(err) {
 			break
 		}
-		if !p.sleep(j.ctx, backoff) {
-			err = j.ctx.Err()
+		if err = Sleep(j.ctx, backoff); err != nil {
 			break
 		}
 		p.counter("farm.retries").Inc()
@@ -382,15 +381,18 @@ func (p *Pool) runOnce(j *job) (val any, err error) {
 	return j.task(ctx)
 }
 
-// sleep waits d honoring cancellation; false means the job was canceled.
-func (p *Pool) sleep(ctx context.Context, d time.Duration) bool {
+// Sleep waits d, or until ctx is done, and returns ctx's error then.
+func Sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return nil
+	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return true
+		return nil
 	case <-ctx.Done():
-		return false
+		return ctx.Err()
 	}
 }
 

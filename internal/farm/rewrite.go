@@ -56,7 +56,7 @@ func (p *Pool) Rewrite(ctx context.Context, bin []byte, opts core.Options) (*Rew
 			opts.Obs.Record(obs.Event{Kind: "cache", Detail: "miss"})
 			return p.rewriteJob(ctx, bin, opts, key, true)
 		})
-		if !leader && err != nil && isCancellation(err) && ctx.Err() == nil {
+		if !leader && err != nil && IsCancellation(err) && ctx.Err() == nil {
 			continue
 		}
 		if err != nil {

@@ -5,13 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -79,16 +76,6 @@ type RewriteResponse struct {
 	Binary    []byte          `json:"binary"`
 }
 
-// errorResponse is the JSON body of a failed request; Stage names the
-// pipeline stage that died when the failure was a stage error, and
-// Verdict is "fallback" for budget/timeout exhaustion (what a validated
-// rewrite of the same request would have concluded).
-type errorResponse struct {
-	Error   string `json:"error"`
-	Stage   string `json:"stage,omitempty"`
-	Verdict string `json:"verdict,omitempty"`
-}
-
 // HealthResponse is the GET /healthz body: enough service state for a
 // load balancer (status, drain) and a human (uptime, utilization,
 // cache efficacy) in one deterministic JSON object.
@@ -123,22 +110,17 @@ type HealthResponse struct {
 //
 // The server shares the pool's collector, so farm.*, suri.*, and
 // http-layer series all surface on one /metrics page, and every
-// request's events land in the same flight recorder.
+// request's events land in the same flight recorder. Request IDs,
+// admission, Retry-After and drain come from the Front it shares with
+// the fleet coordinator.
 type Server struct {
 	pool  *Pool
 	opts  ServerOptions
 	mux   *http.ServeMux
-	clock obs.Clock
-	start int64
+	front *Front
 
-	draining atomic.Bool
-	reqSeq   atomic.Uint64
-	inflight chan struct{}
-
-	requests      *obs.Counter
-	rejected      *obs.Counter
-	httpErrors    *obs.Counter
-	inflightGauge *obs.Gauge
+	requests *obs.Counter
+	rejected *obs.Counter
 }
 
 // NewServer builds the surid HTTP front-end over a pool.
@@ -149,30 +131,16 @@ func NewServer(p *Pool, opts ServerOptions) *Server {
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 64 << 20
 	}
-	clock := p.Obs().Clock()
-	if clock == nil {
-		clock = obs.NewClock()
-	}
 	reg := p.Obs().Metrics()
 	s := &Server{
-		pool:     p,
-		opts:     opts,
-		clock:    clock,
-		start:    clock.Now(),
-		inflight: make(chan struct{}, opts.MaxInflight),
+		pool:  p,
+		opts:  opts,
+		front: NewFront("r", opts.MaxInflight, p.Obs(), "farm.http_inflight", "farm.http_request_ns", "farm.http_errors"),
 		// Pre-register the HTTP series so a fresh /metrics export is
 		// stable.
-		requests:      reg.Counter("farm.http_requests"),
-		rejected:      reg.Counter("farm.http_rejected"),
-		httpErrors:    reg.Counter("farm.http_errors"),
-		inflightGauge: reg.Gauge("farm.http_inflight"),
+		requests: reg.Counter("farm.http_requests"),
+		rejected: reg.Counter("farm.http_rejected"),
 	}
-	s.inflightGauge.Set(0)
-	// Pre-register the request-latency histogram too: a fresh /metrics
-	// export carries the full (all-zero) series, so scrapers and the
-	// golden test see a stable shape from the first request onward.
-	reg.LatencyHistogram("farm.http_request_ns")
-
 	// Pre-register the replication series too (fleet successor
 	// replication pushes into PUT /cache).
 	reg.Counter("farm.replica_stores")
@@ -182,8 +150,8 @@ func NewServer(p *Pool, opts ServerOptions) *Server {
 	mux.HandleFunc("POST /rewrite", s.handleRewrite)
 	mux.HandleFunc("PUT /cache", s.handleCachePush)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/flight", s.handleFlight)
+	mux.Handle("GET /metrics", obs.MetricsHandler(reg))
+	mux.Handle("GET /debug/flight", obs.FlightHandler(p.Obs().Flight()))
 	if opts.EnablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -205,45 +173,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// SetDraining flips the drain flag /healthz reports. A draining server
-// keeps serving requests — the pool drains in-flight work during
-// Shutdown — but answers health probes with 503 so load balancers stop
-// routing new traffic to it.
-func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// Draining reports the drain flag.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// requestID returns the client-supplied correlation ID or mints one.
-func (s *Server) requestID(r *http.Request) string {
-	if id := r.Header.Get(RequestIDHeader); id != "" {
-		return id
-	}
-	return fmt.Sprintf("r%06d", s.reqSeq.Add(1))
-}
+// SetDraining flips the drain flag /healthz reports (see
+// Front.SetDraining); the pool drains in-flight work during Shutdown.
+func (s *Server) SetDraining(v bool) { s.front.SetDraining(v) }
 
 func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
-	rid := s.requestID(r)
-	w.Header().Set(RequestIDHeader, rid)
-	// Request-scoped collector view: a private trace (span trees of
-	// concurrent requests must not interleave) over the pool's shared
-	// registry and flight recorder, with events tagged by request ID.
-	rc := s.pool.Obs().WithRequest(rid)
-	t0 := s.clock.Now()
-	status, err := s.serveRewrite(w, r, rc)
-	dur := s.clock.Now() - t0
-	s.pool.Obs().Metrics().LatencyHistogram("farm.http_request_ns").Observe(dur)
-	outcome := "ok"
-	if err != nil {
-		s.httpErrors.Inc()
-		outcome = fmt.Sprintf("%d %s", status, err)
-	}
-	rc.Record(obs.Event{Kind: "request", Name: "/rewrite", Detail: outcome, Dur: dur})
+	rc, err := s.front.Serve(w, r, s.serveRewrite)
 	if err != nil && s.opts.ErrorLog != nil {
 		// Dump-on-error: replay the failing request's retained events so
 		// the post-mortem is in the log, not lost with the ring.
-		for _, e := range rc.Flight().RequestEvents(rid) {
+		for _, e := range rc.Flight().RequestEvents(rc.Request()) {
 			s.opts.ErrorLog.Printf("flight %s seq=%d kind=%s name=%s detail=%q dur=%d",
 				e.Req, e.Seq, e.Kind, e.Name, e.Detail, e.Dur)
 		}
@@ -256,38 +196,18 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveRewrite(w http.ResponseWriter, r *http.Request, rc *obs.Collector) (int, error) {
 	fail := func(status int, err error) (int, error) {
 		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", s.retryAfter())
+			w.Header().Set("Retry-After", s.front.RetryAfter(s.pool.Workers()))
 		}
 		writeError(w, status, err)
 		return status, err
 	}
-	select {
-	case s.inflight <- struct{}{}:
-		s.inflightGauge.Set(int64(len(s.inflight)))
-		defer func() {
-			<-s.inflight
-			s.inflightGauge.Set(int64(len(s.inflight)))
-		}()
-	default:
+	if _, ok := s.front.Admit(); !ok {
 		s.rejected.Inc()
 		return fail(http.StatusServiceUnavailable, errors.New("farm: too many in-flight rewrites"))
 	}
-	bin, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	defer s.front.Release()
+	bin, params, status, err := ReadRewrite(w, r, s.opts.MaxBodyBytes, s.opts.Budget, s.opts.RequestTimeout)
 	if err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		return fail(status, err)
-	}
-	params, err := ParseQuery(r.URL.Query(), s.opts.Budget, s.opts.RequestTimeout)
-	if err != nil {
-		status := http.StatusBadRequest
-		var se *core.StageError
-		if errors.As(err, &se) {
-			status = http.StatusUnprocessableEntity
-		}
 		return fail(status, err)
 	}
 	copts := params.Options
@@ -327,7 +247,7 @@ func (s *Server) serveRewrite(w http.ResponseWriter, r *http.Request, rc *obs.Co
 			resp.Trace = tj
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 	return http.StatusOK, nil
 }
 
@@ -352,13 +272,8 @@ func (s *Server) handleCachePush(w http.ResponseWriter, r *http.Request) {
 	}
 	// The envelope is JSON over a base64 binary plus checksum: allow
 	// double the plain-binary bound.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes*2))
+	body, status, err := readBody(w, r, s.opts.MaxBodyBytes*2)
 	if err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
 		writeError(w, status, err)
 		return
 	}
@@ -383,28 +298,6 @@ func (s *Server) handleCachePush(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// retryAfter computes the Retry-After value for a 503: the estimated
-// seconds until capacity frees, derived from the current in-flight
-// depth (the backlog drains at roughly one job per worker per job
-// latency, so backoff grows proportionally with depth) — and pinned to
-// the drain grace window while the server is draining, since capacity
-// here will never free and the client should go re-resolve its
-// balancer instead of hammering a dying process.
-func (s *Server) retryAfter() string {
-	if s.draining.Load() {
-		return "30"
-	}
-	workers := s.pool.Workers()
-	if workers < 1 {
-		workers = 1
-	}
-	secs := 1 + len(s.inflight)/workers
-	if secs > 30 {
-		secs = 30
-	}
-	return strconv.Itoa(secs)
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	reg := s.pool.Obs().Metrics()
 	hits := reg.Counter("farm.cache_hits").Value()
@@ -413,78 +306,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if hits+misses > 0 {
 		ratio = float64(hits) / float64(hits+misses)
 	}
-	resp := HealthResponse{
-		Status:        "ok",
+	health, status := s.front.Health()
+	WriteJSON(w, status, HealthResponse{
+		Status:        health,
 		GoVersion:     runtime.Version(),
-		UptimeNS:      s.clock.Now() - s.start,
+		UptimeNS:      s.front.Uptime(),
 		Workers:       s.pool.Workers(),
-		Inflight:      len(s.inflight),
-		MaxInflight:   cap(s.inflight),
+		Inflight:      s.front.Inflight(),
+		MaxInflight:   s.opts.MaxInflight,
 		Requests:      s.requests.Value(),
 		CacheHits:     hits,
 		CacheMisses:   misses,
 		CacheHitRatio: ratio,
 		FlightEvents:  s.pool.Obs().Flight().Total(),
-		Draining:      s.draining.Load(),
-	}
-	status := http.StatusOK
-	if resp.Draining {
-		resp.Status = "draining"
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, resp)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.pool.Obs().Metrics()
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, reg.Text())
-		return
-	}
-	w.Header().Set("Content-Type", obs.PrometheusContentType)
-	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, reg.Prometheus())
-}
-
-func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	f := s.pool.Obs().Flight()
-	if f == nil {
-		writeError(w, http.StatusNotFound, errors.New("farm: flight recorder disabled"))
-		return
-	}
-	n := 0
-	if v := r.URL.Query().Get("n"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("farm: bad n %q", v))
-			return
-		}
-		n = parsed
-	}
-	var payload []byte
-	var err error
-	if req := r.URL.Query().Get("req"); req != "" {
-		evs := f.RequestEvents(req)
-		if evs == nil {
-			evs = []obs.Event{}
-		}
-		payload, err = json.MarshalIndent(struct {
-			Total  uint64      `json:"total"`
-			Events []obs.Event `json:"events"`
-		}{f.Total(), evs}, "", "  ")
-	} else {
-		payload, err = f.JSON(n)
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(payload)
-	io.WriteString(w, "\n")
+		Draining:      s.front.Draining(),
+	})
 }
 
 // rewriteStatus maps a pipeline failure to an HTTP status: 422 when the
@@ -497,17 +333,13 @@ func rewriteStatus(r *http.Request, err error) int {
 	return http.StatusUnprocessableEntity
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
-}
-
+// writeError writes the farm's error body. The fallback verdict on
+// budget and deadline errors is farm-only: only a worker runs the
+// pipeline whose budget tripped, and the fleet passes its body through.
 func writeError(w http.ResponseWriter, status int, err error) {
-	resp := errorResponse{Error: err.Error(), Stage: core.Stage(err)}
+	resp := ErrorResponse{Error: err.Error(), Stage: core.Stage(err)}
 	if errors.Is(err, harden.ErrBudget) || errors.Is(err, context.DeadlineExceeded) {
 		resp.Verdict = string(core.VerdictFallback)
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }

@@ -46,7 +46,7 @@ func (g *Group[V]) Do(ctx context.Context, key Key, fn func() (V, error)) (V, bo
 				var zero V
 				return zero, false, ctx.Err()
 			}
-			if c.err != nil && isCancellation(c.err) && ctx.Err() == nil {
+			if c.err != nil && IsCancellation(c.err) && ctx.Err() == nil {
 				continue // the leader was canceled, not us: retry
 			}
 			return c.val, false, c.err
@@ -64,9 +64,9 @@ func (g *Group[V]) Do(ctx context.Context, key Key, fn func() (V, error)) (V, bo
 	}
 }
 
-// isCancellation reports whether err is a context cancellation or
+// IsCancellation reports whether err is a context cancellation or
 // deadline error — the leader-specific failures a live waiter should
 // not inherit.
-func isCancellation(err error) bool {
+func IsCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -360,3 +360,47 @@ func TestE2EFlightCorrelation(t *testing.T) {
 		}
 	}
 }
+
+// TestE2EWorkerErrorPassThrough: a worker's error body reaches the
+// client through the coordinator unchanged, stage and verdict included
+// — the same body the worker answers directly.
+func TestE2EWorkerErrorPassThrough(t *testing.T) {
+	w := newFarmWorker(t)
+	c := newCoordinator(t, fleet.Options{Workers: []string{w.srv.URL}})
+	srv := serveCoordinator(t, c)
+
+	post := func(base, path string, bin []byte) (int, farm.ErrorResponse) {
+		t.Helper()
+		resp, err := http.Post(base+path, "application/octet-stream", bytes.NewReader(bin))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e farm.ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, e
+	}
+	for _, tc := range []struct {
+		name, path, stage, verdict string
+		bin                        []byte
+	}{
+		{name: "junk-binary", path: "/rewrite", stage: "elf", bin: []byte("not an ELF")},
+		{name: "budget", path: "/rewrite?budget-insts=1", stage: "cfg", verdict: "fallback", bin: e2eBinary(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			direct, want := post(w.srv.URL, tc.path, tc.bin)
+			status, got := post(srv.URL, tc.path, tc.bin)
+			if status != http.StatusUnprocessableEntity || direct != status {
+				t.Fatalf("status %d through the fleet, %d direct; want 422 both", status, direct)
+			}
+			if got.Stage != tc.stage || got.Verdict != tc.verdict {
+				t.Fatalf("fleet body %+v, want stage %q verdict %q", got, tc.stage, tc.verdict)
+			}
+			if got != want {
+				t.Fatalf("fleet body %+v differs from the worker's %+v", got, want)
+			}
+		})
+	}
+}

@@ -28,7 +28,7 @@
 // through a bounded drop-and-count queue, so losing a key's owner fails
 // over to a successor as a cache hit instead of a re-execution. With
 // HedgeAfter > 0 a forward that has been in flight longer than
-// max(floor, multiplier x the worker's rolling latency quantile) races
+// max(floor, 2 x the worker's rolling p90 latency) races
 // the ring successor — first success wins, the loser is canceled via
 // context — and hedges launch inside the coalescing group, so they can
 // never duplicate pipeline work. The worker transport carries per-worker
@@ -52,7 +52,11 @@
 // The request ID (X-Suri-Request-Id) is minted or honored at the
 // coordinator and propagated to workers on every forwarded request, so
 // /debug/flight?req= on any node of the fleet correlates one request's
-// events end to end.
+// events end to end. Request IDs, in-flight admission, Retry-After, the
+// drain switch and the /metrics and /debug/flight handlers are the code
+// surid runs (farm.Front, obs.MetricsHandler, obs.FlightHandler); only
+// degrade-before-shed is the coordinator's own. A worker's error body is
+// passed through unchanged.
 package fleet
 
 import (
@@ -75,10 +79,6 @@ type Options struct {
 	// More can join at runtime via POST /fleet/register.
 	Workers []string
 
-	// Replicas is the virtual-node count per worker on the hash ring
-	// (<= 0 means 64).
-	Replicas int
-
 	// CacheEntries bounds the coordinator's in-memory artifact LRU
 	// (0 means 256). Negative disables the coordinator cache entirely —
 	// every request forwards — which is how replication tests prove a
@@ -93,7 +93,9 @@ type Options struct {
 
 	// MaxInflight is the shed threshold: a request arriving while more
 	// than MaxInflight are already being served is rejected with 503
-	// and a depth-proportional Retry-After (<= 0 means 256).
+	// and a depth-proportional Retry-After (<= 0 means 256). A batch
+	// runs at most MaxInflight/2 of its jobs at once; the rest queue
+	// rather than shed.
 	MaxInflight int
 
 	// DegradeAt is the degrade threshold: a ?validate=1 request
@@ -102,10 +104,6 @@ type Options struct {
 	// response verdict. 0 means MaxInflight/2; negative means degrade
 	// always (every validate request — the deterministic test setting).
 	DegradeAt int
-
-	// BatchConcurrency bounds how many batch jobs one coordinator runs
-	// at once; excess jobs queue rather than shed (<= 0: MaxInflight/2).
-	BatchConcurrency int
 
 	// MaxBodyBytes bounds request bodies and batch lines (<= 0: 64 MiB).
 	MaxBodyBytes int64
@@ -121,10 +119,6 @@ type Options struct {
 	// HealthInterval is the membership poll period (0 disables the
 	// background loop; tests drive CheckHealth directly).
 	HealthInterval time.Duration
-
-	// Retry bounds how many ring successors a failing request tries
-	// (<= 0 means all routable workers).
-	Retry int
 
 	// Replicate is the successor replication factor: after a forwarded
 	// rewrite executes, the coordinator asynchronously pushes the
@@ -142,21 +136,11 @@ type Options struct {
 
 	// HedgeAfter enables hedged requests and sets the threshold floor:
 	// when a forwarded request has been in flight longer than
-	// max(HedgeAfter, HedgeMultiplier × the worker's rolling
-	// HedgeQuantile latency), the same request is fired at the next ring
+	// max(HedgeAfter, hedgeMultiplier × the worker's rolling
+	// hedgeQuantile latency), the same request is fired at the next ring
 	// successor and the first success wins; the loser is canceled.
 	// 0 disables hedging.
 	HedgeAfter time.Duration
-
-	// HedgeQuantile is the per-worker rolling latency quantile the hedge
-	// threshold tracks (0 means 0.9). Seeded from the cumulative
-	// fleet.worker_ns histogram until the rolling window has samples.
-	HedgeQuantile float64
-
-	// HedgeMultiplier scales the quantile estimate into the threshold
-	// (0 means 2): hedge when the request has taken HedgeMultiplier
-	// times the worker's typical tail latency.
-	HedgeMultiplier float64
 
 	// Obs receives the fleet.* counters, per-worker histograms, and the
 	// coordinator's flight events. Nil disables collection.
@@ -209,7 +193,7 @@ var counterNames = []string{
 	"fleet.shed", "fleet.degraded", "fleet.coalesced",
 	"fleet.cache_hits", "fleet.cache_disk_hits", "fleet.cache_misses",
 	"fleet.executions", "fleet.forward_errors", "fleet.rehash",
-	"fleet.registered", "fleet.http_errors",
+	"fleet.registered",
 	"fleet.hedges", "fleet.hedge_wins",
 	"fleet.replicas_pushed", "fleet.replica_errors", "fleet.replica_dropped",
 }
@@ -222,16 +206,14 @@ type Coordinator struct {
 	col    *obs.Collector
 	reg    *obs.Registry
 	clock  obs.Clock
-	start  int64
 	cache  *farm.Cache
 	group  farm.Group[*forwarded]
 	client *http.Client
 	mux    *http.ServeMux
+	front  *farm.Front
 
-	reqSeq   atomic.Uint64
-	rrSeq    atomic.Uint64 // round-robin for unhashable requests
-	inflight atomic.Int64
-	draining atomic.Bool
+	rrSeq atomic.Uint64 // round-robin for unhashable requests
+	alive atomic.Int64  // workers on the ring
 
 	mu      sync.Mutex
 	workers []*worker
@@ -256,23 +238,11 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	if opts.DegradeAt == 0 {
 		opts.DegradeAt = opts.MaxInflight / 2
 	}
-	if opts.BatchConcurrency <= 0 {
-		opts.BatchConcurrency = opts.MaxInflight / 2
-		if opts.BatchConcurrency < 1 {
-			opts.BatchConcurrency = 1
-		}
-	}
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 64 << 20
 	}
 	if opts.ReplicaQueue <= 0 {
 		opts.ReplicaQueue = 64
-	}
-	if opts.HedgeQuantile <= 0 || opts.HedgeQuantile > 1 {
-		opts.HedgeQuantile = 0.9
-	}
-	if opts.HedgeMultiplier <= 0 {
-		opts.HedgeMultiplier = 2
 	}
 	var cache *farm.Cache
 	if opts.CacheEntries >= 0 {
@@ -291,7 +261,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		col:    opts.Obs,
 		reg:    opts.Obs.Metrics(),
 		clock:  clock,
-		start:  clock.Now(),
 		cache:  cache,
 		client: &http.Client{},
 		byURL:  make(map[string]*worker),
@@ -302,9 +271,8 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	}
 	c.reg.Gauge("fleet.workers").Set(0)
 	c.reg.Gauge("fleet.workers_alive").Set(0)
-	c.reg.Gauge("fleet.inflight").Set(0)
+	c.front = farm.NewFront("f", opts.MaxInflight, opts.Obs, "fleet.inflight", "fleet.request_ns", "fleet.http_errors")
 	c.reg.Gauge("fleet.draining").Set(0)
-	c.reg.LatencyHistogram("fleet.request_ns")
 	for _, url := range opts.Workers {
 		c.addWorker(url)
 	}
@@ -337,16 +305,13 @@ func (c *Coordinator) Close() {
 // SetDraining flips the drain flag /healthz reports (503 once set), the
 // same rolling-restart contract surid has.
 func (c *Coordinator) SetDraining(v bool) {
-	c.draining.Store(v)
+	c.front.SetDraining(v)
 	var g int64
 	if v {
 		g = 1
 	}
 	c.reg.Gauge("fleet.draining").Set(g)
 }
-
-// Cache exposes the coordinator's two-tier cache (tests and surifleet).
-func (c *Coordinator) Cache() *farm.Cache { return c.cache }
 
 // Obs returns the coordinator's collector.
 func (c *Coordinator) Obs() *obs.Collector { return c.col }
@@ -386,7 +351,8 @@ func (c *Coordinator) rebuildRingLocked() {
 			names = append(names, w.name)
 		}
 	}
-	c.ring = BuildRing(names, c.opts.Replicas)
+	c.ring = BuildRing(names, 0) // 64 virtual points per worker
+	c.alive.Store(int64(len(names)))
 	c.reg.Gauge("fleet.workers").Set(int64(len(c.workers)))
 	c.reg.Gauge("fleet.workers_alive").Set(int64(len(names)))
 }
@@ -398,7 +364,7 @@ func (c *Coordinator) routable(h uint64, hashable bool) []*worker {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if hashable {
-		names := c.ring.Owners(h, c.opts.Retry)
+		names := c.ring.Owners(h, 0) // every routable worker, in failover order
 		out := make([]*worker, 0, len(names))
 		for _, name := range names {
 			for _, w := range c.workers {
@@ -423,9 +389,6 @@ func (c *Coordinator) routable(h uint64, hashable bool) []*worker {
 	out := make([]*worker, 0, len(alive))
 	for i := 0; i < len(alive); i++ {
 		out = append(out, alive[(off+i)%len(alive)])
-	}
-	if c.opts.Retry > 0 && len(out) > c.opts.Retry {
-		out = out[:c.opts.Retry]
 	}
 	return out
 }

@@ -20,17 +20,21 @@ import (
 // waiters; and since a replicated successor holds the artifact, the
 // common hedge win is a cache hit, not a second execution.
 
+// hedgeQuantile and hedgeMultiplier set the hedge threshold: twice the
+// worker's rolling p90 latency, its typical tail.
+const hedgeQuantile, hedgeMultiplier = 0.9, 2
+
 // hedgeThreshold computes when to hedge a request to w: the worker's
-// rolling HedgeQuantile latency times HedgeMultiplier, floored at
+// rolling hedgeQuantile latency times hedgeMultiplier, floored at
 // HedgeAfter. Until the rolling window has samples, the cumulative
 // fleet.worker_ns histogram seeds the estimate, so a restarted
 // coordinator does not hedge blind.
 func (c *Coordinator) hedgeThreshold(w *worker) time.Duration {
-	est := w.lat.Quantile(c.opts.HedgeQuantile)
+	est := w.lat.Quantile(hedgeQuantile)
 	if est == 0 {
-		est = c.reg.LatencyHistogram("fleet.worker_ns." + w.name).Quantile(c.opts.HedgeQuantile)
+		est = c.reg.LatencyHistogram("fleet.worker_ns." + w.name).Quantile(hedgeQuantile)
 	}
-	d := time.Duration(float64(est) * c.opts.HedgeMultiplier)
+	d := time.Duration(est * hedgeMultiplier)
 	if d < c.opts.HedgeAfter {
 		d = c.opts.HedgeAfter
 	}

@@ -10,7 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -19,30 +19,21 @@ import (
 	"repro/internal/obs"
 )
 
-// chaosSleep is a context-aware stall for the delaying chaos modes.
-func chaosSleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // forwarded is one completed fleet-level execution: the worker's
 // decoded response plus serving metadata. It is the value coalesced
 // waiters share and the unit the coordinator cache stores.
 type forwarded struct {
-	resp   farm.RewriteResponse
-	worker string // worker name the request ran on
-	status int    // upstream HTTP status (200 on success)
-	errMsg string // upstream error body, when status != 200
+	resp    farm.RewriteResponse
+	worker  string             // worker name the request ran on
+	status  int                // upstream HTTP status (200 on success)
+	errBody farm.ErrorResponse // upstream error body, when status != 200
 }
+
+// workerError is a worker's failure passed through the coordinator:
+// its error body, stage and verdict included, is written unchanged.
+type workerError struct{ body farm.ErrorResponse }
+
+func (e *workerError) Error() string { return e.body.Error }
 
 // job is one rewrite the coordinator must serve: a binary plus its
 // decoded parameters and the raw query to forward. /rewrite wraps one
@@ -52,14 +43,6 @@ type job struct {
 	params   farm.Params
 	query    url.Values
 	degraded bool // admission control stripped ?validate=1
-}
-
-// errorResponse mirrors the worker error body shape so fleet-level
-// failures and passed-through worker failures read the same.
-type errorResponse struct {
-	Error   string `json:"error"`
-	Stage   string `json:"stage,omitempty"`
-	Verdict string `json:"verdict,omitempty"`
 }
 
 // FleetWorker is one worker's row in the fleet /healthz body.
@@ -119,8 +102,8 @@ func (c *Coordinator) buildMux() {
 	mux.HandleFunc("POST /rewrite", c.handleRewrite)
 	mux.HandleFunc("POST /batch", c.handleBatch)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.HandleFunc("GET /debug/flight", c.handleFlight)
+	mux.Handle("GET /metrics", obs.MetricsHandler(c.reg))
+	mux.Handle("GET /debug/flight", obs.FlightHandler(c.col.Flight()))
 	mux.HandleFunc("POST /fleet/register", c.handleRegister)
 	c.mux = mux
 }
@@ -129,62 +112,23 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.mux.ServeHTTP(w, r)
 }
 
-// requestID returns the client-supplied correlation ID or mints one.
-// Fleet-minted IDs are f-prefixed so a flight dump distinguishes
-// coordinator-minted from worker-minted requests at a glance.
-func (c *Coordinator) requestID(r *http.Request) string {
-	if id := r.Header.Get(farm.RequestIDHeader); id != "" {
-		return id
-	}
-	return fmt.Sprintf("f%06d", c.reqSeq.Add(1))
-}
-
-// admit applies admission control for one job and accounts the
-// in-flight slot. It returns release (nil when the job was shed with
-// 503-worth of pressure). Degrade-before-shed: a validate request over
-// the degrade threshold is downgraded in place; only a request over
-// MaxInflight is refused.
-func (c *Coordinator) admit(j *job) (release func(), shed bool) {
-	n := c.inflight.Add(1)
-	c.reg.Gauge("fleet.inflight").Set(n)
-	release = func() {
-		c.reg.Gauge("fleet.inflight").Set(c.inflight.Add(-1))
-	}
-	if n > int64(c.opts.MaxInflight) {
-		release()
+// admit applies admission control for one job and reports whether it
+// was admitted; an admitted job releases its slot with c.front.Release.
+// Degrade-before-shed stays here, not in farm.Front, because only the
+// coordinator has a cheaper path: a validate request over DegradeAt is
+// downgraded in place; only a request over MaxInflight is shed.
+func (c *Coordinator) admit(j *job) bool {
+	n, ok := c.front.Admit()
+	if !ok {
 		c.reg.Counter("fleet.shed").Inc()
-		return nil, true
+		return false
 	}
 	if j.params.Validate && (c.opts.DegradeAt < 0 || n > int64(c.opts.DegradeAt)) {
 		j.params.Validate = false
 		j.degraded = true
 		c.reg.Counter("fleet.degraded").Inc()
 	}
-	return release, false
-}
-
-// retryAfter mirrors the worker policy: backoff proportional to the
-// backlog per alive worker, pinned to the drain window while draining.
-func (c *Coordinator) retryAfter() string {
-	if c.draining.Load() {
-		return "30"
-	}
-	c.mu.Lock()
-	alive := 0
-	for _, w := range c.workers {
-		if w.getState() == workerAlive {
-			alive++
-		}
-	}
-	c.mu.Unlock()
-	if alive < 1 {
-		alive = 1
-	}
-	secs := 1 + int(c.inflight.Load())/alive
-	if secs > 30 {
-		secs = 30
-	}
-	return strconv.Itoa(secs)
+	return true
 }
 
 // serve runs one admitted job end to end: coordinator cache, coalesced
@@ -259,7 +203,7 @@ func (c *Coordinator) serve(ctx context.Context, j *job, rc *obs.Collector) (int
 			return fw, nil
 		})
 		if err != nil {
-			if !leader && isCancellation(err) && ctx.Err() == nil {
+			if !leader && farm.IsCancellation(err) && ctx.Err() == nil {
 				continue // the leader died of its own deadline, not ours
 			}
 			return http.StatusServiceUnavailable, nil, err
@@ -279,7 +223,7 @@ func (c *Coordinator) serve(ctx context.Context, j *job, rc *obs.Collector) (int
 // applying the degraded-verdict rewrite.
 func (c *Coordinator) finish(j *job, fw *forwarded) (int, *farm.RewriteResponse, error) {
 	if fw.status != http.StatusOK {
-		return fw.status, nil, errors.New(fw.errMsg)
+		return fw.status, nil, &workerError{fw.errBody}
 	}
 	resp := fw.resp
 	return c.finishResp(j, &resp)
@@ -341,7 +285,7 @@ func (c *Coordinator) forward(ctx context.Context, j *job, key farm.Key, hashabl
 			// the next owner without evicting it from the ring.
 			c.reg.Counter("fleet.forward_errors").Inc()
 			rc.Record(obs.Event{Kind: "fleet", Name: "spill", Detail: w.name})
-			lastErr = fmt.Errorf("fleet: worker %s unavailable: %s", w.name, fw.errMsg)
+			lastErr = fmt.Errorf("fleet: worker %s unavailable: %s", w.name, fw.errBody.Error)
 			continue
 		}
 		return fw, nil
@@ -389,9 +333,9 @@ func (c *Coordinator) forwardTo(ctx context.Context, w *worker, bin []byte, q ur
 			return nil, fmt.Errorf("fleet: %s: %w", w.name, err)
 		case harden.Chaos5xx:
 			c.reg.Counter("fleet.worker_requests." + w.name).Inc()
-			return &forwarded{worker: w.name, status: http.StatusBadGateway, errMsg: err.Error()}, nil
+			return &forwarded{worker: w.name, status: http.StatusBadGateway, errBody: farm.ErrorResponse{Error: err.Error()}}, nil
 		case harden.ChaosDelay:
-			if serr := chaosSleep(ctx, ce.Dur); serr != nil {
+			if serr := farm.Sleep(ctx, ce.Dur); serr != nil {
 				return nil, serr
 			}
 		case harden.ChaosSlowBody:
@@ -422,7 +366,7 @@ func (c *Coordinator) forwardTo(ctx context.Context, w *worker, bin []byte, q ur
 	defer resp.Body.Close()
 	if stallBody > 0 {
 		// Slow-body chaos: the headers arrived, the body crawls.
-		if serr := chaosSleep(ctx, stallBody); serr != nil {
+		if serr := farm.Sleep(ctx, stallBody); serr != nil {
 			return nil, serr
 		}
 	}
@@ -447,11 +391,8 @@ func (c *Coordinator) forwardTo(ctx context.Context, w *worker, bin []byte, q ur
 		fw.resp.Source = "worker"
 		fw.resp.Worker = w.name
 	} else {
-		var e errorResponse
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			fw.errMsg = e.Error
-		} else {
-			fw.errMsg = fmt.Sprintf("fleet: worker %s: status %d", w.name, resp.StatusCode)
+		if json.Unmarshal(body, &fw.errBody) != nil || fw.errBody.Error == "" {
+			fw.errBody = farm.ErrorResponse{Error: fmt.Sprintf("fleet: worker %s: status %d", w.name, resp.StatusCode)}
 		}
 		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
 			c.reg.Counter("fleet.worker_errors." + w.name).Inc()
@@ -477,66 +418,36 @@ func forwardQuery(j *job) url.Values {
 }
 
 func (c *Coordinator) handleRewrite(w http.ResponseWriter, r *http.Request) {
-	rid := c.requestID(r)
-	w.Header().Set(farm.RequestIDHeader, rid)
-	rc := c.col.WithRequest(rid)
-	t0 := c.clock.Now()
-	status, err := c.serveRewrite(w, r, rc)
-	dur := c.clock.Now() - t0
-	c.reg.LatencyHistogram("fleet.request_ns").Observe(dur)
-	outcome := "ok"
-	if err != nil {
-		c.reg.Counter("fleet.http_errors").Inc()
-		outcome = fmt.Sprintf("%d %s", status, err)
-	}
-	rc.Record(obs.Event{Kind: "request", Name: "/rewrite", Detail: outcome, Dur: dur})
+	c.front.Serve(w, r, c.serveRewrite)
 }
 
 func (c *Coordinator) serveRewrite(w http.ResponseWriter, r *http.Request, rc *obs.Collector) (int, error) {
 	fail := func(status int, err error) (int, error) {
 		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", c.retryAfter())
+			w.Header().Set("Retry-After", c.front.RetryAfter(int(c.alive.Load())))
 		}
 		writeError(w, status, err)
 		return status, err
 	}
-	bin, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.opts.MaxBodyBytes))
+	bin, params, status, err := farm.ReadRewrite(w, r, c.opts.MaxBodyBytes, c.opts.Budget, c.opts.RequestTimeout)
 	if err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
 		return fail(status, err)
 	}
-	q := r.URL.Query()
-	params, err := farm.ParseQuery(q, c.opts.Budget, c.opts.RequestTimeout)
-	if err != nil {
-		status := http.StatusBadRequest
-		var se *core.StageError
-		if errors.As(err, &se) {
-			status = http.StatusUnprocessableEntity
-		}
-		return fail(status, err)
-	}
-	j := &job{bin: bin, params: params, query: q}
-	release, shed := c.admit(j)
-	if shed {
+	j := &job{bin: bin, params: params, query: r.URL.Query()}
+	if !c.admit(j) {
 		return fail(http.StatusServiceUnavailable, errors.New("fleet: too many in-flight rewrites"))
 	}
-	defer release()
+	defer c.front.Release()
 	status, resp, err := c.serve(r.Context(), j, rc)
 	if err != nil {
 		return fail(status, err)
 	}
-	writeJSON(w, status, resp)
+	farm.WriteJSON(w, status, resp)
 	return status, nil
 }
 
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	rid := c.requestID(r)
-	w.Header().Set(farm.RequestIDHeader, rid)
-	rc := c.col.WithRequest(rid)
+	rc := c.col.WithRequest(c.front.RequestID(w, r))
 	c.reg.Counter("fleet.batches").Inc()
 
 	// /batch reads jobs and writes results on one connection at the same
@@ -556,9 +467,9 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	out := &lineWriter{enc: json.NewEncoder(w), flush: flusher}
 
-	sem := make(chan struct{}, c.opts.BatchConcurrency)
+	sem := make(chan struct{}, max(c.opts.MaxInflight/2, 1))
 	var jobs, ok, failed int64
-	var wg waitGroup
+	var wg sync.WaitGroup
 	sc := newLineScanner(r.Body, int(c.opts.MaxBodyBytes))
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -598,13 +509,12 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			release, shed := c.admit(j)
 			var res BatchResult
-			if shed {
+			if !c.admit(j) {
 				res = BatchResult{ID: id, Status: http.StatusServiceUnavailable, Error: "fleet: shed"}
 			} else {
 				status, resp, err := c.serve(r.Context(), j, rc.MetricsOnly())
-				release()
+				c.front.Release()
 				if err != nil {
 					res = BatchResult{ID: id, Status: status, Error: err.Error()}
 				} else {
@@ -645,12 +555,13 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		rows = append(rows, FleetWorker{Name: wk.name, URL: wk.url, State: st.String()})
 	}
 	c.mu.Unlock()
-	resp := FleetHealth{
-		Status:        "ok",
-		UptimeNS:      c.clock.Now() - c.start,
+	health, status := c.front.Health()
+	farm.WriteJSON(w, status, FleetHealth{
+		Status:        health,
+		UptimeNS:      c.front.Uptime(),
 		Workers:       rows,
 		WorkersAlive:  alive,
-		Inflight:      int(c.inflight.Load()),
+		Inflight:      c.front.Inflight(),
 		MaxInflight:   c.opts.MaxInflight,
 		Requests:      c.reg.Counter("fleet.requests").Value(),
 		CacheHits:     c.reg.Counter("fleet.cache_hits").Value(),
@@ -664,66 +575,8 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		ReplicasPush:  c.reg.Counter("fleet.replicas_pushed").Value(),
 		ReplicaErrors: c.reg.Counter("fleet.replica_errors").Value(),
 		ReplicaDrops:  c.reg.Counter("fleet.replica_dropped").Value(),
-		Draining:      c.draining.Load(),
-	}
-	status := http.StatusOK
-	if resp.Draining {
-		resp.Status = "draining"
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, resp)
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := c.col.Metrics()
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, reg.Text())
-		return
-	}
-	w.Header().Set("Content-Type", obs.PrometheusContentType)
-	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, reg.Prometheus())
-}
-
-func (c *Coordinator) handleFlight(w http.ResponseWriter, r *http.Request) {
-	f := c.col.Flight()
-	if f == nil {
-		writeError(w, http.StatusNotFound, errors.New("fleet: flight recorder disabled"))
-		return
-	}
-	n := 0
-	if v := r.URL.Query().Get("n"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("fleet: bad n %q", v))
-			return
-		}
-		n = parsed
-	}
-	var payload []byte
-	var err error
-	if req := r.URL.Query().Get("req"); req != "" {
-		evs := f.RequestEvents(req)
-		if evs == nil {
-			evs = []obs.Event{}
-		}
-		payload, err = json.MarshalIndent(struct {
-			Total  uint64      `json:"total"`
-			Events []obs.Event `json:"events"`
-		}{f.Total(), evs}, "", "  ")
-	} else {
-		payload, err = f.JSON(n)
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(payload)
-	io.WriteString(w, "\n")
+		Draining:      c.front.Draining(),
+	})
 }
 
 // handleRegister admits a worker into the fleet: surid posts its own
@@ -747,7 +600,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		c.reg.Counter("fleet.registered").Inc()
 	}
 	c.col.Record(obs.Event{Kind: "fleet", Name: "register", Detail: wk.name + " " + body.URL})
-	writeJSON(w, http.StatusOK, struct {
+	farm.WriteJSON(w, http.StatusOK, struct {
 		Name string `json:"name"`
 	}{wk.name})
 }
@@ -811,19 +664,14 @@ func Register(coordinatorURL, workerURL string, attempts int, base time.Duration
 	return lastErr
 }
 
-// isCancellation reports whether err is a context cancellation or
-// deadline error — the leader-died-of-its-own-deadline case a coalesced
-// waiter retries instead of inheriting.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
+// writeError writes a coordinator failure. A worker's failure is passed
+// through unchanged, verdict included. The coordinator's own failures
+// carry no fallback verdict: it runs no pipeline that could conclude one.
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error(), Stage: core.Stage(err)})
+	var we *workerError
+	if errors.As(err, &we) {
+		farm.WriteJSON(w, status, we.body)
+		return
+	}
+	farm.WriteJSON(w, status, farm.ErrorResponse{Error: err.Error(), Stage: core.Stage(err)})
 }

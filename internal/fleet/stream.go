@@ -36,9 +36,6 @@ func (l *lineWriter) totals() (ok, failed int64) {
 	return l.ok.Load(), l.failed.Load()
 }
 
-// waitGroup aliases sync.WaitGroup (keeps serve.go's imports flat).
-type waitGroup = sync.WaitGroup
-
 // newLineScanner builds a scanner whose line budget matches the batch
 // body limit: one NDJSON job line carries a base64 binary, so the
 // default 64 KiB token cap would reject any real program.

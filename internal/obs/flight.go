@@ -2,6 +2,10 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"strconv"
 	"sync"
 )
 
@@ -139,9 +143,57 @@ func (f *Flight) JSON(n int) ([]byte, error) {
 	if f == nil {
 		return []byte("{}"), nil
 	}
-	out := flightJSON{Total: f.Total(), Events: f.Last(n)}
-	if out.Events == nil {
-		out.Events = []Event{}
+	return f.render(f.Last(n))
+}
+
+// render marshals evs with the total recorded count.
+func (f *Flight) render(evs []Event) ([]byte, error) {
+	if evs == nil {
+		evs = []Event{}
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return json.MarshalIndent(flightJSON{Total: f.Total(), Events: evs}, "", "  ")
+}
+
+// FlightHandler serves GET /debug/flight for f: the newest ?n= events
+// (all when absent), or only the events of request ?req=. A nil
+// recorder answers 404 rather than passing an empty ring off as a
+// healthy one. Errors use the servers' {"error": ...} body.
+func FlightHandler(f *Flight) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if f == nil {
+			writeHTTPError(w, http.StatusNotFound, "obs: flight recorder disabled")
+			return
+		}
+		n := 0
+		if v := r.URL.Query().Get("n"); v != "" {
+			parsed, err := strconv.Atoi(v)
+			if err != nil || parsed < 0 {
+				writeHTTPError(w, http.StatusBadRequest, fmt.Sprintf("obs: bad n %q", v))
+				return
+			}
+			n = parsed
+		}
+		var evs []Event
+		if req := r.URL.Query().Get("req"); req != "" {
+			evs = f.RequestEvents(req)
+		} else {
+			evs = f.Last(n)
+		}
+		payload, err := f.render(evs)
+		if err != nil {
+			writeHTTPError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(payload)
+		io.WriteString(w, "\n")
+	})
+}
+
+func writeHTTPError(w http.ResponseWriter, status int, msg string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(struct {
+		Error string `json:"error"`
+	}{msg})
 }

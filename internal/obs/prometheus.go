@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"strings"
 )
 
@@ -46,6 +48,20 @@ func (r *Registry) Prometheus() string {
 		fmt.Fprintf(&b, "%s_count %d\n", name, h.Count)
 	}
 	return b.String()
+}
+
+// MetricsHandler serves GET /metrics for reg: the Prometheus text
+// exposition, or the human-readable Text dump with ?format=text.
+func MetricsHandler(reg *Registry) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("format") == "text" {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			io.WriteString(w, reg.Text())
+			return
+		}
+		w.Header().Set("Content-Type", PrometheusContentType)
+		io.WriteString(w, reg.Prometheus())
+	})
 }
 
 // promName maps a registry metric name onto the Prometheus grammar.
