@@ -15,6 +15,7 @@ import (
 	"log"
 
 	suri "repro"
+	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/emu"
 	"repro/internal/mini"
@@ -64,9 +65,9 @@ func main() {
 				// save them.
 				out = append(out, suri.Entry{
 					Labels: e.Labels,
-					Inst: x86.Inst{Op: x86.ADD, W: 8,
+					Ins: asm.Ins{Inst: x86.Inst{Op: x86.ADD, W: 8,
 						Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Disp: counterAddr},
-						Src: x86.Imm(1)},
+						Src: x86.Imm(1)}},
 					Synth: true,
 				})
 				e.Labels = nil

@@ -85,14 +85,15 @@ type Label struct {
 
 // Ins is a machine instruction, optionally with a symbolic operand. It is
 // an Item by pointer (*Ins): instruction streams are large, and a
-// pointer into a caller-owned slab boxes without a per-item copy. When
-// Sym is non-empty the instruction's relative operand (branch Rel or
-// RIP-relative memory displacement) is resolved to Sym+Add at assembly
-// time, overriding the numeric value in X.
+// pointer into the stream that already holds the instruction (the
+// rewriter's S' entries embed their Ins) boxes without a copy. When
+// Target is non-empty the instruction's relative operand (branch Rel or
+// RIP-relative memory displacement) is resolved to Target+Addend at
+// assembly time, overriding the numeric value in Inst.
 type Ins struct {
-	X   x86.Inst
-	Sym string
-	Add int64
+	Inst   x86.Inst
+	Target string
+	Addend int64
 
 	// DispPlus/DispMinus, when set, add the link-time difference
 	// (DispPlus - DispMinus) to the displacement of the instruction's
@@ -161,11 +162,11 @@ func (Space) isItem()    {}
 func (s *Section) L(name string) { s.Items = append(s.Items, Label{Name: name}) }
 
 // I appends a plain instruction.
-func (s *Section) I(in x86.Inst) { s.Items = append(s.Items, &Ins{X: in}) }
+func (s *Section) I(in x86.Inst) { s.Items = append(s.Items, &Ins{Inst: in}) }
 
 // IS appends an instruction whose relative operand targets sym+add.
 func (s *Section) IS(in x86.Inst, sym string, add int64) {
-	s.Items = append(s.Items, &Ins{X: in, Sym: sym, Add: add})
+	s.Items = append(s.Items, &Ins{Inst: in, Target: sym, Addend: add})
 }
 
 // IDiff appends an instruction whose memory-operand displacement is
@@ -179,7 +180,7 @@ func (s *Section) IDiff(in x86.Inst, plus, minus string) {
 		m.Wide = true
 		in.Src = m
 	}
-	s.Items = append(s.Items, &Ins{X: in, DispPlus: plus, DispMinus: minus})
+	s.Items = append(s.Items, &Ins{Inst: in, DispPlus: plus, DispMinus: minus})
 }
 
 // Raw appends literal bytes.
@@ -215,7 +216,7 @@ func ItemString(it Item) string {
 	case Bytes:
 		return fmt.Sprintf("\t.byte %d bytes", len(v.Data))
 	case Quad:
-		return "\t.quad " + symPlus(v.Sym, v.Add)
+		return "\t.quad " + symPlus(v.Sym, v.Add, " ")
 	case QuadLit:
 		return fmt.Sprintf("\t.quad 0x%x", uint64(v))
 	case LongLit:
@@ -234,66 +235,42 @@ func ItemString(it Item) string {
 	return fmt.Sprintf("\t? %T", it)
 }
 
-func symPlus(sym string, add int64) string {
+// symPlus renders sym+add with sep around the sign: "v + 0x42" or
+// "v+0x42".
+func symPlus(sym string, add int64, sep string) string {
 	switch {
 	case add > 0:
-		return fmt.Sprintf("%s + 0x%x", sym, add)
+		return fmt.Sprintf("%s%s+%s0x%x", sym, sep, sep, add)
 	case add < 0:
-		return fmt.Sprintf("%s - 0x%x", sym, -add)
-	default:
-		return sym
+		return fmt.Sprintf("%s%s-%s0x%x", sym, sep, sep, -add)
 	}
+	return sym
 }
 
-// insString renders an instruction, substituting the symbolic operand.
+// insString renders an instruction with its symbolic operand in place
+// of the numeric one: a branch names its target, a RIP-relative operand
+// reads "[RIP+sym+add]", and a displacement difference, which the
+// assembler applies instead, reads "[R9+0x10+(var-anchor)]".
 func insString(v *Ins) string {
-	if v.Sym == "" {
-		return v.X.String()
-	}
-	in := v.X
-	switch in.Op {
-	case x86.JMP, x86.JCC, x86.CALL:
-		if _, ok := in.Src.(x86.Rel); ok {
-			return fmt.Sprintf("%s %s", mnemonicOf(in), symPlus(v.Sym, v.Add))
+	in := v.Inst
+	full := in.String()
+	end := strings.IndexByte(full, ']')
+	if v.DispPlus != "" || v.DispMinus != "" {
+		if end < 0 {
+			return full
 		}
+		return full[:end] + "+(" + v.DispPlus + "-" + v.DispMinus + ")" + full[end:]
+	}
+	if v.Target == "" {
+		return full
+	}
+	if _, ok := in.Src.(x86.Rel); ok && (in.Op == x86.JMP || in.Op == x86.JCC || in.Op == x86.CALL) {
+		mnemonic, _, _ := strings.Cut(full, " ")
+		return mnemonic + " " + symPlus(v.Target, v.Addend, " ")
 	}
 	if m, ok := in.MemArg(); ok && m.Rip {
-		// Render "[RIP+sym+add]" in place of the numeric displacement.
-		full := in.String()
-		return strings.Replace(full, ripOperand(m.Disp), "[RIP+"+symPlusCompact(v.Sym, v.Add)+"]", 1)
+		open := strings.Index(full, "[RIP")
+		return full[:open] + "[RIP+" + symPlus(v.Target, v.Addend, "") + full[end:]
 	}
-	return in.String()
-}
-
-// ripOperand reproduces how x86.Mem renders a RIP-relative operand.
-func ripOperand(disp int32) string {
-	switch {
-	case disp < 0:
-		return fmt.Sprintf("[RIP-0x%x]", uint32(-disp))
-	case disp > 0:
-		return fmt.Sprintf("[RIP+0x%x]", uint32(disp))
-	default:
-		return "[RIP]"
-	}
-}
-
-func symPlusCompact(sym string, add int64) string {
-	switch {
-	case add > 0:
-		return fmt.Sprintf("%s+0x%x", sym, add)
-	case add < 0:
-		return fmt.Sprintf("%s-0x%x", sym, -add)
-	default:
-		return sym
-	}
-}
-
-func mnemonicOf(in x86.Inst) string {
-	s := in.String()
-	for i := 0; i < len(s); i++ {
-		if s[i] == ' ' {
-			return s[:i]
-		}
-	}
-	return s
+	return full
 }

@@ -94,13 +94,14 @@ const (
 	kAlign               // size depends on the current address
 )
 
+// itemInfo is 16 bytes with no pointers, so the cache costs the garbage
+// collector nothing to scan; a label's name is read from its Label item.
 type itemInfo struct {
 	kind     uint8
 	long     bool   // branch promoted to rel32
+	shortLen uint8  // kBranch: rel8 form length
+	longLen  uint8  // kBranch: rel32 form length
 	size     uint64 // kOther: encoded size; kAlign: alignment
-	shortLen uint64 // kBranch: rel8 form length
-	longLen  uint64 // kBranch: rel32 form length
-	name     string // kLabel: symbol name
 }
 
 const maxRelaxRounds = 64
@@ -142,13 +143,13 @@ func (a *assembler) buildInfo() error {
 		for ii, it := range s.Items {
 			switch v := it.(type) {
 			case Label:
-				infos[ii] = itemInfo{kind: kLabel, name: v.Name}
+				infos[ii] = itemInfo{kind: kLabel}
 			case AlignTo:
 				infos[ii] = itemInfo{kind: kAlign, size: v.N}
 			case *Ins:
-				if v.Sym != "" {
-					if _, isRel := v.X.Src.(x86.Rel); isRel && (v.X.Op == x86.JMP || v.X.Op == x86.JCC) {
-						in := v.X
+				if v.Target != "" {
+					if _, isRel := v.Inst.Src.(x86.Rel); isRel && (v.Inst.Op == x86.JMP || v.Inst.Op == x86.JCC) {
+						in := v.Inst
 						in.Src = x86.Rel(0)
 						in.LongBranch = false
 						sn, err := x86.EncodedLen(in)
@@ -160,11 +161,11 @@ func (a *assembler) buildInfo() error {
 						if err != nil {
 							return fmt.Errorf("asm: section %s item %d: %w", s.Name, ii, err)
 						}
-						infos[ii] = itemInfo{kind: kBranch, shortLen: uint64(sn), longLen: uint64(ln)}
+						infos[ii] = itemInfo{kind: kBranch, shortLen: uint8(sn), longLen: uint8(ln)}
 						continue
 					}
 				}
-				n, err := x86.EncodedLen(v.X)
+				n, err := x86.EncodedLen(v.Inst)
 				if err != nil {
 					return fmt.Errorf("asm: section %s item %d: %w", s.Name, ii, err)
 				}
@@ -185,8 +186,8 @@ func (a *assembler) buildInfo() error {
 
 // layout assigns addresses to every item and defines all symbols under the
 // current relaxation state. This is pure arithmetic over the item-info
-// cache; symbol/address storage is allocated on the first round and
-// reused afterwards.
+// cache (labels read their names from the items); symbol/address storage
+// is allocated on the first round and reused afterwards.
 func (a *assembler) layout() error {
 	first := a.syms == nil
 	if first {
@@ -228,17 +229,18 @@ func (a *assembler) layout() error {
 			inf := &infos[ii]
 			switch inf.kind {
 			case kLabel:
+				name := s.Items[ii].(Label).Name
 				if first {
-					if _, dup := a.syms[inf.name]; dup {
-						return fmt.Errorf("asm: duplicate symbol %q in section %s", inf.name, s.Name)
+					if _, dup := a.syms[name]; dup {
+						return fmt.Errorf("asm: duplicate symbol %q in section %s", name, s.Name)
 					}
 				}
-				a.syms[inf.name] = cursor
+				a.syms[name] = cursor
 			case kBranch:
 				if inf.long {
-					cursor += inf.longLen
+					cursor += uint64(inf.longLen)
 				} else {
-					cursor += inf.shortLen
+					cursor += uint64(inf.shortLen)
 				}
 			case kAlign:
 				if inf.size != 0 {
@@ -282,11 +284,11 @@ func (a *assembler) growBranches() (bool, error) {
 				continue
 			}
 			v := s.Items[ii].(*Ins)
-			target, ok := a.syms[v.Sym]
+			target, ok := a.syms[v.Target]
 			if !ok {
-				return false, fmt.Errorf("asm: undefined symbol %q in section %s", v.Sym, s.Name)
+				return false, fmt.Errorf("asm: undefined symbol %q in section %s", v.Target, s.Name)
 			}
-			rel := int64(target) + v.Add - int64(a.addrs[si][ii]+inf.shortLen)
+			rel := int64(target) + v.Addend - int64(a.addrs[si][ii]+uint64(inf.shortLen))
 			if rel < -128 || rel > 127 {
 				inf.long = true
 				grown = true
@@ -304,9 +306,9 @@ func (a *assembler) sizeOf(si, ii int, addr uint64) uint64 {
 		return 0
 	case kBranch:
 		if inf.long {
-			return inf.longLen
+			return uint64(inf.longLen)
 		}
-		return inf.shortLen
+		return uint64(inf.shortLen)
 	case kAlign:
 		if inf.size == 0 {
 			return 0
@@ -326,7 +328,7 @@ func (a *assembler) emit() (*Result, error) {
 			Flags: s.Flags,
 			Addr:  start,
 			Size:  a.ends[si] - start,
-			Align: maxU64(s.Align, 1),
+			Align: max(s.Align, 1),
 		}
 		if s.Flags&Nobits != 0 {
 			for ii, it := range s.Items {
@@ -368,7 +370,7 @@ func (a *assembler) emitItemTo(res *Result, data []byte, si, ii int, it Item, ad
 	case Bytes:
 		return append(data, v.Data...), nil
 	case Quad:
-		target, ok := a.resolve(v.Sym)
+		target, ok := a.syms[v.Sym]
 		if !ok {
 			return data, fmt.Errorf("undefined symbol %q", v.Sym)
 		}
@@ -380,11 +382,11 @@ func (a *assembler) emitItemTo(res *Result, data []byte, si, ii int, it Item, ad
 	case LongLit:
 		return binary.LittleEndian.AppendUint32(data, uint32(v)), nil
 	case LongDiff:
-		plus, ok := a.resolve(v.Plus)
+		plus, ok := a.syms[v.Plus]
 		if !ok {
 			return data, fmt.Errorf("undefined symbol %q", v.Plus)
 		}
-		minus, ok := a.resolve(v.Minus)
+		minus, ok := a.syms[v.Minus]
 		if !ok {
 			return data, fmt.Errorf("undefined symbol %q", v.Minus)
 		}
@@ -415,26 +417,26 @@ func appendZeros(data []byte, n int) []byte {
 // emitInsTo appends the encoding of instruction item ii of section si,
 // resolving its symbolic operand against the cached item sizes.
 func (a *assembler) emitInsTo(data []byte, si, ii int, v *Ins, addr uint64) ([]byte, error) {
-	in := v.X
+	in := v.Inst
 	if v.DispPlus != "" || v.DispMinus != "" {
 		return a.emitInsDiffTo(data, v)
 	}
-	if v.Sym == "" {
+	if v.Target == "" {
 		return x86.EncodeAppend(data, in)
 	}
-	target, ok := a.resolve(v.Sym)
+	target, ok := a.syms[v.Target]
 	if !ok {
-		return data, fmt.Errorf("undefined symbol %q", v.Sym)
+		return data, fmt.Errorf("undefined symbol %q", v.Target)
 	}
 	size := a.sizeOf(si, ii, addr)
-	dest := int64(target) + v.Add
+	dest := int64(target) + v.Addend
 	rel := dest - int64(addr+size)
 	mark := len(data)
 	var err error
 
 	if _, isRel := in.Src.(x86.Rel); isRel {
 		if rel < -1<<31 || rel > 1<<31-1 {
-			return data, fmt.Errorf("branch to %q out of rel32 range (%#x)", v.Sym, rel)
+			return data, fmt.Errorf("branch to %q out of rel32 range (%#x)", v.Target, rel)
 		}
 		in.Src = x86.Rel(int32(rel))
 		in.LongBranch = a.info[si][ii].long
@@ -450,10 +452,10 @@ func (a *assembler) emitInsTo(data []byte, si, ii int, v *Ins, addr uint64) ([]b
 
 	m, ok := in.MemArg()
 	if !ok || !m.Rip {
-		return data, fmt.Errorf("symbolic operand %q on instruction without relative operand: %s", v.Sym, in)
+		return data, fmt.Errorf("symbolic operand %q on instruction without relative operand: %s", v.Target, in)
 	}
 	if rel < -1<<31 || rel > 1<<31-1 {
-		return data, fmt.Errorf("RIP reference to %q out of disp32 range (%#x)", v.Sym, rel)
+		return data, fmt.Errorf("RIP reference to %q out of disp32 range (%#x)", v.Target, rel)
 	}
 	m.Disp = int32(rel)
 	if _, isMem := in.Dst.(x86.Mem); isMem {
@@ -474,15 +476,15 @@ func (a *assembler) emitInsTo(data []byte, si, ii int, v *Ins, addr uint64) ([]b
 // emitInsDiffTo appends the encoding of an instruction whose memory
 // displacement carries a symbol difference.
 func (a *assembler) emitInsDiffTo(data []byte, v *Ins) ([]byte, error) {
-	plus, ok := a.resolve(v.DispPlus)
+	plus, ok := a.syms[v.DispPlus]
 	if !ok {
 		return data, fmt.Errorf("undefined symbol %q", v.DispPlus)
 	}
-	minus, ok := a.resolve(v.DispMinus)
+	minus, ok := a.syms[v.DispMinus]
 	if !ok {
 		return data, fmt.Errorf("undefined symbol %q", v.DispMinus)
 	}
-	in := v.X
+	in := v.Inst
 	m, ok := in.MemArg()
 	if !ok || m.Rip {
 		return data, fmt.Errorf("displacement difference requires a non-RIP memory operand: %s", in)
@@ -503,21 +505,9 @@ func (a *assembler) emitInsDiffTo(data []byte, v *Ins) ([]byte, error) {
 	return x86.EncodeAppend(data, in)
 }
 
-func (a *assembler) resolve(name string) (uint64, bool) {
-	v, ok := a.syms[name]
-	return v, ok
-}
-
 func alignUp(v, align uint64) uint64 {
 	if align <= 1 {
 		return v
 	}
 	return (v + align - 1) &^ (align - 1)
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

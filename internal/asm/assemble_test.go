@@ -379,10 +379,40 @@ func TestItemString(t *testing.T) {
 		{AlignTo{N: 16}, "\t.align 16"},
 		{Space{N: 8}, "\t.skip 8"},
 		{Label{Name: "x"}, "x:"},
+		{&Ins{Inst: x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RAX,
+			Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true, Disp: 4}},
+			Target: "v", Addend: -8}, "\tlea RAX, [RIP+v-0x8]"},
+		{&Ins{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0)},
+			Target: "v", Addend: 2}, "\tje v + 0x2"},
 	}
 	for _, tt := range tests {
 		if got := ItemString(tt.it); got != tt.want {
 			t.Errorf("ItemString(%v) = %q, want %q", tt.it, got, tt.want)
 		}
+	}
+}
+
+// TestDispDiffString checks that a symbol-difference displacement (the
+// S7 composite operand of Figs. 1–2) shows in listings and in the
+// assembler's own error messages, not just the numeric displacement.
+func TestDispDiffString(t *testing.T) {
+	mov := x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX,
+		Src: x86.Mem{Base: x86.R9, Index: x86.NoReg, Disp: 0x10}}
+	const want = "mov RAX, QWORD PTR [R9+0x10+(var-anchor)]"
+
+	var p Program
+	text := p.Section(".text", Alloc|Exec)
+	text.IDiff(mov, "var", "anchor")
+	if got := ItemString(text.Items[0]); got != "\t"+want {
+		t.Errorf("ItemString = %q, want %q", got, "\t"+want)
+	}
+	if out := Print(&p); !strings.Contains(out, want) {
+		t.Errorf("Print output missing %q:\n%s", want, out)
+	}
+
+	// Neither symbol is defined: the error names the item as listed.
+	_, err := Assemble(&p, 0)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("undefined difference symbol: err = %v, want it to contain %q", err, want)
 	}
 }

@@ -152,12 +152,7 @@ func (t *Tool) buildProgram(f *elfx.File, g *cfg.Graph, entries []serialize.Entr
 	prog := &asm.Program{}
 	text := prog.Section(".text", asm.Alloc|asm.Exec)
 	text.Align = elfx.PageSize
-	for _, e := range entries {
-		for _, l := range e.Labels {
-			text.L(l)
-		}
-		text.Items = append(text.Items, &asm.Ins{X: e.Inst, Sym: e.Target, Add: e.Addend})
-	}
+	text.Items = serialize.Items(entries)
 
 	// Relocation targets (for rebuilding .quad entries symbolically).
 	relocOffsets := make(map[uint64]uint64) // vaddr of quad -> addend

@@ -135,7 +135,7 @@ type builder struct {
 	// insts/sizes are decode's scratch: a block's instructions are
 	// appended here and copied once into exact-size Block slices.
 	insts []x86.Inst
-	sizes []int
+	sizes []uint8
 
 	// graphVersion counts graph mutations (new block, split, new entry,
 	// new table base). A dispatch whose table was analyzed at the current
@@ -435,7 +435,7 @@ func (b *builder) decode(addr uint64) *Block {
 	b.decodeInsts(blk, addr)
 	if n := len(b.insts); n > 0 {
 		blk.Insts = make([]x86.Inst, n)
-		blk.Sizes = make([]int, n)
+		blk.Sizes = make([]uint8, n)
 		copy(blk.Insts, b.insts)
 		copy(blk.Sizes, b.sizes)
 	}
@@ -480,7 +480,7 @@ func (b *builder) decodeInsts(blk *Block, addr uint64) {
 		}
 		b.owner[cur] = ownerRef{block: blk, idx: len(b.insts)}
 		b.insts = append(b.insts, in)
-		b.sizes = append(b.sizes, size)
+		b.sizes = append(b.sizes, uint8(size))
 		next := cur + uint64(size)
 
 		// Decode-time harvest (§3.2.1): a RIP-relative reference to

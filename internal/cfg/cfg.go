@@ -18,7 +18,7 @@ import (
 type Block struct {
 	Addr  uint64
 	Insts []x86.Inst
-	Sizes []int
+	Sizes []uint8 // encoded lengths; an x86-64 instruction is at most 15 bytes
 
 	// Succs are direct control-flow successor addresses (branch targets
 	// and jump-table targets), excluding fall-through and call targets.

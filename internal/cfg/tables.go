@@ -360,7 +360,7 @@ func (b *builder) locate(addr uint64) (*Block, int) {
 // pathSizeAt returns the encoded size of the instruction at addr.
 func pathSizeAt(b *builder, addr uint64) int {
 	if ref, ok := b.owner[addr]; ok {
-		return ref.block.Sizes[ref.idx]
+		return int(ref.block.Sizes[ref.idx])
 	}
 	return 0
 }

@@ -450,12 +450,6 @@ func Render(entries []serialize.Entry, sets map[string]uint64) string {
 	for _, name := range names {
 		prog.Sets = append(prog.Sets, asm.Set{Name: name, Addr: sets[name]})
 	}
-	sec := prog.Section(".suri.text", asm.Alloc|asm.Exec)
-	for _, e := range entries {
-		for _, l := range e.Labels {
-			sec.L(l)
-		}
-		sec.Items = append(sec.Items, &asm.Ins{X: e.Inst, Sym: e.Target, Add: e.Addend})
-	}
+	prog.Section(".suri.text", asm.Alloc|asm.Exec).Items = serialize.Items(entries)
 	return asm.Print(&prog)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/elfx"
 	"repro/internal/emu"
@@ -294,7 +295,7 @@ func TestRewriteWithNopInstrumentation(t *testing.T) {
 			if !e.Synth && e.Inst.Op != x86.ENDBR64 {
 				out = append(out, serialize.Entry{
 					Labels: e.Labels,
-					Inst:   x86.Inst{Op: x86.NOP},
+					Ins:    asm.Ins{Inst: x86.Inst{Op: x86.NOP}},
 					Synth:  true,
 				})
 				e.Labels = nil

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/elfx"
 	"repro/internal/harden"
@@ -394,7 +395,7 @@ func trapEveryEntry(entries []serialize.Entry) ([]serialize.Entry, error) {
 	for _, e := range entries {
 		out = append(out, e)
 		if !e.Synth {
-			out = append(out, serialize.Entry{Inst: x86.Inst{Op: x86.UD2}, Synth: true})
+			out = append(out, serialize.Entry{Ins: asm.Ins{Inst: x86.Inst{Op: x86.UD2}}, Synth: true})
 		}
 	}
 	return out, nil

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/mini"
 	"repro/internal/obs"
+	"repro/internal/serialize"
+	"repro/internal/x86"
 )
 
 // figure4Stages is the pipeline stage set from the paper's Figure 4, in
@@ -150,5 +154,70 @@ func TestRenderSortedSets(t *testing.T) {
 		if Render(nil, sets) != out {
 			t.Fatal("Render nondeterministic across calls")
 		}
+	}
+}
+
+// TestRenderSPrime renders a real rewrite's S': one instruction line per
+// entry, every entry label as a "name:" line in stream order, and
+// symbolic branches printed with their target label.
+func TestRenderSPrime(t *testing.T) {
+	res, err := Rewrite(allocsFixture(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantLabels []string
+	for _, e := range res.SPrime {
+		wantLabels = append(wantLabels, e.Labels...)
+	}
+	var ins, labels []string
+	for _, line := range strings.Split(Render(res.SPrime, nil), "\n") {
+		switch {
+		case strings.HasPrefix(line, "\t"):
+			ins = append(ins, line[1:])
+		case strings.HasSuffix(line, ":"):
+			labels = append(labels, strings.TrimSuffix(line, ":"))
+		}
+	}
+	if len(ins) != len(res.SPrime) {
+		t.Fatalf("%d instruction lines for %d entries", len(ins), len(res.SPrime))
+	}
+	if !slices.Equal(labels, wantLabels) {
+		t.Fatalf("label lines differ from the entries' labels: got %d, want %d", len(labels), len(wantLabels))
+	}
+	branches := 0
+	for i, e := range res.SPrime {
+		if _, rel := e.Inst.Src.(x86.Rel); !rel || e.Target == "" {
+			continue
+		}
+		branches++
+		if !strings.HasSuffix(ins[i], " "+e.Target) {
+			t.Errorf("entry %d branches to %s but renders as %q", i, e.Target, ins[i])
+		}
+	}
+	if branches == 0 {
+		t.Fatal("fixture S' has no symbolic branch")
+	}
+}
+
+// TestRenderDispDiff checks that an instrumenter's symbol-difference
+// displacement survives into the assembled binary's S' and its listing.
+// The inserted load sits after the shared trap, so it never executes.
+func TestRenderDispDiff(t *testing.T) {
+	var plus string
+	instrument := func(entries []serialize.Entry) ([]serialize.Entry, error) {
+		plus = entries[0].Labels[0]
+		return append(entries, serialize.Entry{Ins: asm.Ins{
+			Inst: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX,
+				Src: x86.Mem{Base: x86.R9, Index: x86.NoReg, Disp: 0x10, Wide: true}},
+			DispPlus: plus, DispMinus: serialize.TrapLabel,
+		}, Synth: true}), nil
+	}
+	res, err := Rewrite(allocsFixture(t), Options{Instrument: instrument})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "mov RAX, QWORD PTR [R9+0x10+(" + plus + "-" + serialize.TrapLabel + ")]"
+	if out := Render(res.SPrime, nil); !strings.Contains(out, want) {
+		t.Errorf("Render output missing %q", want)
 	}
 }

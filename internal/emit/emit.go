@@ -77,23 +77,7 @@ func Emit(in Input) ([]byte, *Layout, error) {
 	text.Align = elfx.PageSize
 	text.Addr = newBase
 	text.HasAddr = true
-	// One slab holds every instruction; the items point into it, and the
-	// item list is sized exactly (labels plus instructions).
-	slab := make([]asm.Ins, len(in.Entries))
-	n := len(in.Entries)
-	for i := range in.Entries {
-		n += len(in.Entries[i].Labels)
-	}
-	text.Items = make([]asm.Item, 0, n)
-	for i := range in.Entries {
-		e := &in.Entries[i]
-		for _, l := range e.Labels {
-			text.L(l)
-		}
-		slab[i] = asm.Ins{X: e.Inst, Sym: e.Target, Add: e.Addend,
-			DispPlus: e.DiffPlus, DispMinus: e.DiffMinus}
-		text.Items = append(text.Items, &slab[i])
-	}
+	text.Items = serialize.Items(in.Entries)
 
 	ro := prog.Section(".suri.rodata", asm.Alloc)
 	ro.Align = elfx.PageSize

@@ -218,24 +218,24 @@ func (c *Context) spillSlot(r x86.Reg) string {
 // RipLoad builds "mov dst, [RIP+sym]" (no flags touched).
 func RipLoad(dst x86.Reg, sym string) serialize.Entry {
 	return serialize.Entry{
-		Inst:   x86.Inst{Op: x86.MOV, W: 8, Dst: dst, Src: ripMem()},
-		Target: sym, Synth: true,
+		Ins:   asm.Ins{Inst: x86.Inst{Op: x86.MOV, W: 8, Dst: dst, Src: ripMem()}, Target: sym},
+		Synth: true,
 	}
 }
 
 // RipStore builds "mov [RIP+sym], src" (no flags touched).
 func RipStore(sym string, src x86.Reg) serialize.Entry {
 	return serialize.Entry{
-		Inst:   x86.Inst{Op: x86.MOV, W: 8, Dst: ripMem(), Src: src},
-		Target: sym, Synth: true,
+		Ins:   asm.Ins{Inst: x86.Inst{Op: x86.MOV, W: 8, Dst: ripMem(), Src: src}, Target: sym},
+		Synth: true,
 	}
 }
 
 // RipLea builds "lea dst, [RIP+sym]" (no flags touched).
 func RipLea(dst x86.Reg, sym string) serialize.Entry {
 	return serialize.Entry{
-		Inst:   x86.Inst{Op: x86.LEA, W: 8, Dst: dst, Src: ripMem()},
-		Target: sym, Synth: true,
+		Ins:   asm.Ins{Inst: x86.Inst{Op: x86.LEA, W: 8, Dst: dst, Src: ripMem()}, Target: sym},
+		Synth: true,
 	}
 }
 

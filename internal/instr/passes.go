@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/asm"
 	"repro/internal/serialize"
 	"repro/internal/x86"
 )
@@ -152,8 +153,9 @@ func (CallTrace) Visit(ctx *Context, s Site) (before, after []serialize.Entry) {
 				captured = false
 			} else {
 				b = append(b, serialize.Entry{
-					Inst:   x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10, Src: t},
-					Target: s.Entry.Target, Addend: s.Entry.Addend, Synth: true,
+					Ins: asm.Ins{Inst: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10, Src: t},
+						Target: s.Entry.Target, Addend: s.Entry.Addend},
+					Synth: true,
 				})
 			}
 		} else {
@@ -241,8 +243,8 @@ func (s ShadowStack) Visit(ctx *Context, site Site) (before, after []serialize.E
 	b = append(b,
 		RipLoad(x86.R10, ctx.Sym("top")),
 		synthI(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.R10, Src: x86.Imm(0)}),
-		serialize.Entry{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0)},
-			Target: skip, Synth: true},
+		serialize.Entry{Ins: asm.Ins{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0)},
+			Target: skip}, Synth: true},
 		synthI(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.R10,
 			Src: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: -8}}),
 		RipStore(ctx.Sym("top"), x86.R10),
@@ -252,8 +254,8 @@ func (s ShadowStack) Visit(ctx *Context, site Site) (before, after []serialize.E
 		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10,
 			Src: x86.Mem{Base: x86.RSP, Index: x86.NoReg}}),
 		synthI(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.R10, Src: x86.R11}),
-		serialize.Entry{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0)},
-			Target: "instr$shadowstack$fail", Synth: true},
+		serialize.Entry{Ins: asm.Ins{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0)},
+			Target: "instr$shadowstack$fail"}, Synth: true},
 	)
 	rest := ctx.RestoreRegs(x86.R10, x86.R11)
 	rest[0].Labels = append([]string{skip}, rest[0].Labels...)
@@ -265,7 +267,7 @@ func (ShadowStack) Epilogue(ctx *Context) []serialize.Entry {
 	msg := []byte("=SS=\n")
 	out := []serialize.Entry{
 		{Labels: []string{"instr$shadowstack$fail"},
-			Inst: x86.Inst{Op: x86.ENDBR64}, Synth: true},
+			Ins: asm.Ins{Inst: x86.Inst{Op: x86.ENDBR64}}, Synth: true},
 		synthI(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSP, Src: x86.Imm(16)}),
 	}
 	for i, c := range msg {
@@ -287,7 +289,7 @@ func (ShadowStack) Epilogue(ctx *Context) []serialize.Entry {
 }
 
 func synthI(in x86.Inst) serialize.Entry {
-	return serialize.Entry{Inst: in, Synth: true}
+	return serialize.Entry{Ins: asm.Ins{Inst: in}, Synth: true}
 }
 
 // standard maps registry names to standard pass constructors.

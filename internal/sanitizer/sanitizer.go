@@ -22,6 +22,7 @@ package sanitizer
 import (
 	"fmt"
 
+	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/instr"
 	"repro/internal/serialize"
@@ -156,9 +157,9 @@ func shadowCheck(ctx *instr.Context, m x86.Mem) []serialize.Entry {
 		synth(x86.Inst{Op: x86.SHR, W: 8, Dst: x86.R10, Src: x86.Imm(3)}),
 		synth(x86.Inst{Op: x86.CMP, W: 1,
 			Dst: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: ShadowBase}, Src: x86.Imm(0)}),
-		{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0)}, Target: ok, Synth: true},
-		{Inst: x86.Inst{Op: x86.CALL, Src: x86.Rel(0)}, Target: "san$report", Synth: true},
-		{Labels: []string{ok}, Inst: x86.Inst{Op: x86.NOP}, Synth: true},
+		{Ins: asm.Ins{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0)}, Target: ok}, Synth: true},
+		{Ins: asm.Ins{Inst: x86.Inst{Op: x86.CALL, Src: x86.Rel(0)}, Target: "san$report"}, Synth: true},
+		{Labels: []string{ok}, Ins: asm.Ins{Inst: x86.Inst{Op: x86.NOP}}, Synth: true},
 	}
 }
 
@@ -199,7 +200,7 @@ func reportRoutine() []serialize.Entry {
 	var mk []serialize.Entry
 	mk = append(mk, serialize.Entry{
 		Labels: []string{"san$report"},
-		Inst:   x86.Inst{Op: x86.ENDBR64},
+		Ins:    asm.Ins{Inst: x86.Inst{Op: x86.ENDBR64}},
 		Synth:  true,
 	})
 	mk = append(mk,
@@ -224,5 +225,5 @@ func reportRoutine() []serialize.Entry {
 }
 
 func synth(in x86.Inst) serialize.Entry {
-	return serialize.Entry{Inst: in, Synth: true}
+	return serialize.Entry{Ins: asm.Ins{Inst: in}, Synth: true}
 }

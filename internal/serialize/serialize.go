@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strconv"
 
+	"repro/internal/asm"
 	"repro/internal/cfg"
 	"repro/internal/harden"
 	"repro/internal/x86"
@@ -23,22 +24,17 @@ type Entry struct {
 	// Labels are defined at this position, before the instruction.
 	Labels []string
 
-	Inst x86.Inst
+	// Ins is the instruction as the assembler reads it: Inst, and the
+	// symbolic operand Target (+Addend) a branch or RIP-relative operand
+	// must resolve to. An empty Target means the operand is still
+	// numeric (pre-repair) or absent. The emitter points its text items
+	// at this field, so S' is assembled in place, never copied.
+	asm.Ins
 
 	// Addr/Size identify the original instruction this entry copies;
 	// zero for synthesized entries.
 	Addr uint64
 	Size int
-
-	// Target is the symbolic operand: the label a branch or RIP-relative
-	// operand must resolve to (with Addend). Empty means the operand is
-	// still numeric (pre-repair) or absent.
-	Target string
-	Addend int64
-
-	// DiffPlus/DiffMinus carry a symbol-difference displacement for
-	// non-RIP memory operands (propagated to asm.Ins).
-	DiffPlus, DiffMinus string
 
 	Synth bool
 }
@@ -97,7 +93,7 @@ func Serialize(g *cfg.Graph) ([]Entry, error) {
 			// labelled trap.
 			out = append(out, Entry{
 				Labels: labels,
-				Inst:   x86.Inst{Op: x86.UD2},
+				Ins:    asm.Ins{Inst: x86.Inst{Op: x86.UD2}},
 				Synth:  true,
 			})
 			continue
@@ -105,10 +101,10 @@ func Serialize(g *cfg.Graph) ([]Entry, error) {
 
 		addr := b.Addr
 		for i, in := range b.Insts {
-			size := b.Sizes[i]
+			size := int(b.Sizes[i])
 			e := Entry{
 				Labels: labels,
-				Inst:   in,
+				Ins:    asm.Ins{Inst: in},
 				Addr:   addr,
 				Size:   size,
 			}
@@ -127,15 +123,14 @@ func Serialize(g *cfg.Graph) ([]Entry, error) {
 		switch {
 		case b.Invalid:
 			// Bogus path: never executed; seal it.
-			out = append(out, Entry{Inst: x86.Inst{Op: x86.UD2}, Synth: true})
+			out = append(out, Entry{Ins: asm.Ins{Inst: x86.Inst{Op: x86.UD2}}, Synth: true})
 		case b.HasFall:
 			if fallsThrough(blocks, bi) {
 				break // natural adjacency
 			}
 			out = append(out, Entry{
-				Inst:   x86.Inst{Op: x86.JMP, Src: x86.Rel(0)},
-				Target: LabelFor(b.Fall),
-				Synth:  true,
+				Ins:   asm.Ins{Inst: x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, Target: LabelFor(b.Fall)},
+				Synth: true,
 			})
 		}
 	}
@@ -143,7 +138,7 @@ func Serialize(g *cfg.Graph) ([]Entry, error) {
 	// Shared trap for undecodable jump-table targets.
 	out = append(out, Entry{
 		Labels: []string{TrapLabel},
-		Inst:   x86.Inst{Op: x86.UD2},
+		Ins:    asm.Ins{Inst: x86.Inst{Op: x86.UD2}},
 		Synth:  true,
 	})
 	return out, nil
@@ -164,6 +159,25 @@ func fixRoom(g *cfg.Graph) int {
 		n += 6 * len(t.Bases)
 	}
 	return n
+}
+
+// Items lists the stream as assembler items: each entry's labels, then
+// a pointer to the asm.Ins the entry embeds, so the stream is assembled
+// in place, never copied. The list is sized exactly (labels plus
+// instructions).
+func Items(entries []Entry) []asm.Item {
+	n := len(entries)
+	for i := range entries {
+		n += len(entries[i].Labels)
+	}
+	items := make([]asm.Item, 0, n)
+	for i := range entries {
+		for _, l := range entries[i].Labels {
+			items = append(items, asm.Label{Name: l})
+		}
+		items = append(items, &entries[i].Ins)
+	}
+	return items
 }
 
 // Count reports original and synthesized instruction counts, the

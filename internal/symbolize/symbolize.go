@@ -205,10 +205,9 @@ func buildTable(g *cfg.Graph, base uint64, targets []uint64) ([]asm.Item, int, e
 func buildFix(dst []serialize.Entry, baseReg x86.Reg, bases []uint64, res *Result, newLabel func(string) string) []serialize.Entry {
 	lea := func(target string) serialize.Entry {
 		return serialize.Entry{
-			Inst: x86.Inst{Op: x86.LEA, W: 8, Dst: baseReg,
-				Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}},
-			Target: target,
-			Synth:  true,
+			Ins: asm.Ins{Inst: x86.Inst{Op: x86.LEA, W: 8, Dst: baseReg,
+				Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}}, Target: target},
+			Synth: true,
 		}
 	}
 	if len(bases) == 1 {
@@ -220,7 +219,7 @@ func buildFix(dst []serialize.Entry, baseReg x86.Reg, bases []uint64, res *Resul
 		scratch = x86.R10
 	}
 	done := newLabel("done")
-	out := append(dst, serialize.Entry{Inst: x86.Inst{Op: x86.PUSH, Src: scratch}, Synth: true})
+	out := append(dst, serialize.Entry{Ins: asm.Ins{Inst: x86.Inst{Op: x86.PUSH, Src: scratch}}, Synth: true})
 	for i, base := range bases {
 		if i == len(bases)-1 {
 			// Conservative analysis guarantees the true base is among the
@@ -236,31 +235,28 @@ func buildFix(dst []serialize.Entry, baseReg x86.Reg, bases []uint64, res *Resul
 		next := newLabel("next")
 		out = append(out,
 			serialize.Entry{
-				Inst: x86.Inst{Op: x86.LEA, W: 8, Dst: scratch,
-					Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}},
-				Target: origLbl,
-				Synth:  true,
-			},
-			serialize.Entry{
-				Inst:  x86.Inst{Op: x86.CMP, W: 8, Dst: baseReg, Src: scratch},
+				Ins: asm.Ins{Inst: x86.Inst{Op: x86.LEA, W: 8, Dst: scratch,
+					Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}}, Target: origLbl},
 				Synth: true,
 			},
 			serialize.Entry{
-				Inst:   x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0)},
-				Target: next,
-				Synth:  true,
+				Ins:   asm.Ins{Inst: x86.Inst{Op: x86.CMP, W: 8, Dst: baseReg, Src: scratch}},
+				Synth: true,
+			},
+			serialize.Entry{
+				Ins:   asm.Ins{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0)}, Target: next},
+				Synth: true,
 			},
 			lea(TableLabel(base)),
 			serialize.Entry{
-				Inst:   x86.Inst{Op: x86.JMP, Src: x86.Rel(0)},
-				Target: done,
-				Synth:  true,
+				Ins:   asm.Ins{Inst: x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, Target: done},
+				Synth: true,
 			},
-			serialize.Entry{Labels: []string{next}, Inst: x86.Inst{Op: x86.NOP}, Synth: true},
+			serialize.Entry{Labels: []string{next}, Ins: asm.Ins{Inst: x86.Inst{Op: x86.NOP}}, Synth: true},
 		)
 	}
 	out = append(out,
-		serialize.Entry{Labels: []string{done}, Inst: x86.Inst{Op: x86.POP, Dst: scratch}, Synth: true},
+		serialize.Entry{Labels: []string{done}, Ins: asm.Ins{Inst: x86.Inst{Op: x86.POP, Dst: scratch}}, Synth: true},
 	)
 	return out
 }

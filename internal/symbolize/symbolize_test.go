@@ -205,7 +205,7 @@ func inPlaceCase() ([]serialize.Entry, *cfg.Graph) {
 	const base = 0x1000
 	entries := make([]serialize.Entry, 12)
 	for i := range entries {
-		entries[i] = serialize.Entry{Inst: x86.Inst{Op: x86.NOP}, Addr: base + 4*uint64(i), Size: 4}
+		entries[i] = serialize.Entry{Ins: asm.Ins{Inst: x86.Inst{Op: x86.NOP}}, Addr: base + 4*uint64(i), Size: 4}
 	}
 	entries[0].Labels = []string{"first"}
 	entries[3].Labels = []string{"mid"}

@@ -63,6 +63,8 @@ go test -race -count=1 \
 # (TestTieredRunAllocs: demand-zero stack, compact decode planes, slim
 # block metadata).
 go test -run 'Allocs$' -count=1 ./internal/x86/... ./internal/emu/... ./internal/core/...
+# Byte-identity gates: assembler output, rewritten binaries and verdicts must match their checked-in manifests.
+go test -count=1 -run 'Manifest$' ./internal/asm/ ./internal/core/
 # Observability gates: the disabled paths (nil collector, live collector
 # without a flight recorder) must stay allocation-free, and the wire
 # formats (Prometheus exposition, flight JSON, trace JSON) must match
