@@ -90,21 +90,29 @@ type Label struct {
 // Target is non-empty the instruction's relative operand (branch Rel or
 // RIP-relative memory displacement) is resolved to Target+Addend at
 // assembly time, overriding the numeric value in Inst.
+//
+// An Ins is 80 bytes (TestLayout bounds it): the rare displacement
+// difference sits behind one pointer, nil on every other instruction.
 type Ins struct {
 	Inst   x86.Inst
 	Target string
 	Addend int64
 
-	// DispPlus/DispMinus, when set, add the link-time difference
-	// (DispPlus - DispMinus) to the displacement of the instruction's
-	// non-RIP memory operand. This reproduces how compilers fold a
-	// cross-section symbol distance into a temporary-pointer access (the
-	// S7 composite expressions of Table 1, Figures 1 and 2): the operand
-	// "[R9 + (var - anchor)]" carries a constant that is only meaningful
-	// for one specific section layout. The memory operand must have
-	// Wide set so its encoded size is layout-independent.
-	DispPlus  string
-	DispMinus string
+	// Diff, when non-nil, adds a link-time symbol difference to the
+	// displacement of the instruction's non-RIP memory operand.
+	Diff *DispDiff
+}
+
+// DispDiff is the link-time difference (Plus - Minus) an Ins adds to its
+// memory displacement. This reproduces how compilers fold a
+// cross-section symbol distance into a temporary-pointer access (the S7
+// composite expressions of Table 1, Figures 1 and 2): the operand
+// "[R9 + (var - anchor)]" carries a constant that is only meaningful for
+// one specific section layout. The memory operand must have Wide set so
+// its encoded size is layout-independent. A DispDiff is never modified
+// once built, so copies of an Ins may share it.
+type DispDiff struct {
+	Plus, Minus string
 }
 
 // Bytes is raw literal data.
@@ -180,7 +188,7 @@ func (s *Section) IDiff(in x86.Inst, plus, minus string) {
 		m.Wide = true
 		in.Src = m
 	}
-	s.Items = append(s.Items, &Ins{Inst: in, DispPlus: plus, DispMinus: minus})
+	s.Items = append(s.Items, &Ins{Inst: in, Diff: &DispDiff{Plus: plus, Minus: minus}})
 }
 
 // Raw appends literal bytes.
@@ -255,11 +263,11 @@ func insString(v *Ins) string {
 	in := v.Inst
 	full := in.String()
 	end := strings.IndexByte(full, ']')
-	if v.DispPlus != "" || v.DispMinus != "" {
+	if d := v.Diff; d != nil {
 		if end < 0 {
 			return full
 		}
-		return full[:end] + "+(" + v.DispPlus + "-" + v.DispMinus + ")" + full[end:]
+		return full[:end] + "+(" + d.Plus + "-" + d.Minus + ")" + full[end:]
 	}
 	if v.Target == "" {
 		return full

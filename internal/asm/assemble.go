@@ -418,8 +418,8 @@ func appendZeros(data []byte, n int) []byte {
 // resolving its symbolic operand against the cached item sizes.
 func (a *assembler) emitInsTo(data []byte, si, ii int, v *Ins, addr uint64) ([]byte, error) {
 	in := v.Inst
-	if v.DispPlus != "" || v.DispMinus != "" {
-		return a.emitInsDiffTo(data, v)
+	if v.Diff != nil {
+		return a.emitInsDiffTo(data, in, v.Diff)
 	}
 	if v.Target == "" {
 		return x86.EncodeAppend(data, in)
@@ -475,16 +475,15 @@ func (a *assembler) emitInsTo(data []byte, si, ii int, v *Ins, addr uint64) ([]b
 
 // emitInsDiffTo appends the encoding of an instruction whose memory
 // displacement carries a symbol difference.
-func (a *assembler) emitInsDiffTo(data []byte, v *Ins) ([]byte, error) {
-	plus, ok := a.syms[v.DispPlus]
+func (a *assembler) emitInsDiffTo(data []byte, in x86.Inst, d *DispDiff) ([]byte, error) {
+	plus, ok := a.syms[d.Plus]
 	if !ok {
-		return data, fmt.Errorf("undefined symbol %q", v.DispPlus)
+		return data, fmt.Errorf("undefined symbol %q", d.Plus)
 	}
-	minus, ok := a.syms[v.DispMinus]
+	minus, ok := a.syms[d.Minus]
 	if !ok {
-		return data, fmt.Errorf("undefined symbol %q", v.DispMinus)
+		return data, fmt.Errorf("undefined symbol %q", d.Minus)
 	}
-	in := v.Inst
 	m, ok := in.MemArg()
 	if !ok || m.Rip {
 		return data, fmt.Errorf("displacement difference requires a non-RIP memory operand: %s", in)
@@ -494,7 +493,7 @@ func (a *assembler) emitInsDiffTo(data []byte, v *Ins) ([]byte, error) {
 	}
 	diff := int64(m.Disp) + int64(plus) - int64(minus)
 	if diff < -1<<31 || diff > 1<<31-1 {
-		return data, fmt.Errorf("displacement %s-%s = %#x exceeds 32 bits", v.DispPlus, v.DispMinus, diff)
+		return data, fmt.Errorf("displacement %s-%s = %#x exceeds 32 bits", d.Plus, d.Minus, diff)
 	}
 	m.Disp = int32(diff)
 	if _, isMem := in.Dst.(x86.Mem); isMem {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/x86"
 )
@@ -414,5 +415,13 @@ func TestDispDiffString(t *testing.T) {
 	_, err := Assemble(&p, 0)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("undefined difference symbol: err = %v, want it to contain %q", err, want)
+	}
+}
+
+// TestLayout bounds Ins at 80 bytes: the rewriter's S' embeds one per
+// entry, and the rare displacement difference sits behind a pointer.
+func TestLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Ins{}); got > 80 {
+		t.Errorf("unsafe.Sizeof(Ins{}) = %d, want <= 80", got)
 	}
 }

@@ -77,7 +77,7 @@ func (t *Tool) Rewrite(bin []byte) (*baseline.Result, error) {
 		if !ok || !m.Rip {
 			continue
 		}
-		tgt, ok := e.Inst.RipTarget(e.Addr, e.Size)
+		tgt, ok := e.Inst.RipTarget(e.Addr, int(e.Size))
 		if !ok {
 			continue
 		}

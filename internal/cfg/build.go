@@ -107,14 +107,15 @@ func sectionAt(f *elfx.File, addr uint64) (*elfx.Section, uint64) {
 	return nil, 0
 }
 
-// ownerBytesPerInst sizes the owner map up front: one decoded
-// instruction per this many text bytes. Compiled code averages about 3.4
-// bytes per instruction, so the map seldom grows.
-const ownerBytesPerInst = 3
-
-type ownerRef struct {
-	block *Block
-	idx   int
+// slot is one text byte's entry in the builder's owner index. blk is one
+// plus the builder id of the block owning the instruction that starts at
+// this byte (zero: none), and idx is the instruction's index in that
+// block. A block starts here exactly when blk is set and idx is 0, or -1
+// for a block that decoded no instruction: it owns no instruction, yet
+// merges and splits must still stop at it.
+type slot struct {
+	blk int32
+	idx int32
 }
 
 type builder struct {
@@ -123,19 +124,33 @@ type builder struct {
 	opts Options
 	g    *Graph
 
-	owner    map[uint64]ownerRef
+	// owner is the dense index of the text, one slot per byte, and
+	// blocks maps builder ids to blocks. The index is pointer-free, so
+	// per-instruction bookkeeping costs no map probe and no GC scan.
+	owner    []slot
+	blocks   []*Block
 	entrySet map[uint64]bool
 	work     []uint64
+
+	// jmps lists the addresses of the decoded indirect jmps: the only
+	// instructions jump-table analysis starts from.
+	jmps []uint64
 
 	// knownBases records every candidate table base seen so far; the
 	// BoundsCmp fallback uses them as scan barriers.
 	knownBases  map[uint64]bool
 	useBarriers bool
 
-	// insts/sizes are decode's scratch: a block's instructions are
-	// appended here and copied once into exact-size Block slices.
-	insts []x86.Inst
-	sizes []uint8
+	// arenaInsts/arenaSizes are the current chunk of the build-wide
+	// instruction arena: decode appends a block's instructions at its
+	// end, from index open on, and the block keeps that window.
+	// placedInsts/placedBytes count the instructions placed in any chunk
+	// and the text bytes they cover.
+	arenaInsts  []x86.Inst
+	arenaSizes  []uint8
+	open        int
+	placedInsts int
+	placedBytes int
 
 	// graphVersion counts graph mutations (new block, split, new entry,
 	// new table base). A dispatch whose table was analyzed at the current
@@ -208,7 +223,7 @@ func Build(f *elfx.File, opts Options) (*Graph, error) {
 			TextEnd:   text.Addr + text.Size,
 			File:      f,
 		},
-		owner:      make(map[uint64]ownerRef, min(int64(len(text.Data)/ownerBytesPerInst), opts.MaxTotalInsts)),
+		owner:      make([]slot, len(text.Data)),
 		entrySet:   make(map[uint64]bool),
 		knownBases: make(map[uint64]bool),
 		tableVer:   make(map[uint64]uint64),
@@ -359,21 +374,51 @@ func (b *builder) drain() {
 	}
 }
 
+// at returns addr's slot in the owner index: the zero slot outside the
+// text.
+func (b *builder) at(addr uint64) slot {
+	if !b.inText(addr) {
+		return slot{}
+	}
+	return b.owner[addr-b.g.TextStart]
+}
+
+// locate finds the block and instruction index of an instruction address,
+// or nil when no decoded instruction starts there.
+func (b *builder) locate(addr uint64) (*Block, int) {
+	s := b.at(addr)
+	if s.blk == 0 || s.idx < 0 {
+		return nil, 0
+	}
+	return b.blocks[s.blk-1], int(s.idx)
+}
+
 // ensureBlock makes addr a block start: reusing, splitting (Figure 5), or
 // decoding fresh.
 func (b *builder) ensureBlock(addr uint64) *Block {
-	if blk, ok := b.g.Blocks[addr]; ok {
-		return blk
+	switch s := b.at(addr); {
+	case s.blk == 0:
+		return b.decode(addr)
+	case s.idx > 0:
+		return b.split(b.blocks[s.blk-1], int(s.idx))
+	default:
+		return b.blocks[s.blk-1]
 	}
-	if ref, ok := b.owner[addr]; ok && ref.idx > 0 {
-		return b.split(ref.block, ref.idx)
-	}
-	return b.decode(addr)
+}
+
+// newBlock registers blk under the next builder id and returns the id's
+// slot value.
+func (b *builder) newBlock(blk *Block) int32 {
+	b.graphVersion++
+	b.g.Blocks[blk.Addr] = blk
+	b.blocks = append(b.blocks, blk)
+	b.g.invalidatePreds()
+	return int32(len(b.blocks))
 }
 
 // split cuts block y before instruction idx, creating the tail block and
 // fall-through edge (the Figure 5 discover/split/merge sequence). The
-// tail shares y's backing arrays; both halves are capped so neither can
+// tail shares y's arena window; both halves are capped so neither can
 // grow into the other.
 func (b *builder) split(y *Block, idx int) *Block {
 	cut := y.Addr
@@ -398,70 +443,95 @@ func (b *builder) split(y *Block, idx int) *Block {
 	y.HasFall = true
 	y.Invalid = false
 	y.Table = nil
-	b.graphVersion++
 	delete(b.tableVer, y.Addr) // y's terminator changed; reanalyze
-	b.g.Blocks[cut] = z
-	a := cut
+	id := b.newBlock(z)
+	off := cut - b.g.TextStart
 	for i, s := range z.Sizes {
-		b.owner[a] = ownerRef{block: z, idx: i}
-		a += uint64(s)
+		b.owner[off] = slot{blk: id, idx: int32(i)}
+		off += uint64(s)
 	}
 	if z.Table != nil {
 		z.Table.BlockAdr = cut
 	}
-	b.g.invalidatePreds()
 	return z
 }
 
 // decode disassembles a fresh block starting at addr.
 func (b *builder) decode(addr uint64) *Block {
 	blk := &Block{Addr: addr}
-	b.graphVersion++
-	b.g.Blocks[addr] = blk
-	b.g.invalidatePreds()
+	id := b.newBlock(blk)
+	b.owner[addr-b.g.TextStart] = slot{blk: id, idx: -1}
 	if err := harden.Inject(harden.FPCfgDecode); err != nil {
 		b.fail(fmt.Errorf("cfg: decode at %#x: %w", addr, err))
 		blk.Invalid = true
 		return blk
 	}
-	if len(b.g.Blocks) > b.opts.MaxBlocks {
+	if len(b.blocks) > b.opts.MaxBlocks {
 		b.fail(fmt.Errorf("cfg: %w",
 			&harden.BudgetExceeded{Resource: "cfg.blocks", Limit: int64(b.opts.MaxBlocks)}))
 		blk.Invalid = true
 		return blk
 	}
 
-	b.insts, b.sizes = b.insts[:0], b.sizes[:0]
-	b.decodeInsts(blk, addr)
-	if n := len(b.insts); n > 0 {
-		blk.Insts = make([]x86.Inst, n)
-		blk.Sizes = make([]uint8, n)
-		copy(blk.Insts, b.insts)
-		copy(blk.Sizes, b.sizes)
+	b.decodeInsts(blk, id, addr)
+	if n := len(b.arenaInsts); n > b.open {
+		blk.Insts = b.arenaInsts[b.open:n:n]
+		blk.Sizes = b.arenaSizes[b.open:n:n]
+		b.open = n
 	}
 	return blk
 }
 
-// decodeInsts decodes blk's instructions from addr into the builder's
-// scratch slices, setting the block's edges and validity as it ends.
-func (b *builder) decodeInsts(blk *Block, addr uint64) {
+// place appends a decoded instruction to the open window at the end of
+// the arena. A full chunk is followed by one sized from the text: room
+// for the instructions still to come, estimated as the text no placed
+// instruction covers yet at the mean length placed so far (at first, at
+// the longest length, so the first chunk holds the fewest instructions
+// that could cover the text), plus twice the open window, which keeps
+// growth geometric once the estimate runs dry. The open window moves to
+// the new chunk, so a block never straddles two. A window is capped at
+// its length once its block ends, so an append to a block copies
+// instead of clobbering its arena neighbour.
+func (b *builder) place(in x86.Inst, size uint8) {
+	if len(b.arenaInsts) == cap(b.arenaInsts) {
+		left := max(len(b.text.Data)-b.placedBytes, 0)
+		est := left / x86.MaxInstLen
+		if b.placedBytes > 0 {
+			est = left * b.placedInsts / b.placedBytes
+		}
+		open := len(b.arenaInsts) - b.open
+		n := est + 2*(open+1)
+		insts, sizes := make([]x86.Inst, open, n), make([]uint8, open, n)
+		copy(insts, b.arenaInsts[b.open:])
+		copy(sizes, b.arenaSizes[b.open:])
+		b.arenaInsts, b.arenaSizes, b.open = insts, sizes, 0
+	}
+	b.arenaInsts = append(b.arenaInsts, in)
+	b.arenaSizes = append(b.arenaSizes, size)
+	b.placedInsts++
+	b.placedBytes += int(size)
+}
+
+// decodeInsts decodes blk's instructions from addr into the arena's
+// open window, setting the block's edges and validity as it ends. id is
+// blk's slot value in the owner index.
+func (b *builder) decodeInsts(blk *Block, id int32, addr uint64) {
 	cur := addr
 	for {
 		if cur != addr {
-			// Merge into an existing block or boundary (Figure 5c).
-			if _, ok := b.g.Blocks[cur]; ok {
-				blk.Fall = cur
-				blk.HasFall = true
-				return
-			}
-			if ref, ok := b.owner[cur]; ok && ref.block != blk {
-				b.split(ref.block, ref.idx)
+			// Merge into an existing block or boundary (Figure 5c). The
+			// slot cannot be blk's own: its addresses only grow.
+			if s := b.at(cur); s.blk != 0 {
+				if s.idx > 0 {
+					b.split(b.blocks[s.blk-1], int(s.idx))
+				}
 				blk.Fall = cur
 				blk.HasFall = true
 				return
 			}
 		}
-		if !b.inText(cur) || len(b.insts) >= b.opts.MaxBlockInsts {
+		idx := len(b.arenaInsts) - b.open
+		if !b.inText(cur) || idx >= b.opts.MaxBlockInsts {
 			blk.Invalid = true
 			return
 		}
@@ -478,9 +548,8 @@ func (b *builder) decodeInsts(blk *Block, addr uint64) {
 			blk.Invalid = true
 			return
 		}
-		b.owner[cur] = ownerRef{block: blk, idx: len(b.insts)}
-		b.insts = append(b.insts, in)
-		b.sizes = append(b.sizes, uint8(size))
+		b.owner[off] = slot{blk: id, idx: int32(idx)}
+		b.place(in, uint8(size))
 		next := cur + uint64(size)
 
 		// Decode-time harvest (§3.2.1): a RIP-relative reference to
@@ -503,8 +572,10 @@ func (b *builder) decodeInsts(blk *Block, addr uint64) {
 				} else {
 					blk.Invalid = true
 				}
+			} else {
+				// Indirect: resolved later by table analysis.
+				b.jmps = append(b.jmps, cur)
 			}
-			// Indirect jumps are resolved later by table analysis.
 			return
 		case x86.JCC:
 			if tgt, ok := in.BranchTarget(cur, size); ok && b.inText(tgt) {

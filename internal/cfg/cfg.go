@@ -8,13 +8,16 @@ package cfg
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/elfx"
 	"repro/internal/x86"
 )
 
-// Block is a basic block of the superset CFG.
+// Block is a basic block of the superset CFG. Insts and Sizes are
+// windows of the build's instruction arena, capped at their length, so
+// appending to them copies.
 type Block struct {
 	Addr  uint64
 	Insts []x86.Inst
@@ -232,6 +235,15 @@ func textSection(f *elfx.File) (*elfx.Section, error) {
 	}
 	if text == nil {
 		return nil, fmt.Errorf("cfg: no executable section")
+	}
+	// The builder indexes the text by offset, one slot per byte, so the
+	// section must carry all its bytes (an SHT_NOBITS one carries none)
+	// and fit 32-bit offsets.
+	if uint64(len(text.Data)) != text.Size {
+		return nil, fmt.Errorf("cfg: executable section %q has %d bytes of file data, size %#x", text.Name, len(text.Data), text.Size)
+	}
+	if text.Size > math.MaxInt32 {
+		return nil, fmt.Errorf("cfg: executable section %q of %#x bytes is too large", text.Name, text.Size)
 	}
 	return text, nil
 }

@@ -1,7 +1,9 @@
 package cfg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/elfx"
 	"repro/internal/harden"
@@ -17,14 +19,7 @@ func (b *builder) analyzeAllTables() (bool, error) {
 	}
 	changed := false
 	var tables []*JumpTable
-	for _, blk := range b.g.SortedBlocks() {
-		if len(blk.Insts) == 0 {
-			continue
-		}
-		last := blk.Insts[len(blk.Insts)-1]
-		if last.Op != x86.JMP || !last.IsIndirectBranch() {
-			continue
-		}
+	for _, blk := range b.dispatchBlocks() {
 		// Dirty-version skip: a table analyzed at the current graph
 		// version cannot produce a different result (the analysis is a
 		// pure function of graph state + known bases). On the converged
@@ -51,10 +46,8 @@ func (b *builder) analyzeAllTables() (bool, error) {
 		tables = append(tables, t)
 		for _, targets := range t.Targets {
 			for _, tgt := range targets {
-				if _, ok := b.g.Blocks[tgt]; !ok {
-					if _, mid := b.owner[tgt]; !mid {
-						changed = true
-					}
+				if b.at(tgt).blk == 0 {
+					changed = true // neither a block nor an instruction yet
 				}
 				b.enqueue(tgt)
 			}
@@ -62,6 +55,18 @@ func (b *builder) analyzeAllTables() (bool, error) {
 	}
 	b.g.Tables = tables
 	return changed, nil
+}
+
+// dispatchBlocks returns the blocks ending in an indirect jmp, in address
+// order. Each decoded indirect jmp ends its block and a split keeps it
+// last, so the block owning it now is the one to analyze.
+func (b *builder) dispatchBlocks() []*Block {
+	out := make([]*Block, len(b.jmps))
+	for i, a := range b.jmps {
+		out[i], _ = b.locate(a)
+	}
+	slices.SortFunc(out, func(x, y *Block) int { return cmp.Compare(x.Addr, y.Addr) })
+	return out
 }
 
 func tablesEqual(a, b *JumpTable) bool {
@@ -329,7 +334,7 @@ func (b *builder) readTable(base, fstart, fend uint64) ([]int32, []uint64) {
 			// The Ddisasm-style heuristic also validates that the target
 			// is a known instruction boundary — which plausible-looking
 			// adjacent data (Figure 3) can still satisfy.
-			if _, ok := b.owner[tgt]; !ok {
+			if blk, _ := b.locate(tgt); blk == nil {
 				break
 			}
 		}
@@ -349,18 +354,10 @@ func (b *builder) dataSectionAt(addr uint64) *elfx.Section {
 	return sec
 }
 
-// locate finds the block and instruction index of an instruction address.
-func (b *builder) locate(addr uint64) (*Block, int) {
-	if ref, ok := b.owner[addr]; ok {
-		return ref.block, ref.idx
-	}
-	return nil, 0
-}
-
 // pathSizeAt returns the encoded size of the instruction at addr.
 func pathSizeAt(b *builder, addr uint64) int {
-	if ref, ok := b.owner[addr]; ok {
-		return int(ref.block.Sizes[ref.idx])
+	if blk, i := b.locate(addr); blk != nil {
+		return int(blk.Sizes[i])
 	}
 	return 0
 }

@@ -209,7 +209,7 @@ func TestRenderDispDiff(t *testing.T) {
 		return append(entries, serialize.Entry{Ins: asm.Ins{
 			Inst: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX,
 				Src: x86.Mem{Base: x86.R9, Index: x86.NoReg, Disp: 0x10, Wide: true}},
-			DispPlus: plus, DispMinus: serialize.TrapLabel,
+			Diff: &asm.DispDiff{Plus: plus, Minus: serialize.TrapLabel},
 		}, Synth: true}), nil
 	}
 	res, err := Rewrite(allocsFixture(t), Options{Instrument: instrument})

@@ -49,7 +49,7 @@ func Repair(entries []serialize.Entry, g *cfg.Graph) (*Result, error) {
 		if !ok || !m.Rip {
 			continue
 		}
-		target, ok := e.Inst.RipTarget(e.Addr, e.Size)
+		target, ok := e.Inst.RipTarget(e.Addr, int(e.Size))
 		if !ok {
 			continue
 		}
@@ -87,7 +87,7 @@ func Audit(entries []serialize.Entry, g *cfg.Graph) (int, error) {
 		if !ok || !m.Rip {
 			continue // direct branches: not pointer material
 		}
-		target, ok := e.Inst.RipTarget(e.Addr, e.Size)
+		target, ok := e.Inst.RipTarget(e.Addr, int(e.Size))
 		if !ok {
 			continue
 		}

@@ -108,7 +108,7 @@ func TestRepairAudit(t *testing.T) {
 			continue
 		}
 		if m, ok := e.Inst.MemArg(); ok && m.Rip {
-			tgt, _ := e.Inst.RipTarget(e.Addr, e.Size)
+			tgt, _ := e.Inst.RipTarget(e.Addr, int(e.Size))
 			e.Target = serialize.LabelFor(tgt)
 			break
 		}

@@ -32,9 +32,11 @@ type Entry struct {
 	asm.Ins
 
 	// Addr/Size identify the original instruction this entry copies;
-	// zero for synthesized entries.
+	// zero for synthesized entries. An x86-64 instruction is at most 15
+	// bytes, so Size and Synth share a word and an Entry is 120 bytes
+	// (TestLayout bounds it).
 	Addr uint64
-	Size int
+	Size uint8
 
 	Synth bool
 }
@@ -101,7 +103,7 @@ func Serialize(g *cfg.Graph) ([]Entry, error) {
 
 		addr := b.Addr
 		for i, in := range b.Insts {
-			size := int(b.Sizes[i])
+			size := b.Sizes[i]
 			e := Entry{
 				Labels: labels,
 				Ins:    asm.Ins{Inst: in},
@@ -113,7 +115,7 @@ func Serialize(g *cfg.Graph) ([]Entry, error) {
 			// are blocks (or harvested entries) by construction. Targets
 			// with no block only occur in bogus (never-executed) code and
 			// are routed to the trap.
-			if tgt, ok := in.BranchTarget(addr, size); ok {
+			if tgt, ok := in.BranchTarget(addr, int(size)); ok {
 				e.Target = labelOf(tgt)
 			}
 			out = append(out, e)

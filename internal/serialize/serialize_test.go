@@ -2,6 +2,7 @@ package serialize
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/cc"
 	"repro/internal/cfg"
@@ -85,7 +86,7 @@ func TestSerializeDirectBranchesSymbolic(t *testing.T) {
 		if e.Synth {
 			continue
 		}
-		if _, ok := e.Inst.BranchTarget(e.Addr, e.Size); ok && e.Target == "" {
+		if _, ok := e.Inst.BranchTarget(e.Addr, int(e.Size)); ok && e.Target == "" {
 			t.Errorf("direct branch at %#x (%s) not symbolized", e.Addr, e.Inst)
 		}
 	}
@@ -147,5 +148,13 @@ func TestCount(t *testing.T) {
 	}
 	if orig+synth != len(entries) {
 		t.Errorf("Count doesn't partition entries: %d+%d != %d", orig, synth, len(entries))
+	}
+}
+
+// TestLayout bounds Entry at 120 bytes: every rewrite fills a slab of
+// them, one per instruction of S'.
+func TestLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got > 120 {
+		t.Errorf("unsafe.Sizeof(Entry{}) = %d, want <= 120", got)
 	}
 }

@@ -26,7 +26,7 @@ func Decode(b []byte) (Inst, int, error) {
 	if err != nil {
 		return Inst{}, 0, err
 	}
-	if d.pos > 15 {
+	if d.pos > MaxInstLen {
 		return Inst{}, 0, ErrBadInstruction
 	}
 	return in, d.pos, nil

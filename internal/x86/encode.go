@@ -14,7 +14,7 @@ func Encode(in Inst) ([]byte, error) {
 	if err := e.encode(in); err != nil {
 		return nil, encodeErr(in, err)
 	}
-	return e.appendTo(make([]byte, 0, maxInstLen)), nil
+	return e.appendTo(make([]byte, 0, MaxInstLen)), nil
 }
 
 // EncodeAppend appends the encoding of in to dst and returns the extended
@@ -47,8 +47,8 @@ func encodeErr(in Inst, err error) error {
 	return fmt.Errorf("encode %s: %w", in, err)
 }
 
-// maxInstLen is the architectural x86-64 instruction length limit.
-const maxInstLen = 15
+// MaxInstLen is the architectural x86-64 instruction length limit.
+const MaxInstLen = 15
 
 // encoder accumulates the pieces of one instruction encoding in fixed
 // buffers, so encoding performs no heap allocation.

@@ -107,6 +107,10 @@ func (r Rel) argString(uint8) string {
 //   - JMP/CALL: Src is Rel (direct) or Reg/Mem (indirect)
 //   - shifts:   Dst, Src (Imm count, or Reg(RCX) for CL forms)
 //   - IMUL three-operand form: Dst (Reg), Src (Reg/Mem), Imm3
+//
+// The one-byte fields, flags included, share the first word, so an Inst
+// is 48 bytes (TestLayout pins it): the CFG builder's arena, S' and the
+// emulator's decode planes all hold Insts by value.
 type Inst struct {
 	Op   Op
 	Cond Cond // for JCC, SETCC, CMOVCC
@@ -114,10 +118,7 @@ type Inst struct {
 	// W is the operand width in bytes (1, 4, or 8). For MOVZX/MOVSX/MOVSXD
 	// it is the destination width; SrcW holds the source width.
 	SrcW    uint8
-	Dst     Arg
-	Src     Arg
-	Imm3    int64 // third operand of imul r, r/m, imm
-	HasImm3 bool
+	HasImm3 bool // Imm3 is present
 	NoTrack bool // 3E notrack prefix (meaningful on indirect JMP)
 
 	// LongBranch forces the rel32 encoding of JMP/JCC even when the
@@ -125,6 +126,10 @@ type Inst struct {
 	// encodings so that decode/encode is byte-stable; the assembler uses
 	// it during branch relaxation. It does not affect String.
 	LongBranch bool
+
+	Dst  Arg
+	Src  Arg
+	Imm3 int64 // third operand of imul r, r/m, imm
 }
 
 // String renders the instruction in the Intel-like syntax used throughout

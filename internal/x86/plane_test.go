@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // planeTestText builds a slab mixing real encoded instructions with
@@ -137,5 +138,15 @@ func TestPlaneDecodeAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("EncodeAppend into a sized buffer allocates %.1f times per call, want 0", avg)
+	}
+}
+
+// TestLayout pins Inst at 48 bytes: its one-byte fields and flags share
+// the first word. The CFG builder's arena, S' and every decode-plane
+// entry hold Insts by value, so a field added in the wrong place costs
+// a word per instruction everywhere.
+func TestLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 48 {
+		t.Errorf("unsafe.Sizeof(Inst{}) = %d, want 48", got)
 	}
 }

@@ -7,7 +7,8 @@
 # concurrent builds of one binary; emu/tiered runs concurrent machines,
 # each with its own decode planes and translations), the
 # hot-path allocation gates (cached plane decode, emulator fetch span,
-# and arithmetic encode must stay allocation-free), a one-iteration
+# and arithmetic encode must stay allocation-free) with the layout pins
+# (the sizes of x86.Inst, asm.Ins and serialize.Entry), a one-iteration
 # smoke of the two profiling benchmarks (BenchmarkRewrite and
 # BenchmarkEmulatorHotTiered), an end-to-end coverage-pass smoke
 # (rewrite with the coverage pass, emulate, check the bitmap filled),
@@ -61,8 +62,11 @@ go test -race -count=1 \
 # byte ceilings (each pipeline stage sizes its stream once); a tiered
 # emulator run must stay under its per-run byte ceiling
 # (TestTieredRunAllocs: demand-zero stack, compact decode planes, slim
-# block metadata).
-go test -run 'Allocs$' -count=1 ./internal/x86/... ./internal/emu/... ./internal/core/...
+# block metadata). Layout pins (TestLayout): x86.Inst is 48 bytes,
+# asm.Ins at most 80 and serialize.Entry at most 120, the element sizes
+# of the CFG arena, S' and the decode planes.
+go test -run 'Allocs$|Layout$' -count=1 ./internal/x86/... ./internal/asm/ \
+    ./internal/serialize/ ./internal/emu/... ./internal/core/...
 # Byte-identity gates: assembler output, rewritten binaries and verdicts must match their checked-in manifests.
 go test -count=1 -run 'Manifest$' ./internal/asm/ ./internal/core/
 # Observability gates: the disabled paths (nil collector, live collector

@@ -12,6 +12,9 @@
 package main
 
 import (
+	"bytes"
+	"debug/elf"
+	"encoding/binary"
 	"fmt"
 	"log"
 	"os"
@@ -43,6 +46,27 @@ func seed(dir, name string, vals ...any) {
 	if err := os.WriteFile(filepath.Join(dir, name), []byte(out), 0o644); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// nobitsText returns a copy of bin whose .text section header says
+// SHT_NOBITS: the section keeps its size and flags but carries no file
+// bytes.
+func nobitsText(bin []byte) []byte {
+	ef, err := elf.NewFile(bytes.NewReader(bin))
+	if err != nil {
+		log.Fatal(err)
+	}
+	shoff := binary.LittleEndian.Uint64(bin[40:])
+	shentsize := uint64(binary.LittleEndian.Uint16(bin[58:]))
+	for i, s := range ef.Sections {
+		if s.Name == ".text" {
+			mut := append([]byte(nil), bin...)
+			binary.LittleEndian.PutUint32(mut[shoff+uint64(i)*shentsize+4:], uint32(elf.SHT_NOBITS))
+			return mut
+		}
+	}
+	log.Fatal("no .text section")
+	return nil
 }
 
 func main() {
@@ -110,8 +134,9 @@ func main() {
 	seed(dir, "riprel-lea", []byte{0x48, 0x8D, 0x05, 0x01, 0x02, 0x03, 0x04})
 	seed(dir, "truncated-sib", []byte{0x48, 0x8B, 0x04})
 
-	// internal/core: the full-pipeline target gets the binary and the
-	// same structural mutants the verdict tests use.
+	// internal/core: the full-pipeline target gets the binary, the same
+	// structural mutants the verdict tests use, and a .text without file
+	// data.
 	dir = "internal/core/testdata/fuzz/FuzzRewrite"
 	seed(dir, "compiled", bin)
 	seed(dir, "truncated-third", bin[:len(bin)/3])
@@ -123,6 +148,7 @@ func main() {
 		mut[i] = 0x7F // e_entry
 	}
 	seed(dir, "wild-entry", mut)
+	seed(dir, "nobits-text", nobitsText(bin))
 
 	fmt.Println("gencorpus: corpora written")
 }
