@@ -163,7 +163,7 @@ func main() {
 		fmt.Println(string(js))
 	}
 	if *sprime && res != nil {
-		fmt.Print(core.Render(res.SPrime, nil))
+		fmt.Print(core.Render(res.SPrime, res.Graph.Syms, nil))
 	}
 	if vres != nil && vres.Verdict == suri.VerdictFallback {
 		os.Exit(3)

@@ -114,14 +114,15 @@ func dumpEntries(bin []byte, passList string, noEh bool) {
 		case e.Synth:
 			mark = '~'
 		}
-		for _, l := range e.Labels {
-			fmt.Printf("%c %s:\n", mark, l)
+		syms := res.Graph.Syms
+		for _, l := range e.Labels(syms) {
+			fmt.Printf("%c %s:\n", mark, syms.Name(l))
 		}
-		if e.Target != "" {
+		if e.Target != 0 {
 			if e.Addend != 0 {
-				fmt.Printf("%c   %s\t# -> %s%+d\n", mark, e.Inst, e.Target, e.Addend)
+				fmt.Printf("%c   %s\t# -> %s%+d\n", mark, e.Inst, syms.Name(e.Target), e.Addend)
 			} else {
-				fmt.Printf("%c   %s\t# -> %s\n", mark, e.Inst, e.Target)
+				fmt.Printf("%c   %s\t# -> %s\n", mark, e.Inst, syms.Name(e.Target))
 			}
 		} else {
 			fmt.Printf("%c   %s\n", mark, e.Inst)

@@ -19,6 +19,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/emu"
 	"repro/internal/mini"
+	"repro/internal/serialize"
 	"repro/internal/x86"
 )
 
@@ -56,21 +57,21 @@ func main() {
 	}
 
 	calls := 0
-	instrument := func(entries []suri.Entry) ([]suri.Entry, error) {
+	instrument := func(entries []suri.Entry, syms *suri.Symtab) ([]suri.Entry, error) {
 		var out []suri.Entry
 		for _, e := range entries {
 			if !e.Synth && e.Inst.Op == x86.CALL {
 				// inc qword [counterAddr] — flags are dead before calls
 				// in compiler-generated code; a production pass would
 				// save them.
+				// The counter runs first: the call's labels move onto it.
 				out = append(out, suri.Entry{
-					Labels: e.Labels,
 					Ins: asm.Ins{Inst: x86.Inst{Op: x86.ADD, W: 8,
-						Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Disp: counterAddr},
-						Src: x86.Imm(1)}},
+						Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Disp: counterAddr}.Arg(),
+						Src: x86.Imm(1).Arg()}},
 					Synth: true,
 				})
-				e.Labels = nil
+				serialize.MoveLabels(syms, &out[len(out)-1], &e)
 				calls++
 			}
 			out = append(out, e)

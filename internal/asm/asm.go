@@ -26,6 +26,8 @@ const (
 
 // Section is a named, ordered sequence of items.
 type Section struct {
+	prog *Program // interns the names the helper methods take
+
 	Name  string
 	Flags SectionFlags
 	Align uint64 // section start alignment; 0 means 1
@@ -44,6 +46,19 @@ type Program struct {
 	// Sets are ".set name, value" directives: absolute symbols that let
 	// the program reference addresses it does not itself define (§3.4).
 	Sets []Set
+
+	// Syms interns every symbol the items reference. Nil until the first
+	// Sym call; a program assembled from a stream built elsewhere (the
+	// rewriter's S') shares that stream's table.
+	Syms *Symtab
+}
+
+// Sym interns name in the program's symbol table.
+func (p *Program) Sym(name string) Sym {
+	if p.Syms == nil {
+		p.Syms = NewSymtab(0)
+	}
+	return p.Syms.Intern(name)
 }
 
 // Set is an absolute symbol definition.
@@ -60,7 +75,7 @@ func (p *Program) Section(name string, flags SectionFlags) *Section {
 			return s
 		}
 	}
-	s := &Section{Name: name, Flags: flags, Align: 16}
+	s := &Section{prog: p, Name: name, Flags: flags, Align: 16}
 	p.Sections = append(p.Sections, s)
 	return s
 }
@@ -80,40 +95,45 @@ type Item interface{ isItem() }
 
 // Label defines a symbol at the current location.
 type Label struct {
-	Name string
+	Sym Sym
 }
 
 // Ins is a machine instruction, optionally with a symbolic operand. It is
 // an Item by pointer (*Ins): instruction streams are large, and a
 // pointer into the stream that already holds the instruction (the
 // rewriter's S' entries embed their Ins) boxes without a copy. When
-// Target is non-empty the instruction's relative operand (branch Rel or
+// Target is set the instruction's relative operand (branch Rel or
 // RIP-relative memory displacement) is resolved to Target+Addend at
 // assembly time, overriding the numeric value in Inst.
 //
-// An Ins is 80 bytes (TestLayout bounds it): the rare displacement
-// difference sits behind one pointer, nil on every other instruction.
+// An Ins is 64 bytes with no pointers (TestLayout pins both): symbols
+// are IDs into the program's symbol table, so a slab of Ins values (S')
+// costs the garbage collector nothing to scan. Addend is 32 bits wide,
+// like the displacement it ends up in.
 type Ins struct {
 	Inst   x86.Inst
-	Target string
-	Addend int64
+	Addend int32
+	Target Sym
 
-	// Diff, when non-nil, adds a link-time symbol difference to the
+	// Diff, when set, adds a link-time symbol difference to the
 	// displacement of the instruction's non-RIP memory operand.
-	Diff *DispDiff
+	Diff DispDiff
 }
 
 // DispDiff is the link-time difference (Plus - Minus) an Ins adds to its
-// memory displacement. This reproduces how compilers fold a
-// cross-section symbol distance into a temporary-pointer access (the S7
-// composite expressions of Table 1, Figures 1 and 2): the operand
-// "[R9 + (var - anchor)]" carries a constant that is only meaningful for
-// one specific section layout. The memory operand must have Wide set so
-// its encoded size is layout-independent. A DispDiff is never modified
-// once built, so copies of an Ins may share it.
+// memory displacement; the zero DispDiff adds nothing. This reproduces
+// how compilers fold a cross-section symbol distance into a
+// temporary-pointer access (the S7 composite expressions of Table 1,
+// Figures 1 and 2): the operand "[R9 + (var - anchor)]" carries a
+// constant that is only meaningful for one specific section layout. The
+// memory operand must have Wide set so its encoded size is
+// layout-independent.
 type DispDiff struct {
-	Plus, Minus string
+	Plus, Minus Sym
 }
+
+// Set reports whether the difference is present.
+func (d DispDiff) Set() bool { return d.Plus != 0 }
 
 // Bytes is raw literal data.
 type Bytes struct {
@@ -124,7 +144,7 @@ type Bytes struct {
 // an R_X86_64_RELATIVE-style relocation so the loader can rebase it. This
 // is the S1/S2 label form of Table 1.
 type Quad struct {
-	Sym string
+	Sym Sym
 	Add int64
 }
 
@@ -137,8 +157,8 @@ type LongLit uint32
 // LongDiff is a 4-byte difference ".long plus - minus + add", the jump
 // table entry form (S4 of Table 1).
 type LongDiff struct {
-	Plus  string
-	Minus string
+	Plus  Sym
+	Minus Sym
 	Add   int64
 }
 
@@ -166,36 +186,44 @@ func (Space) isItem()    {}
 
 // Convenience constructors used heavily by the compiler and the rewriter.
 
+// The helpers below take symbol names and intern them in the section's
+// program; sections come from Program.Section.
+
 // L appends a label.
-func (s *Section) L(name string) { s.Items = append(s.Items, Label{Name: name}) }
+func (s *Section) L(name string) { s.Items = append(s.Items, Label{Sym: s.prog.Sym(name)}) }
 
 // I appends a plain instruction.
 func (s *Section) I(in x86.Inst) { s.Items = append(s.Items, &Ins{Inst: in}) }
 
-// IS appends an instruction whose relative operand targets sym+add.
+// IS appends an instruction whose relative operand targets sym+add;
+// add must fit in 32 bits.
 func (s *Section) IS(in x86.Inst, sym string, add int64) {
-	s.Items = append(s.Items, &Ins{Inst: in, Target: sym, Addend: add})
+	if add != int64(int32(add)) {
+		panic(fmt.Sprintf("asm: addend %#x of %s exceeds 32 bits", add, sym))
+	}
+	s.Items = append(s.Items, &Ins{Inst: in, Target: s.prog.Sym(sym), Addend: int32(add)})
 }
 
 // IDiff appends an instruction whose memory-operand displacement is
 // adjusted by the link-time difference (plus - minus). The operand's Wide
 // flag is set automatically.
 func (s *Section) IDiff(in x86.Inst, plus, minus string) {
-	if m, ok := in.Dst.(x86.Mem); ok && !m.Rip {
-		m.Wide = true
-		in.Dst = m
-	} else if m, ok := in.Src.(x86.Mem); ok && !m.Rip {
-		m.Wide = true
-		in.Src = m
+	if in.Dst.Kind == x86.ArgMem && !in.Dst.Rip {
+		in.Dst.Wide = true
+	} else if in.Src.Kind == x86.ArgMem && !in.Src.Rip {
+		in.Src.Wide = true
 	}
-	s.Items = append(s.Items, &Ins{Inst: in, Diff: &DispDiff{Plus: plus, Minus: minus}})
+	d := DispDiff{Plus: s.prog.Sym(plus), Minus: s.prog.Sym(minus)}
+	s.Items = append(s.Items, &Ins{Inst: in, Diff: d})
 }
 
 // Raw appends literal bytes.
 func (s *Section) Raw(b []byte) { s.Items = append(s.Items, Bytes{Data: b}) }
 
 // Q appends ".quad sym+add".
-func (s *Section) Q(sym string, add int64) { s.Items = append(s.Items, Quad{Sym: sym, Add: add}) }
+func (s *Section) Q(sym string, add int64) {
+	s.Items = append(s.Items, Quad{Sym: s.prog.Sym(sym), Add: add})
+}
 
 // D8 appends an 8-byte literal.
 func (s *Section) D8(v uint64) { s.Items = append(s.Items, QuadLit(v)) }
@@ -205,7 +233,7 @@ func (s *Section) D4(v uint32) { s.Items = append(s.Items, LongLit(v)) }
 
 // Diff appends ".long plus - minus".
 func (s *Section) Diff(plus, minus string, add int64) {
-	s.Items = append(s.Items, LongDiff{Plus: plus, Minus: minus, Add: add})
+	s.Items = append(s.Items, LongDiff{Plus: s.prog.Sym(plus), Minus: s.prog.Sym(minus), Add: add})
 }
 
 // Align pads to an n-byte boundary.
@@ -214,23 +242,24 @@ func (s *Section) Align2(n uint64) { s.Items = append(s.Items, AlignTo{N: n}) }
 // Skip reserves n zero bytes.
 func (s *Section) Skip(n uint64) { s.Items = append(s.Items, Space{N: n}) }
 
-// String renders an item in GNU-as-like syntax (see Print for programs).
-func ItemString(it Item) string {
+// ItemString renders an item in GNU-as-like syntax (see Print for
+// programs), naming its symbols from t.
+func (t *Symtab) ItemString(it Item) string {
 	switch v := it.(type) {
 	case Label:
-		return v.Name + ":"
+		return t.Name(v.Sym) + ":"
 	case *Ins:
-		return "\t" + insString(v)
+		return "\t" + t.insString(v)
 	case Bytes:
 		return fmt.Sprintf("\t.byte %d bytes", len(v.Data))
 	case Quad:
-		return "\t.quad " + symPlus(v.Sym, v.Add, " ")
+		return "\t.quad " + symPlus(t.Name(v.Sym), v.Add, " ")
 	case QuadLit:
 		return fmt.Sprintf("\t.quad 0x%x", uint64(v))
 	case LongLit:
 		return fmt.Sprintf("\t.long 0x%x", uint32(v))
 	case LongDiff:
-		s := fmt.Sprintf("\t.long %s - %s", v.Plus, v.Minus)
+		s := fmt.Sprintf("\t.long %s - %s", t.Name(v.Plus), t.Name(v.Minus))
 		if v.Add != 0 {
 			s += fmt.Sprintf(" + %d", v.Add)
 		}
@@ -259,26 +288,26 @@ func symPlus(sym string, add int64, sep string) string {
 // of the numeric one: a branch names its target, a RIP-relative operand
 // reads "[RIP+sym+add]", and a displacement difference, which the
 // assembler applies instead, reads "[R9+0x10+(var-anchor)]".
-func insString(v *Ins) string {
+func (t *Symtab) insString(v *Ins) string {
 	in := v.Inst
 	full := in.String()
 	end := strings.IndexByte(full, ']')
-	if d := v.Diff; d != nil {
+	if d := v.Diff; d.Set() {
 		if end < 0 {
 			return full
 		}
-		return full[:end] + "+(" + d.Plus + "-" + d.Minus + ")" + full[end:]
+		return full[:end] + "+(" + t.Name(d.Plus) + "-" + t.Name(d.Minus) + ")" + full[end:]
 	}
-	if v.Target == "" {
+	if v.Target == 0 {
 		return full
 	}
-	if _, ok := in.Src.(x86.Rel); ok && (in.Op == x86.JMP || in.Op == x86.JCC || in.Op == x86.CALL) {
+	if in.Src.Kind == x86.ArgRel && (in.Op == x86.JMP || in.Op == x86.JCC || in.Op == x86.CALL) {
 		mnemonic, _, _ := strings.Cut(full, " ")
-		return mnemonic + " " + symPlus(v.Target, v.Addend, " ")
+		return mnemonic + " " + symPlus(t.Name(v.Target), int64(v.Addend), " ")
 	}
 	if m, ok := in.MemArg(); ok && m.Rip {
 		open := strings.Index(full, "[RIP")
-		return full[:open] + "[RIP+" + symPlus(v.Target, v.Addend, "") + full[end:]
+		return full[:open] + "[RIP+" + symPlus(t.Name(v.Target), int64(v.Addend), "") + full[end:]
 	}
 	return full
 }

@@ -29,18 +29,32 @@ type OutSection struct {
 // Result is the output of Assemble.
 type Result struct {
 	Sections []OutSection
-	Symbols  map[string]uint64
 	Relocs   []Reloc
 
 	// RelaxRounds is how many layout passes branch relaxation took to
 	// converge (1 means no rel8 branch ever grew).
 	RelaxRounds int
+
+	syms    *Symtab
+	addrs   []uint64 // per Sym
+	defined []bool   // per Sym
 }
 
-// Symbol looks up a defined symbol.
+// Symbol looks up a defined symbol by name.
 func (r *Result) Symbol(name string) (uint64, bool) {
-	v, ok := r.Symbols[name]
-	return v, ok
+	s, ok := r.syms.Lookup(name)
+	if !ok {
+		return 0, false
+	}
+	return r.Addr(s)
+}
+
+// Addr returns a defined symbol's address.
+func (r *Result) Addr(s Sym) (uint64, bool) {
+	if s == 0 || int(s) >= len(r.defined) || !r.defined[s] {
+		return 0, false
+	}
+	return r.addrs[s], true
 }
 
 // SectionData returns the named output section, or nil.
@@ -67,18 +81,23 @@ func (r *Result) SectionData(name string) *OutSection {
 // arithmetic and each grow pass re-examines only branches still short.
 // Emission appends into one buffer per section.
 func Assemble(p *Program, base uint64) (*Result, error) {
-	a := assembler{prog: p, base: base}
+	if p.Syms == nil {
+		p.Syms = NewSymtab(len(p.Sets))
+	}
+	a := assembler{prog: p, syms: p.Syms, base: base}
 	return a.run()
 }
 
 type assembler struct {
 	prog *Program
+	syms *Symtab
 	base uint64
 
-	syms   map[string]uint64
-	addrs  [][]uint64 // per section, per item
-	starts []uint64   // per section start address
-	ends   []uint64   // per section end address
+	symAddr []uint64   // per Sym, under the current layout
+	defined []bool     // per Sym
+	addrs   [][]uint64 // per section, per item
+	starts  []uint64   // per section start address
+	ends    []uint64   // per section end address
 
 	// info caches per-item layout facts: the fixed encoded size of
 	// non-branch items and both form lengths of symbolic branches,
@@ -147,10 +166,10 @@ func (a *assembler) buildInfo() error {
 			case AlignTo:
 				infos[ii] = itemInfo{kind: kAlign, size: v.N}
 			case *Ins:
-				if v.Target != "" {
-					if _, isRel := v.Inst.Src.(x86.Rel); isRel && (v.Inst.Op == x86.JMP || v.Inst.Op == x86.JCC) {
+				if v.Target != 0 {
+					if v.Inst.Src.Kind == x86.ArgRel && (v.Inst.Op == x86.JMP || v.Inst.Op == x86.JCC) {
 						in := v.Inst
-						in.Src = x86.Rel(0)
+						in.Src = x86.Rel(0).Arg()
 						in.LongBranch = false
 						sn, err := x86.EncodedLen(in)
 						if err != nil {
@@ -189,14 +208,21 @@ func (a *assembler) buildInfo() error {
 // cache (labels read their names from the items); symbol/address storage
 // is allocated on the first round and reused afterwards.
 func (a *assembler) layout() error {
-	first := a.syms == nil
+	first := a.defined == nil
 	if first {
-		a.syms = make(map[string]uint64)
-		for _, set := range a.prog.Sets {
-			if _, dup := a.syms[set.Name]; dup {
+		sets := make([]Sym, len(a.prog.Sets))
+		for i, set := range a.prog.Sets {
+			sets[i] = a.syms.Intern(set.Name)
+		}
+		n := a.syms.Len() + 1
+		a.symAddr = make([]uint64, n)
+		a.defined = make([]bool, n)
+		for i, set := range a.prog.Sets {
+			if a.defined[sets[i]] {
 				return fmt.Errorf("asm: duplicate symbol %q", set.Name)
 			}
-			a.syms[set.Name] = set.Addr
+			a.defined[sets[i]] = true
+			a.symAddr[sets[i]] = set.Addr
 		}
 		a.addrs = make([][]uint64, len(a.prog.Sections))
 		a.starts = make([]uint64, len(a.prog.Sections))
@@ -229,13 +255,17 @@ func (a *assembler) layout() error {
 			inf := &infos[ii]
 			switch inf.kind {
 			case kLabel:
-				name := s.Items[ii].(Label).Name
+				sym := s.Items[ii].(Label).Sym
 				if first {
-					if _, dup := a.syms[name]; dup {
-						return fmt.Errorf("asm: duplicate symbol %q in section %s", name, s.Name)
+					if sym == 0 || int(sym) >= len(a.defined) {
+						return fmt.Errorf("asm: label with symbol %d outside the table in section %s", sym, s.Name)
 					}
+					if a.defined[sym] {
+						return fmt.Errorf("asm: duplicate symbol %q in section %s", a.syms.Name(sym), s.Name)
+					}
+					a.defined[sym] = true
 				}
-				a.syms[name] = cursor
+				a.symAddr[sym] = cursor
 			case kBranch:
 				if inf.long {
 					cursor += uint64(inf.longLen)
@@ -284,11 +314,11 @@ func (a *assembler) growBranches() (bool, error) {
 				continue
 			}
 			v := s.Items[ii].(*Ins)
-			target, ok := a.syms[v.Target]
+			target, ok := a.lookup(v.Target)
 			if !ok {
-				return false, fmt.Errorf("asm: undefined symbol %q in section %s", v.Target, s.Name)
+				return false, fmt.Errorf("asm: undefined symbol %s in section %s", a.symName(v.Target), s.Name)
 			}
-			rel := int64(target) + v.Addend - int64(a.addrs[si][ii]+uint64(inf.shortLen))
+			rel := int64(target) + int64(v.Addend) - int64(a.addrs[si][ii]+uint64(inf.shortLen))
 			if rel < -128 || rel > 127 {
 				inf.long = true
 				grown = true
@@ -319,8 +349,24 @@ func (a *assembler) sizeOf(si, ii int, addr uint64) uint64 {
 	}
 }
 
+// lookup returns a symbol's address under the current layout.
+func (a *assembler) lookup(s Sym) (uint64, bool) {
+	if int(s) >= len(a.defined) || !a.defined[s] {
+		return 0, false
+	}
+	return a.symAddr[s], true
+}
+
+// symName quotes a symbol's name for an error message.
+func (a *assembler) symName(s Sym) string {
+	if int(s) > a.syms.Len() {
+		return fmt.Sprintf("#%d (not in the symbol table)", s)
+	}
+	return fmt.Sprintf("%q", a.syms.Name(s))
+}
+
 func (a *assembler) emit() (*Result, error) {
-	res := &Result{Symbols: a.syms}
+	res := &Result{syms: a.syms, addrs: a.symAddr, defined: a.defined}
 	for si, s := range a.prog.Sections {
 		start := a.starts[si]
 		out := OutSection{
@@ -346,7 +392,7 @@ func (a *assembler) emit() (*Result, error) {
 			var err error
 			data, err = a.emitItemTo(res, data, si, ii, it, a.addrs[si][ii])
 			if err != nil {
-				return nil, fmt.Errorf("asm: section %s item %d (%s): %w", s.Name, ii, ItemString(it), err)
+				return nil, fmt.Errorf("asm: section %s item %d (%s): %w", s.Name, ii, a.syms.ItemString(it), err)
 			}
 		}
 		if uint64(len(data)) != out.Size {
@@ -370,9 +416,9 @@ func (a *assembler) emitItemTo(res *Result, data []byte, si, ii int, it Item, ad
 	case Bytes:
 		return append(data, v.Data...), nil
 	case Quad:
-		target, ok := a.syms[v.Sym]
+		target, ok := a.lookup(v.Sym)
 		if !ok {
-			return data, fmt.Errorf("undefined symbol %q", v.Sym)
+			return data, fmt.Errorf("undefined symbol %s", a.symName(v.Sym))
 		}
 		val := uint64(int64(target) + v.Add)
 		res.Relocs = append(res.Relocs, Reloc{Offset: addr, Addend: val})
@@ -382,17 +428,17 @@ func (a *assembler) emitItemTo(res *Result, data []byte, si, ii int, it Item, ad
 	case LongLit:
 		return binary.LittleEndian.AppendUint32(data, uint32(v)), nil
 	case LongDiff:
-		plus, ok := a.syms[v.Plus]
+		plus, ok := a.lookup(v.Plus)
 		if !ok {
-			return data, fmt.Errorf("undefined symbol %q", v.Plus)
+			return data, fmt.Errorf("undefined symbol %s", a.symName(v.Plus))
 		}
-		minus, ok := a.syms[v.Minus]
+		minus, ok := a.lookup(v.Minus)
 		if !ok {
-			return data, fmt.Errorf("undefined symbol %q", v.Minus)
+			return data, fmt.Errorf("undefined symbol %s", a.symName(v.Minus))
 		}
 		diff := int64(plus) - int64(minus) + v.Add
 		if diff < -1<<31 || diff > 1<<31-1 {
-			return data, fmt.Errorf("difference %s-%s = %#x exceeds 32 bits", v.Plus, v.Minus, diff)
+			return data, fmt.Errorf("difference %s-%s = %#x exceeds 32 bits", a.symName(v.Plus), a.symName(v.Minus), diff)
 		}
 		return binary.LittleEndian.AppendUint32(data, uint32(int32(diff))), nil
 	case AlignTo:
@@ -418,27 +464,27 @@ func appendZeros(data []byte, n int) []byte {
 // resolving its symbolic operand against the cached item sizes.
 func (a *assembler) emitInsTo(data []byte, si, ii int, v *Ins, addr uint64) ([]byte, error) {
 	in := v.Inst
-	if v.Diff != nil {
+	if v.Diff.Set() {
 		return a.emitInsDiffTo(data, in, v.Diff)
 	}
-	if v.Target == "" {
+	if v.Target == 0 {
 		return x86.EncodeAppend(data, in)
 	}
-	target, ok := a.syms[v.Target]
+	target, ok := a.lookup(v.Target)
 	if !ok {
-		return data, fmt.Errorf("undefined symbol %q", v.Target)
+		return data, fmt.Errorf("undefined symbol %s", a.symName(v.Target))
 	}
 	size := a.sizeOf(si, ii, addr)
-	dest := int64(target) + v.Addend
+	dest := int64(target) + int64(v.Addend)
 	rel := dest - int64(addr+size)
 	mark := len(data)
 	var err error
 
-	if _, isRel := in.Src.(x86.Rel); isRel {
+	if in.Src.Kind == x86.ArgRel {
 		if rel < -1<<31 || rel > 1<<31-1 {
-			return data, fmt.Errorf("branch to %q out of rel32 range (%#x)", v.Target, rel)
+			return data, fmt.Errorf("branch to %s out of rel32 range (%#x)", a.symName(v.Target), rel)
 		}
-		in.Src = x86.Rel(int32(rel))
+		in.Src = x86.Rel(int32(rel)).Arg()
 		in.LongBranch = a.info[si][ii].long
 		data, err = x86.EncodeAppend(data, in)
 		if err != nil {
@@ -452,16 +498,16 @@ func (a *assembler) emitInsTo(data []byte, si, ii int, v *Ins, addr uint64) ([]b
 
 	m, ok := in.MemArg()
 	if !ok || !m.Rip {
-		return data, fmt.Errorf("symbolic operand %q on instruction without relative operand: %s", v.Target, in)
+		return data, fmt.Errorf("symbolic operand %s on instruction without relative operand: %s", a.symName(v.Target), in)
 	}
 	if rel < -1<<31 || rel > 1<<31-1 {
-		return data, fmt.Errorf("RIP reference to %q out of disp32 range (%#x)", v.Target, rel)
+		return data, fmt.Errorf("RIP reference to %s out of disp32 range (%#x)", a.symName(v.Target), rel)
 	}
 	m.Disp = int32(rel)
-	if _, isMem := in.Dst.(x86.Mem); isMem {
-		in.Dst = m
+	if in.Dst.Kind == x86.ArgMem {
+		in.Dst = m.Arg()
 	} else {
-		in.Src = m
+		in.Src = m.Arg()
 	}
 	data, err = x86.EncodeAppend(data, in)
 	if err != nil {
@@ -475,14 +521,14 @@ func (a *assembler) emitInsTo(data []byte, si, ii int, v *Ins, addr uint64) ([]b
 
 // emitInsDiffTo appends the encoding of an instruction whose memory
 // displacement carries a symbol difference.
-func (a *assembler) emitInsDiffTo(data []byte, in x86.Inst, d *DispDiff) ([]byte, error) {
-	plus, ok := a.syms[d.Plus]
+func (a *assembler) emitInsDiffTo(data []byte, in x86.Inst, d DispDiff) ([]byte, error) {
+	plus, ok := a.lookup(d.Plus)
 	if !ok {
-		return data, fmt.Errorf("undefined symbol %q", d.Plus)
+		return data, fmt.Errorf("undefined symbol %s", a.symName(d.Plus))
 	}
-	minus, ok := a.syms[d.Minus]
+	minus, ok := a.lookup(d.Minus)
 	if !ok {
-		return data, fmt.Errorf("undefined symbol %q", d.Minus)
+		return data, fmt.Errorf("undefined symbol %s", a.symName(d.Minus))
 	}
 	m, ok := in.MemArg()
 	if !ok || m.Rip {
@@ -493,13 +539,13 @@ func (a *assembler) emitInsDiffTo(data []byte, in x86.Inst, d *DispDiff) ([]byte
 	}
 	diff := int64(m.Disp) + int64(plus) - int64(minus)
 	if diff < -1<<31 || diff > 1<<31-1 {
-		return data, fmt.Errorf("displacement %s-%s = %#x exceeds 32 bits", d.Plus, d.Minus, diff)
+		return data, fmt.Errorf("displacement %s-%s = %#x exceeds 32 bits", a.symName(d.Plus), a.symName(d.Minus), diff)
 	}
 	m.Disp = int32(diff)
-	if _, isMem := in.Dst.(x86.Mem); isMem {
-		in.Dst = m
+	if in.Dst.Kind == x86.ArgMem {
+		in.Dst = m.Arg()
 	} else {
-		in.Src = m
+		in.Src = m.Arg()
 	}
 	return x86.EncodeAppend(data, in)
 }

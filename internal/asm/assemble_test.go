@@ -3,6 +3,8 @@ package asm
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
+	"repro/internal/layout"
 	"strings"
 	"testing"
 	"unsafe"
@@ -24,11 +26,11 @@ func TestAssembleSimpleFunction(t *testing.T) {
 	text := p.Section(".text", Alloc|Exec)
 	text.L("f")
 	text.I(x86.Inst{Op: x86.ENDBR64})
-	text.I(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RAX, Src: x86.RAX})
+	text.I(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RAX.Arg(), Src: x86.RAX.Arg()})
 	text.I(x86.Inst{Op: x86.RET})
 
 	res := mustAssemble(t, &p, 0x1000)
-	if got := res.Symbols["f"]; got != 0x1000 {
+	if got := symAddr(res, "f"); got != 0x1000 {
 		t.Errorf("f = %#x, want 0x1000", got)
 	}
 	sec := res.SectionData(".text")
@@ -45,7 +47,7 @@ func TestAssembleBranchResolution(t *testing.T) {
 	var p Program
 	text := p.Section(".text", Alloc|Exec)
 	text.L("start")
-	text.IS(x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, "end", 0)
+	text.IS(x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, "end", 0)
 	text.I(x86.Inst{Op: x86.HLT})
 	text.L("end")
 	text.I(x86.Inst{Op: x86.RET})
@@ -63,7 +65,7 @@ func TestAssembleBranchRelaxation(t *testing.T) {
 	// A branch over >127 bytes must be promoted to rel32.
 	var p Program
 	text := p.Section(".text", Alloc|Exec)
-	text.IS(x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0)}, "far", 0)
+	text.IS(x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0).Arg()}, "far", 0)
 	text.Raw(bytes.Repeat([]byte{0x90}, 200))
 	text.L("far")
 	text.I(x86.Inst{Op: x86.RET})
@@ -83,8 +85,8 @@ func TestAssembleBackwardBranch(t *testing.T) {
 	var p Program
 	text := p.Section(".text", Alloc|Exec)
 	text.L("loop")
-	text.I(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RAX, Src: x86.Imm(1)})
-	text.IS(x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0)}, "loop", 0)
+	text.I(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(1).Arg()})
+	text.IS(x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0).Arg()}, "loop", 0)
 	text.I(x86.Inst{Op: x86.RET})
 
 	res := mustAssemble(t, &p, 0x400000)
@@ -100,8 +102,8 @@ func TestAssembleRipRelativeData(t *testing.T) {
 	var p Program
 	text := p.Section(".text", Alloc|Exec)
 	text.IS(x86.Inst{
-		Op: x86.LEA, W: 8, Dst: x86.RAX,
-		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true},
+		Op: x86.LEA, W: 8, Dst: x86.RAX.Arg(),
+		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg(),
 	}, "var", 0)
 	text.I(x86.Inst{Op: x86.RET})
 
@@ -111,7 +113,7 @@ func TestAssembleRipRelativeData(t *testing.T) {
 
 	res := mustAssemble(t, &p, 0x1000)
 	sec := res.SectionData(".text")
-	varAddr := res.Symbols["var"]
+	varAddr := symAddr(res, "var")
 	disp := int32(binary.LittleEndian.Uint32(sec.Data[3:7]))
 	if got := uint64(int64(0x1000+7) + int64(disp)); got != varAddr {
 		t.Errorf("lea resolves to %#x, want %#x", got, varAddr)
@@ -132,8 +134,8 @@ func TestAssembleQuadReloc(t *testing.T) {
 	if len(res.Relocs) != 2 {
 		t.Fatalf("got %d relocs, want 2", len(res.Relocs))
 	}
-	f := res.Symbols["f"]
-	tbl := res.Symbols["tbl"]
+	f := symAddr(res, "f")
+	tbl := symAddr(res, "tbl")
 	if res.Relocs[0].Offset != tbl || res.Relocs[0].Addend != f {
 		t.Errorf("reloc 0 = %+v, want offset %#x addend %#x", res.Relocs[0], tbl, f)
 	}
@@ -160,14 +162,14 @@ func TestAssembleLongDiff(t *testing.T) {
 
 	res := mustAssemble(t, &p, 0)
 	sec := res.SectionData(".rodata")
-	jt := res.Symbols["jt"]
+	jt := symAddr(res, "jt")
 	e0 := int32(binary.LittleEndian.Uint32(sec.Data[0:4]))
 	e1 := int32(binary.LittleEndian.Uint32(sec.Data[4:8]))
-	if uint64(int64(jt)+int64(e0)) != res.Symbols["b"] {
-		t.Errorf("entry 0 resolves to %#x, want b=%#x", int64(jt)+int64(e0), res.Symbols["b"])
+	if uint64(int64(jt)+int64(e0)) != symAddr(res, "b") {
+		t.Errorf("entry 0 resolves to %#x, want b=%#x", int64(jt)+int64(e0), symAddr(res, "b"))
 	}
-	if uint64(int64(jt)+int64(e1)) != res.Symbols["a"] {
-		t.Errorf("entry 1 resolves to %#x, want a=%#x", int64(jt)+int64(e1), res.Symbols["a"])
+	if uint64(int64(jt)+int64(e1)) != symAddr(res, "a") {
+		t.Errorf("entry 1 resolves to %#x, want a=%#x", int64(jt)+int64(e1), symAddr(res, "a"))
 	}
 	if e1 >= 0 {
 		t.Errorf("entry 1 should be negative (backward), got %d", e1)
@@ -179,8 +181,8 @@ func TestAssembleSetDirective(t *testing.T) {
 	p.Sets = append(p.Sets, Set{Name: "L8000", Addr: 0x8000})
 	text := p.Section(".text", Alloc|Exec)
 	text.IS(x86.Inst{
-		Op: x86.LEA, W: 8, Dst: x86.RCX,
-		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true},
+		Op: x86.LEA, W: 8, Dst: x86.RCX.Arg(),
+		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg(),
 	}, "L8000", 0)
 	text.I(x86.Inst{Op: x86.RET})
 
@@ -203,7 +205,7 @@ func TestAssembleFixedSectionAddress(t *testing.T) {
 	ro.D8(7)
 
 	res := mustAssemble(t, &p, 0x1000)
-	if got := res.Symbols["x"]; got != 0x20000 {
+	if got := symAddr(res, "x"); got != 0x20000 {
 		t.Errorf("x = %#x, want 0x20000", got)
 	}
 
@@ -228,7 +230,7 @@ func TestAssembleAlignment(t *testing.T) {
 	text.I(x86.Inst{Op: x86.RET})
 
 	res := mustAssemble(t, &p, 0x1000)
-	if got := res.Symbols["f2"]; got != 0x1010 {
+	if got := symAddr(res, "f2"); got != 0x1010 {
 		t.Errorf("f2 = %#x, want 0x1010", got)
 	}
 	// Padding in exec sections must be decodable NOPs.
@@ -266,7 +268,7 @@ func TestAssembleErrors(t *testing.T) {
 	// Undefined symbol.
 	var p Program
 	text := p.Section(".text", Alloc|Exec)
-	text.IS(x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, "nowhere", 0)
+	text.IS(x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, "nowhere", 0)
 	if _, err := Assemble(&p, 0); err == nil || !strings.Contains(err.Error(), "nowhere") {
 		t.Errorf("undefined symbol: err = %v", err)
 	}
@@ -284,7 +286,7 @@ func TestAssembleErrors(t *testing.T) {
 	var p3 Program
 	t3 := p3.Section(".text", Alloc|Exec)
 	t3.L("x")
-	t3.IS(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.RBX}, "x", 0)
+	t3.IS(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.RBX.Arg()}, "x", 0)
 	if _, err := Assemble(&p3, 0); err == nil {
 		t.Error("symbolic operand on mov reg,reg did not fail")
 	}
@@ -298,7 +300,7 @@ func TestAssembleManyBranchesConverge(t *testing.T) {
 	const n = 50
 	for i := 0; i < n; i++ {
 		text.L(lbl(i))
-		text.IS(x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, lbl(i+1), 0)
+		text.IS(x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, lbl(i+1), 0)
 		if i%3 == 0 {
 			text.Align2(8)
 		}
@@ -313,7 +315,7 @@ func TestAssembleManyBranchesConverge(t *testing.T) {
 	sec := res.SectionData(".text")
 
 	// Follow the branch chain by decoding and verify we land on RET.
-	addr := res.Symbols[lbl(0)]
+	addr := symAddr(res, lbl(0))
 	for hops := 0; hops < n+1; hops++ {
 		off := addr - 0x1000
 		in, size, err := x86.Decode(sec.Data[off:])
@@ -344,10 +346,10 @@ func TestPrint(t *testing.T) {
 	text.L("fun_1000")
 	text.I(x86.Inst{Op: x86.ENDBR64})
 	text.IS(x86.Inst{
-		Op: x86.LEA, W: 8, Dst: x86.RAX,
-		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true},
+		Op: x86.LEA, W: 8, Dst: x86.RAX.Arg(),
+		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg(),
 	}, "fun_1000", 0)
-	text.IS(x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, "fun_1000", 0)
+	text.IS(x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, "fun_1000", 0)
 	ro := p.Section(".rodata", Alloc)
 	ro.L("Ljt_8000")
 	ro.Diff("Lcode_2100", "Ljt_8000", 0)
@@ -369,25 +371,27 @@ func TestPrint(t *testing.T) {
 }
 
 func TestItemString(t *testing.T) {
+	syms := NewSymtab(0)
+	v, a, b, x := syms.Intern("v"), syms.Intern("a"), syms.Intern("b"), syms.Intern("x")
 	tests := []struct {
 		it   Item
 		want string
 	}{
-		{Quad{Sym: "v", Add: 0x42}, "\t.quad v + 0x42"},
-		{Quad{Sym: "v", Add: -2}, "\t.quad v - 0x2"},
+		{Quad{Sym: v, Add: 0x42}, "\t.quad v + 0x42"},
+		{Quad{Sym: v, Add: -2}, "\t.quad v - 0x2"},
 		{QuadLit(0x10), "\t.quad 0x10"},
-		{LongDiff{Plus: "a", Minus: "b", Add: 4}, "\t.long a - b + 4"},
+		{LongDiff{Plus: a, Minus: b, Add: 4}, "\t.long a - b + 4"},
 		{AlignTo{N: 16}, "\t.align 16"},
 		{Space{N: 8}, "\t.skip 8"},
-		{Label{Name: "x"}, "x:"},
-		{&Ins{Inst: x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RAX,
-			Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true, Disp: 4}},
-			Target: "v", Addend: -8}, "\tlea RAX, [RIP+v-0x8]"},
-		{&Ins{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0)},
-			Target: "v", Addend: 2}, "\tje v + 0x2"},
+		{Label{Sym: x}, "x:"},
+		{&Ins{Inst: x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RAX.Arg(),
+			Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true, Disp: 4}.Arg()},
+			Target: v, Addend: -8}, "\tlea RAX, [RIP+v-0x8]"},
+		{&Ins{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0).Arg()},
+			Target: v, Addend: 2}, "\tje v + 0x2"},
 	}
 	for _, tt := range tests {
-		if got := ItemString(tt.it); got != tt.want {
+		if got := syms.ItemString(tt.it); got != tt.want {
 			t.Errorf("ItemString(%v) = %q, want %q", tt.it, got, tt.want)
 		}
 	}
@@ -397,14 +401,14 @@ func TestItemString(t *testing.T) {
 // S7 composite operand of Figs. 1–2) shows in listings and in the
 // assembler's own error messages, not just the numeric displacement.
 func TestDispDiffString(t *testing.T) {
-	mov := x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX,
-		Src: x86.Mem{Base: x86.R9, Index: x86.NoReg, Disp: 0x10}}
+	mov := x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(),
+		Src: x86.Mem{Base: x86.R9, Index: x86.NoReg, Disp: 0x10}.Arg()}
 	const want = "mov RAX, QWORD PTR [R9+0x10+(var-anchor)]"
 
 	var p Program
 	text := p.Section(".text", Alloc|Exec)
 	text.IDiff(mov, "var", "anchor")
-	if got := ItemString(text.Items[0]); got != "\t"+want {
+	if got := p.Syms.ItemString(text.Items[0]); got != "\t"+want {
 		t.Errorf("ItemString = %q, want %q", got, "\t"+want)
 	}
 	if out := Print(&p); !strings.Contains(out, want) {
@@ -418,10 +422,19 @@ func TestDispDiffString(t *testing.T) {
 	}
 }
 
-// TestLayout bounds Ins at 80 bytes: the rewriter's S' embeds one per
-// entry, and the rare displacement difference sits behind a pointer.
+// TestLayout pins Ins at 64 bytes with no pointers: the rewriter's S'
+// embeds one per entry, and symbols are table IDs, not names.
 func TestLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Ins{}); got > 80 {
-		t.Errorf("unsafe.Sizeof(Ins{}) = %d, want <= 80", got)
+	if got := unsafe.Sizeof(Ins{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(Ins{}) = %d, want 64", got)
 	}
+	if err := layout.PointerFree(reflect.TypeOf(Ins{})); err != nil {
+		t.Error(err)
+	}
+}
+
+// symAddr returns a defined symbol's address, or 0.
+func symAddr(res *Result, name string) uint64 {
+	v, _ := res.Symbol(name)
+	return v
 }

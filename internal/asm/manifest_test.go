@@ -36,11 +36,11 @@ func randomProgram(r *rand.Rand, n int) *Program {
 		}
 		switch r.Intn(8) {
 		case 0:
-			text.IS(x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, lab(r.Intn(nlabels)), 0)
+			text.IS(x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, lab(r.Intn(nlabels)), 0)
 		case 1:
-			text.IS(x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0)}, lab(r.Intn(nlabels)), 0)
+			text.IS(x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0).Arg()}, lab(r.Intn(nlabels)), 0)
 		case 2:
-			text.IS(x86.Inst{Op: x86.CALL, Src: x86.Rel(0)}, lab(r.Intn(nlabels)), 0)
+			text.IS(x86.Inst{Op: x86.CALL, Src: x86.Rel(0).Arg()}, lab(r.Intn(nlabels)), 0)
 		case 3:
 			text.Align2(uint64(8 << r.Intn(3)))
 		case 4:
@@ -48,7 +48,7 @@ func randomProgram(r *rand.Rand, n int) *Program {
 			// often enough to force several relaxation rounds.
 			text.Raw(bytes.Repeat([]byte{0x90}, r.Intn(120)))
 		case 5:
-			text.I(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(int64(r.Intn(1 << 16)))})
+			text.I(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(int64(r.Intn(1 << 16))).Arg()})
 		case 6:
 			text.I(x86.Inst{Op: x86.RET})
 		default:
@@ -63,7 +63,7 @@ func randomProgram(r *rand.Rand, n int) *Program {
 	defined := map[string]bool{}
 	for _, it := range text.Items {
 		if l, ok := it.(Label); ok {
-			defined[l.Name] = true
+			defined[p.Syms.Name(l.Sym)] = true
 		}
 	}
 	for i := 0; i < nlabels; i++ {
@@ -110,15 +110,18 @@ func resultDigest(res *Result, err error) string {
 		u64(uint64(len(s.Data)))
 		h.Write(s.Data)
 	}
-	names := make([]string, 0, len(res.Symbols))
-	for name := range res.Symbols {
-		names = append(names, name)
+	var names []string
+	for s := Sym(1); int(s) <= res.syms.Len(); s++ {
+		if _, ok := res.Addr(s); ok {
+			names = append(names, res.syms.Name(s))
+		}
 	}
 	sort.Strings(names)
 	u64(uint64(len(names)))
 	for _, name := range names {
 		str(name)
-		u64(res.Symbols[name])
+		addr, _ := res.Symbol(name)
+		u64(addr)
 	}
 	u64(uint64(len(res.Relocs)))
 	for _, r := range res.Relocs {

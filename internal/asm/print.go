@@ -11,6 +11,10 @@ import (
 // structured Program directly.
 func Print(p *Program) string {
 	var b strings.Builder
+	t := p.Syms
+	if t == nil {
+		t = NewSymtab(0)
+	}
 	for _, set := range p.Sets {
 		fmt.Fprintf(&b, ".set %s, 0x%x\n", set.Name, set.Addr)
 	}
@@ -23,7 +27,7 @@ func Print(p *Program) string {
 			fmt.Fprintf(&b, ".align %d\n", s.Align)
 		}
 		for _, it := range s.Items {
-			b.WriteString(ItemString(it))
+			b.WriteString(t.ItemString(it))
 			b.WriteByte('\n')
 		}
 	}

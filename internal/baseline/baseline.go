@@ -8,6 +8,7 @@ package baseline
 import (
 	"fmt"
 
+	"repro/internal/asm"
 	"repro/internal/cfg"
 	"repro/internal/serialize"
 )
@@ -31,21 +32,21 @@ type Rewriter interface {
 }
 
 // AttachLabelAt gives the serialized entry copying the original
-// instruction at addr an extra label and returns it. The second result is
-// false when addr is not an instruction boundary in the stream — the
-// "invalid label" condition real reassemblers report.
-func AttachLabelAt(entries []Entry, index map[uint64]int, addr uint64) (string, bool) {
+// instruction at addr an extra label, interned in syms, and returns it.
+// The second result is false when addr is not an instruction boundary in
+// the stream — the "invalid label" condition real reassemblers report.
+func AttachLabelAt(entries []Entry, syms *asm.Symtab, index map[uint64]int, addr uint64) (asm.Sym, bool) {
 	i, ok := index[addr]
 	if !ok {
-		return "", false
+		return 0, false
 	}
-	lbl := fmt.Sprintf("LD_%x", addr)
-	for _, l := range entries[i].Labels {
+	lbl := syms.Intern(fmt.Sprintf("LD_%x", addr))
+	for l := entries[i].Label; l != 0; l = syms.Next(l) {
 		if l == lbl {
 			return lbl, true
 		}
 	}
-	entries[i].Labels = append(entries[i].Labels, lbl)
+	entries[i].AddLabel(syms, lbl)
 	return lbl, true
 }
 

@@ -70,7 +70,7 @@ func (t *Tool) Rewrite(bin []byte) (*baseline.Result, error) {
 	// whatever section the target lands in. No original layout survives.
 	for i := range entries {
 		e := &entries[i]
-		if e.Synth || e.Target != "" {
+		if e.Synth || e.Target != 0 {
 			continue
 		}
 		m, ok := e.Inst.MemArg()
@@ -83,10 +83,10 @@ func (t *Tool) Rewrite(bin []byte) (*baseline.Result, error) {
 		}
 		if tgt >= g.TextStart && tgt < g.TextEnd {
 			if _, isBlock := g.Blocks[tgt]; isBlock {
-				e.Target = serialize.LabelFor(tgt)
+				e.Target = serialize.Label(g.Syms, tgt)
 				continue
 			}
-			lbl, ok := baseline.AttachLabelAt(entries, index, tgt)
+			lbl, ok := baseline.AttachLabelAt(entries, g.Syms, index, tgt)
 			if !ok {
 				return nil, fmt.Errorf("ddisasm: invalid label: %#x is not an instruction boundary", tgt)
 			}
@@ -97,8 +97,8 @@ func (t *Tool) Rewrite(bin []byte) (*baseline.Result, error) {
 		if sec == nil {
 			return nil, fmt.Errorf("ddisasm: invalid label: reference to unmapped %#x", tgt)
 		}
-		e.Target = secLabel(sec.Name)
-		e.Addend = int64(off)
+		e.Target = g.Syms.Intern(secLabel(sec.Name))
+		e.Addend = int32(off)
 	}
 
 	prog, err := t.buildProgram(f, g, entries)
@@ -149,10 +149,10 @@ func dataSectionAt(f *elfx.File, addr uint64) (*elfx.Section, uint64) {
 // of every data section, with per-section padding that changes the
 // inter-section distances (the realistic consequence of rewriting).
 func (t *Tool) buildProgram(f *elfx.File, g *cfg.Graph, entries []serialize.Entry) (*asm.Program, error) {
-	prog := &asm.Program{}
+	prog := &asm.Program{Syms: g.Syms}
 	text := prog.Section(".text", asm.Alloc|asm.Exec)
 	text.Align = elfx.PageSize
-	text.Items = serialize.Items(entries)
+	text.Items = serialize.Items(entries, g.Syms)
 
 	// Relocation targets (for rebuilding .quad entries symbolically).
 	relocOffsets := make(map[uint64]uint64) // vaddr of quad -> addend

@@ -82,7 +82,7 @@ func (t *Tool) Rewrite(bin []byte) (*baseline.Result, error) {
 	sets := make(map[string]uint64)
 	for i := range entries {
 		e := &entries[i]
-		if e.Synth || e.Target != "" {
+		if e.Synth || e.Target != 0 {
 			continue
 		}
 		m, ok := e.Inst.MemArg()
@@ -95,10 +95,10 @@ func (t *Tool) Rewrite(bin []byte) (*baseline.Result, error) {
 		}
 		if tgt >= g.TextStart && tgt < g.TextEnd {
 			if _, isBlock := g.Blocks[tgt]; isBlock {
-				e.Target = serialize.LabelFor(tgt)
+				e.Target = serialize.Label(g.Syms, tgt)
 				continue
 			}
-			lbl, ok := baseline.AttachLabelAt(entries, index, tgt)
+			lbl, ok := baseline.AttachLabelAt(entries, g.Syms, index, tgt)
 			if !ok {
 				return nil, fmt.Errorf("egalito: assertion failed: code reference to non-boundary %#x", tgt)
 			}
@@ -107,7 +107,7 @@ func (t *Tool) Rewrite(bin []byte) (*baseline.Result, error) {
 		}
 		lbl := repair.OrigLabel(tgt)
 		sets[lbl] = tgt
-		e.Target = lbl
+		e.Target = g.Syms.Intern(lbl)
 	}
 
 	// Jump tables: rewrite entries in place within the preserved data.
@@ -120,9 +120,9 @@ func (t *Tool) Rewrite(bin []byte) (*baseline.Result, error) {
 		}
 		patched[base] = true
 		for k, tgt := range tbl.Targets[base] {
-			plus := serialize.TrapLabel
+			plus := g.Syms.Intern(serialize.TrapLabel)
 			if _, ok := g.Blocks[tgt]; ok {
-				plus = serialize.LabelFor(tgt)
+				plus = serialize.Label(g.Syms, tgt)
 			}
 			patches = append(patches, emit.TablePatch{
 				Addr: base + uint64(4*k),

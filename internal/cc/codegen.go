@@ -180,8 +180,8 @@ func (g *gen) ts(in x86.Inst, sym string, add int64) { g.text.IS(in, sym, add) }
 // ripLea emits "lea dst, [RIP+sym]".
 func (g *gen) ripLea(dst x86.Reg, sym string, add int64) {
 	g.ts(x86.Inst{
-		Op: x86.LEA, W: 8, Dst: dst,
-		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true},
+		Op: x86.LEA, W: 8, Dst: dst.Arg(),
+		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg(),
 	}, sym, add)
 }
 
@@ -453,10 +453,10 @@ func (g *gen) function(f *mini.Func) error {
 	if g.cfg.CET {
 		g.t(x86.Inst{Op: x86.ENDBR64})
 	}
-	g.t(x86.Inst{Op: x86.PUSH, Src: x86.RBP})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBP, Src: x86.RSP})
+	g.t(x86.Inst{Op: x86.PUSH, Src: x86.RBP.Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBP.Arg(), Src: x86.RSP.Arg()})
 	if g.frame > 0 {
-		g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSP, Src: x86.Imm(g.frame)})
+		g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSP.Arg(), Src: x86.Imm(g.frame).Arg()})
 	}
 	// Spill parameters. Clang13 spills in reverse order.
 	spillOrder := make([]int, f.NParams)
@@ -472,12 +472,12 @@ func (g *gen) function(f *mini.Func) error {
 		if i >= len(argRegs) {
 			return fmt.Errorf("%s: too many parameters", f.Name)
 		}
-		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: g.slot("p" + strconv.Itoa(i)), Src: argRegs[i]})
+		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: g.slot("p" + strconv.Itoa(i)).Arg(), Src: argRegs[i].Arg()})
 	}
 	// MiniC locals and stack arrays are zero-initialized (the language
 	// gives them static-storage semantics); lower that explicitly.
 	for _, l := range f.Locals {
-		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: g.slot(l), Src: x86.Imm(0)})
+		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: g.slot(l).Arg(), Src: x86.Imm(0).Arg()})
 	}
 	for _, a := range f.Arrays {
 		g.zeroArray(g.arrInfo[a.Name], a)
@@ -495,15 +495,15 @@ func (g *gen) function(f *mini.Func) error {
 	}
 
 	// Fall-off-the-end returns 0.
-	g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RAX, Src: x86.RAX})
+	g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RAX.Arg(), Src: x86.RAX.Arg()})
 	g.text.L(mid)
 	g.anchors = append(g.anchors, mid)
 	g.text.L(g.epilogue)
 	if g.cfg.ASan && len(f.Arrays) > 0 {
 		g.asanUnpoisonFrame(f)
 	}
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RSP, Src: x86.RBP})
-	g.t(x86.Inst{Op: x86.POP, Dst: x86.RBP})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RSP.Arg(), Src: x86.RBP.Arg()})
+	g.t(x86.Inst{Op: x86.POP, Dst: x86.RBP.Arg()})
 	g.t(x86.Inst{Op: x86.RET})
 	g.text.L(f.Name + "$end")
 	return nil
@@ -533,7 +533,7 @@ func (g *gen) stmt(s mini.Stmt) error {
 		if err := g.expr(v.E); err != nil {
 			return err
 		}
-		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: g.slot(v.Name), Src: x86.RAX})
+		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: g.slot(v.Name).Arg(), Src: x86.RAX.Arg()})
 		return nil
 
 	case mini.StoreG:
@@ -547,11 +547,11 @@ func (g *gen) stmt(s mini.Stmt) error {
 		if err := g.expr(v.Idx); err != nil {
 			return err
 		}
-		g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX})
+		g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX.Arg()})
 		if err := g.expr(v.E); err != nil {
 			return err
 		}
-		g.t(x86.Inst{Op: x86.POP, Dst: x86.RCX})
+		g.t(x86.Inst{Op: x86.POP, Dst: x86.RCX.Arg()})
 		if gl.TLS {
 			g.tlsAccess(storeInst, gl, x86.RCX, x86.RDX)
 			return nil
@@ -569,13 +569,13 @@ func (g *gen) stmt(s mini.Stmt) error {
 		if err := g.expr(v.Idx); err != nil {
 			return err
 		}
-		g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX})
+		g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX.Arg()})
 		if err := g.expr(v.E); err != nil {
 			return err
 		}
-		g.t(x86.Inst{Op: x86.POP, Dst: x86.RCX})
-		g.t(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RDX,
-			Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: int32(-info.off)}})
+		g.t(x86.Inst{Op: x86.POP, Dst: x86.RCX.Arg()})
+		g.t(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RDX.Arg(),
+			Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: int32(-info.off)}.Arg()})
 		g.asanCheckIndexed(x86.RDX, x86.RCX, info.elem)
 		g.t(storeInst(x86.Mem{Base: x86.RDX, Index: x86.RCX, Scale: uint8(info.elem)}, info.elem))
 		return nil
@@ -589,15 +589,15 @@ func (g *gen) stmt(s mini.Stmt) error {
 		if err := g.expr(v.Idx); err != nil {
 			return err
 		}
-		g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX})
+		g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX.Arg()})
 		if err := g.expr(v.E); err != nil {
 			return err
 		}
-		g.t(x86.Inst{Op: x86.POP, Dst: x86.RCX})
+		g.t(x86.Inst{Op: x86.POP, Dst: x86.RCX.Arg()})
 		// Load the pointer value (S1-relocated quad), then index by the
 		// target's element size.
-		g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDX,
-			Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}}, v.P, 0)
+		g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDX.Arg(),
+			Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg()}, v.P, 0)
 		g.asanCheckIndexed(x86.RDX, x86.RCX, tgt.Elem)
 		g.t(storeInst(x86.Mem{Base: x86.RDX, Index: x86.RCX, Scale: uint8(tgt.Elem)}, tgt.Elem))
 		return nil
@@ -615,7 +615,7 @@ func (g *gen) stmt(s mini.Stmt) error {
 			return err
 		}
 		if len(v.Else) > 0 {
-			g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, endL, 0)
+			g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, endL, 0)
 			g.text.L(elseL)
 			if err := g.stmts(v.Else); err != nil {
 				return err
@@ -636,7 +636,7 @@ func (g *gen) stmt(s mini.Stmt) error {
 		if err := g.stmts(v.Body); err != nil {
 			return err
 		}
-		g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, headL, 0)
+		g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, headL, 0)
 		g.text.L(exitL)
 		return nil
 
@@ -654,9 +654,9 @@ func (g *gen) stmt(s mini.Stmt) error {
 				return err
 			}
 		} else {
-			g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RAX, Src: x86.RAX})
+			g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RAX.Arg(), Src: x86.RAX.Arg()})
 		}
-		g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, g.epilogue, 0)
+		g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, g.epilogue, 0)
 		return nil
 
 	case mini.Try:
@@ -672,26 +672,26 @@ func (g *gen) stmt(s mini.Stmt) error {
 		if err := g.expr(v.E); err != nil {
 			return err
 		}
-		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.RAX})
+		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.RAX.Arg()})
 		// A direct jmp, not a call: __throw transfers to the landing pad
 		// without growing the shadow stack.
-		g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, "__throw", 0)
+		g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, "__throw", 0)
 		return nil
 
 	case mini.Print:
 		if err := g.expr(v.E); err != nil {
 			return err
 		}
-		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.RAX})
-		g.ts(x86.Inst{Op: x86.CALL, Src: x86.Rel(0)}, "print_i64", 0)
+		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.RAX.Arg()})
+		g.ts(x86.Inst{Op: x86.CALL, Src: x86.Rel(0).Arg()}, "print_i64", 0)
 		return nil
 
 	case mini.PrintChar:
 		if err := g.expr(v.E); err != nil {
 			return err
 		}
-		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.RAX})
-		g.ts(x86.Inst{Op: x86.CALL, Src: x86.Rel(0)}, "print_char", 0)
+		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.RAX.Arg()})
+		g.ts(x86.Inst{Op: x86.CALL, Src: x86.Rel(0).Arg()}, "print_char", 0)
 		return nil
 
 	case mini.ExprStmt:
@@ -731,17 +731,17 @@ func (g *gen) tryStmt(v mini.Try) error {
 
 	// Save the outer context, then arm this region.
 	for _, cell := range []string{"__exc_lsda", "__exc_rsp", "__exc_rbp"} {
-		g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX,
-			Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}}, cell, 0)
-		g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX})
+		g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(),
+			Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg()}, cell, 0)
+		g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX.Arg()})
 	}
 	g.ripLea(x86.RAX, lsdaL, 0)
 	g.ts(x86.Inst{Op: x86.MOV, W: 8,
-		Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}, Src: x86.RAX}, "__exc_lsda", 0)
+		Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg(), Src: x86.RAX.Arg()}, "__exc_lsda", 0)
 	g.ts(x86.Inst{Op: x86.MOV, W: 8,
-		Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}, Src: x86.RSP}, "__exc_rsp", 0)
+		Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg(), Src: x86.RSP.Arg()}, "__exc_rsp", 0)
 	g.ts(x86.Inst{Op: x86.MOV, W: 8,
-		Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}, Src: x86.RBP}, "__exc_rbp", 0)
+		Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg(), Src: x86.RBP.Arg()}, "__exc_rbp", 0)
 
 	g.tryBody++
 	g.tryAny++
@@ -752,7 +752,7 @@ func (g *gen) tryStmt(v mini.Try) error {
 		return err
 	}
 	g.emitExcRestore()
-	g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, endL, 0)
+	g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, endL, 0)
 
 	// Landing pad: __throw re-enters here (indirect jmp through the LSDA
 	// quad) with RSP/RBP already restored to the armed snapshot.
@@ -760,9 +760,9 @@ func (g *gen) tryStmt(v mini.Try) error {
 	if g.cfg.CET {
 		g.t(x86.Inst{Op: x86.ENDBR64})
 	}
-	g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX,
-		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}}, "__exc_val", 0)
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: g.slot(v.CatchVar), Src: x86.RAX})
+	g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(),
+		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg()}, "__exc_val", 0)
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: g.slot(v.CatchVar).Arg(), Src: x86.RAX.Arg()})
 	g.emitExcRestore()
 	err = g.stmts(v.Catch)
 	g.tryAny--
@@ -777,9 +777,9 @@ func (g *gen) tryStmt(v mini.Try) error {
 // pushes in tryStmt) back into the __exc_* cells.
 func (g *gen) emitExcRestore() {
 	for _, cell := range []string{"__exc_rbp", "__exc_rsp", "__exc_lsda"} {
-		g.t(x86.Inst{Op: x86.POP, Dst: x86.RAX})
+		g.t(x86.Inst{Op: x86.POP, Dst: x86.RAX.Arg()})
 		g.ts(x86.Inst{Op: x86.MOV, W: 8,
-			Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}, Src: x86.RAX}, cell, 0)
+			Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg(), Src: x86.RAX.Arg()}, cell, 0)
 	}
 }
 
@@ -813,11 +813,11 @@ func (g *gen) tryCmov(v mini.If) bool {
 	// cmp leaves flags; the trivial loads below do not disturb them.
 	g.loadTrivial(x86.RAX, cond.L)
 	g.loadTrivial(x86.RDX, cond.R)
-	g.t(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RAX, Src: x86.RDX})
+	g.t(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RAX.Arg(), Src: x86.RDX.Arg()})
 	g.loadTrivial(x86.R10, elseA.E)
 	g.loadTrivial(x86.R11, thenA.E)
-	g.t(x86.Inst{Op: x86.CMOVCC, Cond: cc, W: 8, Dst: x86.R10, Src: x86.R11})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: g.slot(thenA.Name), Src: x86.R10})
+	g.t(x86.Inst{Op: x86.CMOVCC, Cond: cc, W: 8, Dst: x86.R10.Arg(), Src: x86.R11.Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: g.slot(thenA.Name).Arg(), Src: x86.R10.Arg()})
 	return true
 }
 
@@ -837,9 +837,9 @@ func (g *gen) trivial(e mini.Expr) bool {
 func (g *gen) loadTrivial(dst x86.Reg, e mini.Expr) {
 	switch v := e.(type) {
 	case mini.Const:
-		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: dst, Src: x86.Imm(int64(v))})
+		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: dst.Arg(), Src: x86.Imm(int64(v)).Arg()})
 	case mini.Var:
-		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: dst, Src: g.slot(string(v))})
+		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: dst.Arg(), Src: g.slot(string(v)).Arg()})
 	}
 }
 
@@ -852,16 +852,16 @@ func (g *gen) cond(e mini.Expr, falseL string) error {
 				return err
 			}
 			// RAX = L, RDX = R.
-			g.t(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RAX, Src: x86.RDX})
-			g.ts(x86.Inst{Op: x86.JCC, Cond: cc.Negate(), Src: x86.Rel(0)}, falseL, 0)
+			g.t(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RAX.Arg(), Src: x86.RDX.Arg()})
+			g.ts(x86.Inst{Op: x86.JCC, Cond: cc.Negate(), Src: x86.Rel(0).Arg()}, falseL, 0)
 			return nil
 		}
 	}
 	if err := g.expr(e); err != nil {
 		return err
 	}
-	g.t(x86.Inst{Op: x86.TEST, W: 8, Dst: x86.RAX, Src: x86.RAX})
-	g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0)}, falseL, 0)
+	g.t(x86.Inst{Op: x86.TEST, W: 8, Dst: x86.RAX.Arg(), Src: x86.RAX.Arg()})
+	g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0).Arg()}, falseL, 0)
 	return nil
 }
 
@@ -894,8 +894,8 @@ func cmpCond(op mini.BinOp) (x86.Cond, bool) {
 func (g *gen) tlsAccess(mk func(x86.Mem, int) x86.Inst, gl *mini.Global, idxReg, scratch x86.Reg) {
 	off := g.tlsOff[gl.Name]
 	if g.cfg.Opt == O0 {
-		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: scratch,
-			Src: x86.Mem{FS: true, Base: x86.NoReg, Index: x86.NoReg}})
+		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: scratch.Arg(),
+			Src: x86.Mem{FS: true, Base: x86.NoReg, Index: x86.NoReg}.Arg()})
 		g.t(mk(x86.Mem{Base: scratch, Index: idxReg, Scale: uint8(gl.Elem), Disp: int32(off)}, gl.Elem))
 		return
 	}
@@ -944,7 +944,7 @@ func (g *gen) access(in x86.Inst, p pend) {
 }
 
 func storeInst(m x86.Mem, elem int) x86.Inst {
-	return x86.Inst{Op: x86.MOV, W: uint8(elem), Dst: m, Src: x86.RAX}
+	return x86.Inst{Op: x86.MOV, W: uint8(elem), Dst: m.Arg(), Src: x86.RAX.Arg()}
 }
 
 // loadInst loads an element into RAX with C-like extension semantics:
@@ -952,11 +952,11 @@ func storeInst(m x86.Mem, elem int) x86.Inst {
 func loadInst(m x86.Mem, elem int) x86.Inst {
 	switch elem {
 	case 1:
-		return x86.Inst{Op: x86.MOVZX, W: 8, SrcW: 1, Dst: x86.RAX, Src: m}
+		return x86.Inst{Op: x86.MOVZX, W: 8, SrcW: 1, Dst: x86.RAX.Arg(), Src: m.Arg()}
 	case 4:
-		return x86.Inst{Op: x86.MOVSXD, W: 8, SrcW: 4, Dst: x86.RAX, Src: m}
+		return x86.Inst{Op: x86.MOVSXD, W: 8, SrcW: 4, Dst: x86.RAX.Arg(), Src: m.Arg()}
 	default:
-		return x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: m}
+		return x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: m.Arg()}
 	}
 }
 
@@ -967,18 +967,18 @@ func (g *gen) zeroArray(info arrayInfo, a mini.LocalArray) {
 	if size <= 128 {
 		for o := int64(0); o < size; o += 8 {
 			g.t(x86.Inst{Op: x86.MOV, W: 8,
-				Dst: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: int32(o - info.off)},
-				Src: x86.Imm(0)})
+				Dst: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: int32(o - info.off)}.Arg(),
+				Src: x86.Imm(0).Arg()})
 		}
 		return
 	}
 	loop := g.label("Lzero")
-	g.t(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RDI,
-		Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: int32(-info.off)}})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RCX, Src: x86.Imm(size / 8)})
+	g.t(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RDI.Arg(),
+		Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: int32(-info.off)}.Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RCX.Arg(), Src: x86.Imm(size / 8).Arg()})
 	g.text.L(loop)
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.Mem{Base: x86.RDI, Index: x86.NoReg}, Src: x86.Imm(0)})
-	g.t(x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RDI, Src: x86.Imm(8)})
-	g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RCX, Src: x86.Imm(1)})
-	g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0)}, loop, 0)
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.Mem{Base: x86.RDI, Index: x86.NoReg}.Arg(), Src: x86.Imm(0).Arg()})
+	g.t(x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(8).Arg()})
+	g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RCX.Arg(), Src: x86.Imm(1).Arg()})
+	g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0).Arg()}, loop, 0)
 }

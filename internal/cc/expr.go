@@ -16,17 +16,17 @@ func (g *gen) expr(e mini.Expr) error {
 	switch v := e.(type) {
 	case mini.Const:
 		if v == 0 && g.cfg.Opt != O0 {
-			g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RAX, Src: x86.RAX})
+			g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RAX.Arg(), Src: x86.RAX.Arg()})
 			return nil
 		}
-		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(v)})
+		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(v).Arg()})
 		return nil
 
 	case mini.Var:
 		if _, ok := g.slots[string(v)]; !ok {
 			return fmt.Errorf("%s: undefined variable %q", g.fn.Name, v)
 		}
-		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: g.slot(string(v))})
+		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: g.slot(string(v)).Arg()})
 		return nil
 
 	case mini.LoadG:
@@ -54,8 +54,8 @@ func (g *gen) expr(e mini.Expr) error {
 		if err := g.expr(v.Idx); err != nil {
 			return err
 		}
-		g.t(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RCX,
-			Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: int32(-info.off)}})
+		g.t(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RCX.Arg(),
+			Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: int32(-info.off)}.Arg()})
 		g.asanCheckIndexed(x86.RCX, x86.RAX, info.elem)
 		g.t(loadInst(x86.Mem{Base: x86.RCX, Index: x86.RAX, Scale: uint8(info.elem)}, info.elem))
 		return nil
@@ -69,8 +69,8 @@ func (g *gen) expr(e mini.Expr) error {
 		if err := g.expr(v.Idx); err != nil {
 			return err
 		}
-		g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RCX,
-			Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}}, v.P, 0)
+		g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RCX.Arg(),
+			Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg()}, v.P, 0)
 		g.asanCheckIndexed(x86.RCX, x86.RAX, tgt.Elem)
 		g.t(loadInst(x86.Mem{Base: x86.RCX, Index: x86.RAX, Scale: uint8(tgt.Elem)}, tgt.Elem))
 		return nil
@@ -90,12 +90,12 @@ func (g *gen) expr(e mini.Expr) error {
 			if err := g.expr(a); err != nil {
 				return err
 			}
-			g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX})
+			g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX.Arg()})
 		}
 		for i := len(v.Args) - 1; i >= 0; i-- {
-			g.t(x86.Inst{Op: x86.POP, Dst: argRegs[i]})
+			g.t(x86.Inst{Op: x86.POP, Dst: argRegs[i].Arg()})
 		}
-		g.ts(x86.Inst{Op: x86.CALL, Src: x86.Rel(0)}, v.Name, 0)
+		g.ts(x86.Inst{Op: x86.CALL, Src: x86.Rel(0).Arg()}, v.Name, 0)
 		return nil
 
 	case mini.CallPtr:
@@ -109,23 +109,23 @@ func (g *gen) expr(e mini.Expr) error {
 		if err := g.expr(v.Idx); err != nil {
 			return err
 		}
-		g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX})
+		g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX.Arg()})
 		for _, a := range v.Args {
 			if err := g.expr(a); err != nil {
 				return err
 			}
-			g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX})
+			g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX.Arg()})
 		}
 		for i := len(v.Args) - 1; i >= 0; i-- {
-			g.t(x86.Inst{Op: x86.POP, Dst: argRegs[i]})
+			g.t(x86.Inst{Op: x86.POP, Dst: argRegs[i].Arg()})
 		}
-		g.t(x86.Inst{Op: x86.POP, Dst: x86.RAX})
+		g.t(x86.Inst{Op: x86.POP, Dst: x86.RAX.Arg()})
 		// R10 = table[idx]; the table lives in .data.rel.ro with relocated
 		// entries, so the load yields a runtime code pointer (S1).
 		g.ripLea(x86.R10, v.Table, 0)
-		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10,
-			Src: x86.Mem{Base: x86.R10, Index: x86.RAX, Scale: 8}})
-		g.t(x86.Inst{Op: x86.CALL, Src: x86.R10})
+		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10.Arg(),
+			Src: x86.Mem{Base: x86.R10, Index: x86.RAX, Scale: 8}.Arg()})
+		g.t(x86.Inst{Op: x86.CALL, Src: x86.R10.Arg()})
 		return nil
 
 	case mini.CallVirt:
@@ -148,19 +148,19 @@ func (g *gen) expr(e mini.Expr) error {
 			if err := g.expr(a); err != nil {
 				return err
 			}
-			g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX})
+			g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX.Arg()})
 		}
 		for i := len(v.Args) - 1; i >= 0; i-- {
-			g.t(x86.Inst{Op: x86.POP, Dst: argRegs[i]})
+			g.t(x86.Inst{Op: x86.POP, Dst: argRegs[i].Arg()})
 		}
 		// C++ virtual dispatch shape: load the object's vptr (an
 		// S2-relocated quad that may point into the middle of the vtable
 		// when ByteOff != 0), then the slot, then call through it.
-		g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10,
-			Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}}, v.Obj, 0)
-		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10,
-			Src: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: int32(8 * v.Idx)}})
-		g.t(x86.Inst{Op: x86.CALL, Src: x86.R10})
+		g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10.Arg(),
+			Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg()}, v.Obj, 0)
+		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10.Arg(),
+			Src: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: int32(8 * v.Idx)}.Arg()})
+		g.t(x86.Inst{Op: x86.CALL, Src: x86.R10.Arg()})
 		return nil
 
 	case mini.FuncRef:
@@ -178,22 +178,22 @@ func (g *gen) expr(e mini.Expr) error {
 		if err := g.expr(v.F); err != nil {
 			return err
 		}
-		g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX})
+		g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX.Arg()})
 		for _, a := range v.Args {
 			if err := g.expr(a); err != nil {
 				return err
 			}
-			g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX})
+			g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX.Arg()})
 		}
 		for i := len(v.Args) - 1; i >= 0; i-- {
-			g.t(x86.Inst{Op: x86.POP, Dst: argRegs[i]})
+			g.t(x86.Inst{Op: x86.POP, Dst: argRegs[i].Arg()})
 		}
-		g.t(x86.Inst{Op: x86.POP, Dst: x86.R10})
-		g.t(x86.Inst{Op: x86.CALL, Src: x86.R10})
+		g.t(x86.Inst{Op: x86.POP, Dst: x86.R10.Arg()})
+		g.t(x86.Inst{Op: x86.CALL, Src: x86.R10.Arg()})
 		return nil
 
 	case mini.ReadInput:
-		g.ts(x86.Inst{Op: x86.CALL, Src: x86.Rel(0)}, "read_i64", 0)
+		g.ts(x86.Inst{Op: x86.CALL, Src: x86.Rel(0).Arg()}, "read_i64", 0)
 		return nil
 	}
 	return fmt.Errorf("%s: unknown expression %T", g.fn.Name, e)
@@ -204,12 +204,12 @@ func (g *gen) binOperands(b mini.Bin) error {
 	if err := g.expr(b.L); err != nil {
 		return err
 	}
-	g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX})
+	g.t(x86.Inst{Op: x86.PUSH, Src: x86.RAX.Arg()})
 	if err := g.expr(b.R); err != nil {
 		return err
 	}
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDX, Src: x86.RAX})
-	g.t(x86.Inst{Op: x86.POP, Dst: x86.RAX})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDX.Arg(), Src: x86.RAX.Arg()})
+	g.t(x86.Inst{Op: x86.POP, Dst: x86.RAX.Arg()})
 	return nil
 }
 
@@ -234,7 +234,7 @@ func (g *gen) binExpr(b mini.Bin) error {
 					sh++
 				}
 				if sh > 0 {
-					g.t(x86.Inst{Op: x86.SHL, W: 8, Dst: x86.RAX, Src: x86.Imm(int64(sh))})
+					g.t(x86.Inst{Op: x86.SHL, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(int64(sh)).Arg()})
 				}
 				return nil
 			}
@@ -246,39 +246,39 @@ func (g *gen) binExpr(b mini.Bin) error {
 	}
 	switch b.Op {
 	case mini.Add:
-		g.t(x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RAX, Src: x86.RDX})
+		g.t(x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RAX.Arg(), Src: x86.RDX.Arg()})
 	case mini.Sub:
-		g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RAX, Src: x86.RDX})
+		g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RAX.Arg(), Src: x86.RDX.Arg()})
 	case mini.Mul:
-		g.t(x86.Inst{Op: x86.IMUL, W: 8, Dst: x86.RAX, Src: x86.RDX})
+		g.t(x86.Inst{Op: x86.IMUL, W: 8, Dst: x86.RAX.Arg(), Src: x86.RDX.Arg()})
 	case mini.And:
-		g.t(x86.Inst{Op: x86.AND, W: 8, Dst: x86.RAX, Src: x86.RDX})
+		g.t(x86.Inst{Op: x86.AND, W: 8, Dst: x86.RAX.Arg(), Src: x86.RDX.Arg()})
 	case mini.Or:
-		g.t(x86.Inst{Op: x86.OR, W: 8, Dst: x86.RAX, Src: x86.RDX})
+		g.t(x86.Inst{Op: x86.OR, W: 8, Dst: x86.RAX.Arg(), Src: x86.RDX.Arg()})
 	case mini.Xor:
-		g.t(x86.Inst{Op: x86.XOR, W: 8, Dst: x86.RAX, Src: x86.RDX})
+		g.t(x86.Inst{Op: x86.XOR, W: 8, Dst: x86.RAX.Arg(), Src: x86.RDX.Arg()})
 	case mini.Div, mini.Mod:
-		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RCX, Src: x86.RDX})
+		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RCX.Arg(), Src: x86.RDX.Arg()})
 		g.t(x86.Inst{Op: x86.CQO, W: 8})
-		g.t(x86.Inst{Op: x86.IDIV, W: 8, Dst: x86.RCX})
+		g.t(x86.Inst{Op: x86.IDIV, W: 8, Dst: x86.RCX.Arg()})
 		if b.Op == mini.Mod {
-			g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.RDX})
+			g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.RDX.Arg()})
 		}
 	case mini.Shl, mini.Shr:
-		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RCX, Src: x86.RDX})
+		g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RCX.Arg(), Src: x86.RDX.Arg()})
 		op := x86.SHL
 		if b.Op == mini.Shr {
 			op = x86.SAR // MiniC shifts are arithmetic
 		}
-		g.t(x86.Inst{Op: op, W: 8, Dst: x86.RAX, Src: x86.RCX})
+		g.t(x86.Inst{Op: op, W: 8, Dst: x86.RAX.Arg(), Src: x86.RCX.Arg()})
 	default:
 		cc, ok := cmpCond(b.Op)
 		if !ok {
 			return fmt.Errorf("%s: unknown operator %d", g.fn.Name, b.Op)
 		}
-		g.t(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RAX, Src: x86.RDX})
-		g.t(x86.Inst{Op: x86.SETCC, Cond: cc, W: 1, Dst: x86.RAX})
-		g.t(x86.Inst{Op: x86.MOVZX, W: 8, SrcW: 1, Dst: x86.RAX, Src: x86.RAX})
+		g.t(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RAX.Arg(), Src: x86.RDX.Arg()})
+		g.t(x86.Inst{Op: x86.SETCC, Cond: cc, W: 1, Dst: x86.RAX.Arg()})
+		g.t(x86.Inst{Op: x86.MOVZX, W: 8, SrcW: 1, Dst: x86.RAX.Arg(), Src: x86.RAX.Arg()})
 	}
 	return nil
 }
@@ -303,11 +303,11 @@ func (g *gen) switchStmt(v mini.Switch) error {
 
 	if useTable {
 		if min != 0 {
-			g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RAX, Src: x86.Imm(min)})
+			g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(min).Arg()})
 		}
 		if !v.Complete {
-			g.t(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RAX, Src: x86.Imm(span - 1)})
-			g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondA, Src: x86.Rel(0)}, defL, 0)
+			g.t(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(span - 1).Arg()})
+			g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondA, Src: x86.Rel(0).Arg()}, defL, 0)
 		}
 		jt := g.label("LJT")
 		base, tgt := x86.RDX, x86.RAX // gcc register choice
@@ -315,10 +315,10 @@ func (g *gen) switchStmt(v mini.Switch) error {
 			base, tgt = x86.RCX, x86.RDX
 		}
 		g.ripLea(base, jt, 0)
-		g.t(x86.Inst{Op: x86.MOVSXD, W: 8, SrcW: 4, Dst: tgt,
-			Src: x86.Mem{Base: base, Index: x86.RAX, Scale: 4}})
-		g.t(x86.Inst{Op: x86.ADD, W: 8, Dst: tgt, Src: base})
-		g.t(x86.Inst{Op: x86.JMP, Src: tgt, NoTrack: true})
+		g.t(x86.Inst{Op: x86.MOVSXD, W: 8, SrcW: 4, Dst: tgt.Arg(),
+			Src: x86.Mem{Base: base, Index: x86.RAX, Scale: 4}.Arg()})
+		g.t(x86.Inst{Op: x86.ADD, W: 8, Dst: tgt.Arg(), Src: base.Arg()})
+		g.t(x86.Inst{Op: x86.JMP, Src: tgt.Arg(), NoTrack: true})
 
 		// Emit the table into .rodata: one slot per value in [min, min+span).
 		slotFor := make(map[int64]string)
@@ -336,10 +336,10 @@ func (g *gen) switchStmt(v mini.Switch) error {
 		}
 	} else {
 		for i, c := range v.Cases {
-			g.t(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RAX, Src: x86.Imm(c.Val)})
-			g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0)}, caseLabels[i], 0)
+			g.t(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(c.Val).Arg()})
+			g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0).Arg()}, caseLabels[i], 0)
 		}
-		g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, defL, 0)
+		g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, defL, 0)
 	}
 
 	for i, c := range v.Cases {
@@ -347,7 +347,7 @@ func (g *gen) switchStmt(v mini.Switch) error {
 		if err := g.stmts(c.Body); err != nil {
 			return err
 		}
-		g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, endL, 0)
+		g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, endL, 0)
 	}
 	g.text.L(defL)
 	if err := g.stmts(v.Default); err != nil {

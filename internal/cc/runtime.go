@@ -45,14 +45,14 @@ func (g *gen) endFunc(name string) {
 func (g *gen) emitStart() {
 	g.beginFunc("_start")
 	// Align the stack and clear the frame pointer like crt0.
-	g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RBP, Src: x86.RBP})
-	g.t(x86.Inst{Op: x86.AND, W: 8, Dst: x86.RSP, Src: x86.Imm(-16)})
+	g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RBP.Arg(), Src: x86.RBP.Arg()})
+	g.t(x86.Inst{Op: x86.AND, W: 8, Dst: x86.RSP.Arg(), Src: x86.Imm(-16).Arg()})
 	if g.cfg.ASan {
-		g.ts(x86.Inst{Op: x86.CALL, Src: x86.Rel(0)}, "asan_init", 0)
+		g.ts(x86.Inst{Op: x86.CALL, Src: x86.Rel(0).Arg()}, "asan_init", 0)
 	}
-	g.ts(x86.Inst{Op: x86.CALL, Src: x86.Rel(0)}, "main", 0)
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.RAX})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(SysExit)})
+	g.ts(x86.Inst{Op: x86.CALL, Src: x86.Rel(0).Arg()}, "main", 0)
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.RAX.Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(SysExit).Arg()})
 	g.t(x86.Inst{Op: x86.SYSCALL})
 	g.t(x86.Inst{Op: x86.HLT}) // unreachable
 	g.endFunc("_start")
@@ -65,63 +65,63 @@ func (g *gen) emitPrintI64() {
 	nosign := ".Lpi64_nosign"
 
 	g.beginFunc("print_i64")
-	g.t(x86.Inst{Op: x86.PUSH, Src: x86.RBP})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBP, Src: x86.RSP})
-	g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSP, Src: x86.Imm(64)})
+	g.t(x86.Inst{Op: x86.PUSH, Src: x86.RBP.Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBP.Arg(), Src: x86.RSP.Arg()})
+	g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSP.Arg(), Src: x86.Imm(64).Arg()})
 
 	// RSI points one past the last byte written; start with '\n'.
-	g.t(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RSI,
-		Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: -8}})
-	g.t(x86.Inst{Op: x86.MOV, W: 1, Dst: x86.Mem{Base: x86.RSI, Index: x86.NoReg}, Src: x86.Imm('\n')})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.RDI})
-	g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.R9, Src: x86.R9})
-	g.t(x86.Inst{Op: x86.TEST, W: 8, Dst: x86.RAX, Src: x86.RAX})
-	g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondNS, Src: x86.Rel(0)}, pos, 0)
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R9, Src: x86.Imm(1)})
-	g.t(x86.Inst{Op: x86.NEG, W: 8, Dst: x86.RAX})
+	g.t(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RSI.Arg(),
+		Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: -8}.Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 1, Dst: x86.Mem{Base: x86.RSI, Index: x86.NoReg}.Arg(), Src: x86.Imm('\n').Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.RDI.Arg()})
+	g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.R9.Arg(), Src: x86.R9.Arg()})
+	g.t(x86.Inst{Op: x86.TEST, W: 8, Dst: x86.RAX.Arg(), Src: x86.RAX.Arg()})
+	g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondNS, Src: x86.Rel(0).Arg()}, pos, 0)
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R9.Arg(), Src: x86.Imm(1).Arg()})
+	g.t(x86.Inst{Op: x86.NEG, W: 8, Dst: x86.RAX.Arg()})
 	g.text.L(pos)
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RCX, Src: x86.Imm(10)})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RCX.Arg(), Src: x86.Imm(10).Arg()})
 	g.text.L(loop)
 	g.t(x86.Inst{Op: x86.CQO, W: 8})
-	g.t(x86.Inst{Op: x86.IDIV, W: 8, Dst: x86.RCX})
-	g.t(x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RDX, Src: x86.Imm('0')})
-	g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSI, Src: x86.Imm(1)})
-	g.t(x86.Inst{Op: x86.MOV, W: 1, Dst: x86.Mem{Base: x86.RSI, Index: x86.NoReg}, Src: x86.RDX})
-	g.t(x86.Inst{Op: x86.TEST, W: 8, Dst: x86.RAX, Src: x86.RAX})
-	g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0)}, loop, 0)
-	g.t(x86.Inst{Op: x86.TEST, W: 8, Dst: x86.R9, Src: x86.R9})
-	g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0)}, nosign, 0)
-	g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSI, Src: x86.Imm(1)})
-	g.t(x86.Inst{Op: x86.MOV, W: 1, Dst: x86.Mem{Base: x86.RSI, Index: x86.NoReg}, Src: x86.Imm('-')})
+	g.t(x86.Inst{Op: x86.IDIV, W: 8, Dst: x86.RCX.Arg()})
+	g.t(x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RDX.Arg(), Src: x86.Imm('0').Arg()})
+	g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSI.Arg(), Src: x86.Imm(1).Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 1, Dst: x86.Mem{Base: x86.RSI, Index: x86.NoReg}.Arg(), Src: x86.RDX.Arg()})
+	g.t(x86.Inst{Op: x86.TEST, W: 8, Dst: x86.RAX.Arg(), Src: x86.RAX.Arg()})
+	g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0).Arg()}, loop, 0)
+	g.t(x86.Inst{Op: x86.TEST, W: 8, Dst: x86.R9.Arg(), Src: x86.R9.Arg()})
+	g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0).Arg()}, nosign, 0)
+	g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSI.Arg(), Src: x86.Imm(1).Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 1, Dst: x86.Mem{Base: x86.RSI, Index: x86.NoReg}.Arg(), Src: x86.Imm('-').Arg()})
 	g.text.L(nosign)
 	// write(1, RSI, (RBP-7) - RSI)
-	g.t(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RDX,
-		Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: -7}})
-	g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RDX, Src: x86.RSI})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(1)})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(SysWrite)})
+	g.t(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RDX.Arg(),
+		Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: -7}.Arg()})
+	g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RDX.Arg(), Src: x86.RSI.Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(1).Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(SysWrite).Arg()})
 	g.t(x86.Inst{Op: x86.SYSCALL})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RSP, Src: x86.RBP})
-	g.t(x86.Inst{Op: x86.POP, Dst: x86.RBP})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RSP.Arg(), Src: x86.RBP.Arg()})
+	g.t(x86.Inst{Op: x86.POP, Dst: x86.RBP.Arg()})
 	g.t(x86.Inst{Op: x86.RET})
 	g.endFunc("print_i64")
 }
 
 func (g *gen) emitPrintChar() {
 	g.beginFunc("print_char")
-	g.t(x86.Inst{Op: x86.PUSH, Src: x86.RBP})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBP, Src: x86.RSP})
-	g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSP, Src: x86.Imm(16)})
+	g.t(x86.Inst{Op: x86.PUSH, Src: x86.RBP.Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBP.Arg(), Src: x86.RSP.Arg()})
+	g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSP.Arg(), Src: x86.Imm(16).Arg()})
 	g.t(x86.Inst{Op: x86.MOV, W: 1,
-		Dst: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: -1}, Src: x86.RDI})
-	g.t(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RSI,
-		Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: -1}})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDX, Src: x86.Imm(1)})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(1)})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(SysWrite)})
+		Dst: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: -1}.Arg(), Src: x86.RDI.Arg()})
+	g.t(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RSI.Arg(),
+		Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: -1}.Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDX.Arg(), Src: x86.Imm(1).Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(1).Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(SysWrite).Arg()})
 	g.t(x86.Inst{Op: x86.SYSCALL})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RSP, Src: x86.RBP})
-	g.t(x86.Inst{Op: x86.POP, Dst: x86.RBP})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RSP.Arg(), Src: x86.RBP.Arg()})
+	g.t(x86.Inst{Op: x86.POP, Dst: x86.RBP.Arg()})
 	g.t(x86.Inst{Op: x86.RET})
 	g.endFunc("print_char")
 }
@@ -134,27 +134,27 @@ func (g *gen) emitReadI64() {
 	done := ".Lri64_done"
 
 	g.beginFunc("read_i64")
-	g.t(x86.Inst{Op: x86.PUSH, Src: x86.RBP})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBP, Src: x86.RSP})
-	g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSP, Src: x86.Imm(16)})
+	g.t(x86.Inst{Op: x86.PUSH, Src: x86.RBP.Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBP.Arg(), Src: x86.RSP.Arg()})
+	g.t(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSP.Arg(), Src: x86.Imm(16).Arg()})
 	g.t(x86.Inst{Op: x86.MOV, W: 8,
-		Dst: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: -8}, Src: x86.Imm(0)})
-	g.t(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RSI,
-		Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: -8}})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDX, Src: x86.Imm(8)})
-	g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RDI, Src: x86.RDI})
-	g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RAX, Src: x86.RAX})
+		Dst: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: -8}.Arg(), Src: x86.Imm(0).Arg()})
+	g.t(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.RSI.Arg(),
+		Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: -8}.Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDX.Arg(), Src: x86.Imm(8).Arg()})
+	g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RDI.Arg(), Src: x86.RDI.Arg()})
+	g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RAX.Arg(), Src: x86.RAX.Arg()})
 	g.t(x86.Inst{Op: x86.SYSCALL})
-	g.t(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RAX, Src: x86.Imm(8)})
-	g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0)}, zero, 0)
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX,
-		Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: -8}})
-	g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, done, 0)
+	g.t(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(8).Arg()})
+	g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0).Arg()}, zero, 0)
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(),
+		Src: x86.Mem{Base: x86.RBP, Index: x86.NoReg, Disp: -8}.Arg()})
+	g.ts(x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, done, 0)
 	g.text.L(zero)
-	g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RAX, Src: x86.RAX})
+	g.t(x86.Inst{Op: x86.XOR, W: 4, Dst: x86.RAX.Arg(), Src: x86.RAX.Arg()})
 	g.text.L(done)
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RSP, Src: x86.RBP})
-	g.t(x86.Inst{Op: x86.POP, Dst: x86.RBP})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RSP.Arg(), Src: x86.RBP.Arg()})
+	g.t(x86.Inst{Op: x86.POP, Dst: x86.RBP.Arg()})
 	g.t(x86.Inst{Op: x86.RET})
 	g.endFunc("read_i64")
 }
@@ -170,21 +170,21 @@ func (g *gen) emitThrow() {
 	dead := ".Lthrow_dead"
 	g.beginFunc("__throw")
 	g.ts(x86.Inst{Op: x86.MOV, W: 8,
-		Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}, Src: x86.RDI}, "__exc_val", 0)
-	g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX,
-		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}}, "__exc_lsda", 0)
-	g.t(x86.Inst{Op: x86.TEST, W: 8, Dst: x86.RAX, Src: x86.RAX})
-	g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0)}, dead, 0)
-	g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RSP,
-		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}}, "__exc_rsp", 0)
-	g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBP,
-		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}}, "__exc_rbp", 0)
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX,
-		Src: x86.Mem{Base: x86.RAX, Index: x86.NoReg}})
-	g.t(x86.Inst{Op: x86.JMP, Src: x86.RAX})
+		Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg(), Src: x86.RDI.Arg()}, "__exc_val", 0)
+	g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(),
+		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg()}, "__exc_lsda", 0)
+	g.t(x86.Inst{Op: x86.TEST, W: 8, Dst: x86.RAX.Arg(), Src: x86.RAX.Arg()})
+	g.ts(x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0).Arg()}, dead, 0)
+	g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RSP.Arg(),
+		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg()}, "__exc_rsp", 0)
+	g.ts(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBP.Arg(),
+		Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg()}, "__exc_rbp", 0)
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(),
+		Src: x86.Mem{Base: x86.RAX, Index: x86.NoReg}.Arg()})
+	g.t(x86.Inst{Op: x86.JMP, Src: x86.RAX.Arg()})
 	g.text.L(dead)
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(134)})
-	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(SysExit)})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(134).Arg()})
+	g.t(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(SysExit).Arg()})
 	g.t(x86.Inst{Op: x86.SYSCALL})
 	g.t(x86.Inst{Op: x86.HLT}) // unreachable
 	g.endFunc("__throw")

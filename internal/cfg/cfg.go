@@ -11,6 +11,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/asm"
 	"repro/internal/elfx"
 	"repro/internal/x86"
 )
@@ -98,6 +99,12 @@ type Graph struct {
 	// such sources are accelerators, never correctness requirements;
 	// the notes make the degradation observable to callers and verdicts.
 	Degraded []string
+
+	// Syms is the symbol table of the stream serialized from this
+	// graph (S'): serialize.Serialize creates it, the later stages
+	// intern their labels in it, and the emitter assembles against it.
+	// Nil until the graph is serialized.
+	Syms *asm.Symtab
 
 	// decodes counts the x86.Decode calls the build made.
 	decodes uint64

@@ -94,7 +94,7 @@ func tablesEqual(a, b *JumpTable) bool {
 // is genuine, would only be reached through code SURI also preserves.
 func (b *builder) analyzeTable(blk *Block) (*JumpTable, error) {
 	last := blk.Insts[len(blk.Insts)-1]
-	jmpReg, ok := last.Src.(x86.Reg)
+	jmpReg, ok := last.Src.AsReg()
 	if !ok {
 		return nil, nil
 	}
@@ -114,8 +114,8 @@ func (b *builder) analyzeTable(blk *Block) (*JumpTable, error) {
 		switch path.stage {
 		case 0: // looking for add T, B
 			if in.Op == x86.ADD && in.W == 8 {
-				if d, ok := in.Dst.(x86.Reg); ok && d == jmpReg {
-					if s, ok := in.Src.(x86.Reg); ok {
+				if d, ok := in.Dst.AsReg(); ok && d == jmpReg {
+					if s, ok := in.Src.AsReg(); ok {
 						path.baseReg = s
 						path.stage = 1
 						return true
@@ -127,8 +127,8 @@ func (b *builder) analyzeTable(blk *Block) (*JumpTable, error) {
 			}
 		case 1: // looking for movsxd T, [B + idx*4]
 			if in.Op == x86.MOVSXD {
-				if d, ok := in.Dst.(x86.Reg); ok && d == jmpReg {
-					if m, ok := in.Src.(x86.Mem); ok && m.Base == path.baseReg && m.Scale == 4 && !m.Rip {
+				if d, ok := in.Dst.AsReg(); ok && d == jmpReg {
+					if m, ok := in.Src.AsMem(); ok && m.Base == path.baseReg && m.Scale == 4 && !m.Rip {
 						site := loadSite{base: path.baseReg, addr: at}
 						if !seenSite[site] {
 							seenSite[site] = true
@@ -169,8 +169,8 @@ func (b *builder) analyzeTable(blk *Block) (*JumpTable, error) {
 		}
 		b.walkBack(siteBlk, idx-1, 32, func(in x86.Inst, at uint64, path *walkState) bool {
 			if in.Op == x86.LEA {
-				if d, ok := in.Dst.(x86.Reg); ok && d == site.base {
-					if m, ok := in.Src.(x86.Mem); ok && m.Rip {
+				if d, ok := in.Dst.AsReg(); ok && d == site.base {
+					if m, ok := in.Src.AsMem(); ok && m.Rip {
 						base := at + uint64(pathSizeAt(b, at)) + uint64(int64(m.Disp))
 						if b.dataSectionAt(base) != nil && !baseSeen[base] {
 							baseSeen[base] = true
@@ -242,7 +242,7 @@ func (b *builder) cmpBound(blk *Block) (int, bool) {
 	for i := len(blk.Insts) - 1; i >= 0; i-- {
 		in := blk.Insts[i]
 		if in.Op == x86.CMP {
-			if imm, ok := in.Src.(x86.Imm); ok && imm >= 0 && imm < 1<<20 {
+			if imm, ok := in.Src.AsImm(); ok && imm >= 0 && imm < 1<<20 {
 				return int(imm) + 1, true
 			}
 		}
@@ -256,7 +256,7 @@ func (b *builder) cmpBound(blk *Block) (int, bool) {
 		for i := len(pb.Insts) - 1; i >= 0; i-- {
 			in := pb.Insts[i]
 			if in.Op == x86.CMP {
-				if imm, ok := in.Src.(x86.Imm); ok && imm >= 0 && imm < 1<<20 {
+				if imm, ok := in.Src.AsImm(); ok && imm >= 0 && imm < 1<<20 {
 					return int(imm) + 1, true
 				}
 			}
@@ -437,11 +437,11 @@ func writesReg(in x86.Inst, reg x86.Reg) bool {
 	case x86.IDIV:
 		return reg == x86.RAX || reg == x86.RDX
 	}
-	if d, ok := in.Dst.(x86.Reg); ok && d == reg {
+	if d, ok := in.Dst.AsReg(); ok && d == reg {
 		return true
 	}
 	if in.Op == x86.POP {
-		if d, ok := in.Dst.(x86.Reg); ok && d == reg {
+		if d, ok := in.Dst.AsReg(); ok && d == reg {
 			return true
 		}
 	}

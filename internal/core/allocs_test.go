@@ -9,16 +9,17 @@ import (
 )
 
 // Allocation ceilings for one rewrite of allocsFixture, about 1.2x the
-// larger measured figures (go1.24, linux/amd64): about 2570 mallocs and
-// 0.97 MB per rewrite, 2650 and 0.99 MB under -race. Before the CFG
-// builder indexed the text densely and placed instructions in an arena,
-// and S' shrank to 120-byte entries, the same rewrite took 2790 mallocs
-// and 1.16 MB; before the emitter assembled S' in place, 1.64 MB;
-// before the stages sized their streams once, about 7750 mallocs and
-// 5.9 MB.
+// larger measured figures (go1.24, linux/amd64): 1143 mallocs and
+// 0.83 MB per rewrite, 1143 and 0.84 MB under -race. Before operands
+// became values and labels integer IDs (a pointer-free S'), the same
+// rewrite took 2573 mallocs and 0.97 MB; before the CFG builder indexed
+// the text densely and placed instructions in an arena, and S' shrank
+// to 120-byte entries, 2790 mallocs and 1.16 MB; before the emitter
+// assembled S' in place, 1.64 MB; before the stages sized their
+// streams once, about 7750 mallocs and 5.9 MB.
 const (
-	maxRewriteMallocs = 3200
-	maxRewriteBytes   = 1_190_000
+	maxRewriteMallocs = 1370
+	maxRewriteBytes   = 1_000_000
 )
 
 // allocsFixture is a fixed medium program: six functions, two switches

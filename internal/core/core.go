@@ -53,8 +53,10 @@ func Stage(err error) string {
 
 // Instrumenter edits S' — the serialized, repaired, symbolized code —
 // before emission. Implementations may insert synthesized entries
-// anywhere; they must not reorder or delete original entries.
-type Instrumenter func(entries []serialize.Entry) ([]serialize.Entry, error)
+// anywhere; they must not reorder or delete original entries. Labels
+// and symbolic operands are symbols of syms, the stream's symbol table:
+// intern any new name there.
+type Instrumenter func(entries []serialize.Entry, syms *asm.Symtab) ([]serialize.Entry, error)
 
 // Options configure a rewrite.
 type Options struct {
@@ -325,12 +327,12 @@ func rewrite(bin []byte, f *elfx.File, opts Options, start func(*elfx.File)) (*R
 		}
 		if opts.Instrument != nil {
 			var err error
-			if entries, err = opts.Instrument(entries); err != nil {
+			if entries, err = opts.Instrument(entries, g.Syms); err != nil {
 				return err
 			}
 		}
 		if len(opts.Passes) > 0 {
-			ires, ierr := instr.Apply(entries, opts.Passes, instr.Options{
+			ires, ierr := instr.Apply(entries, g.Syms, opts.Passes, instr.Options{
 				Budget: opts.Budget, Cancel: opts.Cancel, Obs: opts.Obs,
 			})
 			if ierr != nil {
@@ -437,11 +439,12 @@ func feedMetrics(reg *obs.Registry, s Stats) {
 	reg.Counter("instr_payload_bytes").Add(int64(s.InstrPayloadBytes))
 }
 
-// Render prints S' in GNU-as-like text for inspection. The .set pins
-// are printed sorted by name so the rendering is deterministic (map
+// Render prints S' in GNU-as-like text for inspection, naming symbols
+// from syms, the stream's symbol table (Result.Graph.Syms). The .set
+// pins are printed sorted by name so the rendering is deterministic (map
 // iteration order must never leak into output).
-func Render(entries []serialize.Entry, sets map[string]uint64) string {
-	var prog asm.Program
+func Render(entries []serialize.Entry, syms *asm.Symtab, sets map[string]uint64) string {
+	prog := asm.Program{Syms: syms}
 	names := make([]string, 0, len(sets))
 	for name := range sets {
 		names = append(names, name)
@@ -450,6 +453,6 @@ func Render(entries []serialize.Entry, sets map[string]uint64) string {
 	for _, name := range names {
 		prog.Sets = append(prog.Sets, asm.Set{Name: name, Addr: sets[name]})
 	}
-	prog.Section(".suri.text", asm.Alloc|asm.Exec).Items = serialize.Items(entries)
+	prog.Section(".suri.text", asm.Alloc|asm.Exec).Items = serialize.Items(entries, syms)
 	return asm.Print(&prog)
 }

@@ -289,16 +289,15 @@ func TestRewriteWithNopInstrumentation(t *testing.T) {
 	m := trapModule()
 	// Never insert between a label and its endbr64: indirect branches
 	// land on the label and IBT requires endbr64 to execute first.
-	instrument := func(entries []serialize.Entry) ([]serialize.Entry, error) {
+	instrument := func(entries []serialize.Entry, syms *asm.Symtab) ([]serialize.Entry, error) {
 		var out []serialize.Entry
 		for _, e := range entries {
 			if !e.Synth && e.Inst.Op != x86.ENDBR64 {
 				out = append(out, serialize.Entry{
-					Labels: e.Labels,
-					Ins:    asm.Ins{Inst: x86.Inst{Op: x86.NOP}},
-					Synth:  true,
+					Ins:   asm.Ins{Inst: x86.Inst{Op: x86.NOP}},
+					Synth: true,
 				})
-				e.Labels = nil
+				serialize.MoveLabels(syms, &out[len(out)-1], &e)
 			}
 			out = append(out, e)
 		}

@@ -197,7 +197,7 @@ func TestPanicLeavesNoOpenSpans(t *testing.T) {
 		}()
 		Rewrite(bin, Options{
 			Obs: col,
-			Instrument: func([]serialize.Entry) ([]serialize.Entry, error) {
+			Instrument: func([]serialize.Entry, *asm.Symtab) ([]serialize.Entry, error) {
 				panic("user hook exploded")
 			},
 		})
@@ -215,7 +215,7 @@ func TestCancelMidPipeline(t *testing.T) {
 	ch := make(chan struct{})
 	_, err := Rewrite(bin, Options{
 		Cancel: ch,
-		Instrument: func(es []serialize.Entry) ([]serialize.Entry, error) {
+		Instrument: func(es []serialize.Entry, _ *asm.Symtab) ([]serialize.Entry, error) {
 			close(ch)
 			return es, nil
 		},
@@ -390,7 +390,7 @@ func TestRewriteValidatedOutOfScopeRunsNothing(t *testing.T) {
 // trapEveryEntry plants a trap in every fall-through path: whatever
 // instruction runs first, the next step dies. (A trap merely prepended
 // to the stream would never execute — control enters via block labels.)
-func trapEveryEntry(entries []serialize.Entry) ([]serialize.Entry, error) {
+func trapEveryEntry(entries []serialize.Entry, _ *asm.Symtab) ([]serialize.Entry, error) {
 	out := make([]serialize.Entry, 0, 2*len(entries))
 	for _, e := range entries {
 		out = append(out, e)

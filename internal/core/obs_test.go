@@ -140,7 +140,7 @@ func TestRenderSortedSets(t *testing.T) {
 		"alpha": 0x10,
 		"mid":   0x20,
 	}
-	out := Render(nil, sets)
+	out := Render(nil, asm.NewSymtab(0), sets)
 	ia := strings.Index(out, "alpha")
 	im := strings.Index(out, "mid")
 	iz := strings.Index(out, "zeta")
@@ -151,7 +151,7 @@ func TestRenderSortedSets(t *testing.T) {
 		t.Errorf("set pins not sorted by name (alpha@%d mid@%d zeta@%d):\n%s", ia, im, iz, out)
 	}
 	for i := 0; i < 8; i++ {
-		if Render(nil, sets) != out {
+		if Render(nil, asm.NewSymtab(0), sets) != out {
 			t.Fatal("Render nondeterministic across calls")
 		}
 	}
@@ -165,12 +165,15 @@ func TestRenderSPrime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	syms := res.Graph.Syms
 	var wantLabels []string
 	for _, e := range res.SPrime {
-		wantLabels = append(wantLabels, e.Labels...)
+		for _, l := range e.Labels(syms) {
+			wantLabels = append(wantLabels, syms.Name(l))
+		}
 	}
 	var ins, labels []string
-	for _, line := range strings.Split(Render(res.SPrime, nil), "\n") {
+	for _, line := range strings.Split(Render(res.SPrime, syms, nil), "\n") {
 		switch {
 		case strings.HasPrefix(line, "\t"):
 			ins = append(ins, line[1:])
@@ -186,12 +189,12 @@ func TestRenderSPrime(t *testing.T) {
 	}
 	branches := 0
 	for i, e := range res.SPrime {
-		if _, rel := e.Inst.Src.(x86.Rel); !rel || e.Target == "" {
+		if e.Inst.Src.Kind != x86.ArgRel || e.Target == 0 {
 			continue
 		}
 		branches++
-		if !strings.HasSuffix(ins[i], " "+e.Target) {
-			t.Errorf("entry %d branches to %s but renders as %q", i, e.Target, ins[i])
+		if !strings.HasSuffix(ins[i], " "+syms.Name(e.Target)) {
+			t.Errorf("entry %d branches to %s but renders as %q", i, syms.Name(e.Target), ins[i])
 		}
 	}
 	if branches == 0 {
@@ -204,12 +207,12 @@ func TestRenderSPrime(t *testing.T) {
 // The inserted load sits after the shared trap, so it never executes.
 func TestRenderDispDiff(t *testing.T) {
 	var plus string
-	instrument := func(entries []serialize.Entry) ([]serialize.Entry, error) {
-		plus = entries[0].Labels[0]
+	instrument := func(entries []serialize.Entry, syms *asm.Symtab) ([]serialize.Entry, error) {
+		plus = syms.Name(entries[0].Label)
 		return append(entries, serialize.Entry{Ins: asm.Ins{
-			Inst: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX,
-				Src: x86.Mem{Base: x86.R9, Index: x86.NoReg, Disp: 0x10, Wide: true}},
-			Diff: &asm.DispDiff{Plus: plus, Minus: serialize.TrapLabel},
+			Inst: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(),
+				Src: x86.Mem{Base: x86.R9, Index: x86.NoReg, Disp: 0x10, Wide: true}.Arg()},
+			Diff: asm.DispDiff{Plus: entries[0].Label, Minus: syms.Intern(serialize.TrapLabel)},
 		}, Synth: true}), nil
 	}
 	res, err := Rewrite(allocsFixture(t), Options{Instrument: instrument})
@@ -217,7 +220,7 @@ func TestRenderDispDiff(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "mov RAX, QWORD PTR [R9+0x10+(" + plus + "-" + serialize.TrapLabel + ")]"
-	if out := Render(res.SPrime, nil); !strings.Contains(out, want) {
+	if out := Render(res.SPrime, res.Graph.Syms, nil); !strings.Contains(out, want) {
 		t.Errorf("Render output missing %q", want)
 	}
 }

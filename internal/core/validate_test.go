@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"repro/internal/asm"
 	"runtime"
 	"strings"
 	"sync"
@@ -232,13 +233,13 @@ func TestRewriteValidatedJoinsOriginalRuns(t *testing.T) {
 		{name: "divergence", opts: func() Options { return Options{Instrument: trapEveryEntry} }, want: "fallback"},
 		{name: "canceled", opts: func() Options {
 			ch := make(chan struct{})
-			return Options{Cancel: ch, Instrument: func(es []serialize.Entry) ([]serialize.Entry, error) {
+			return Options{Cancel: ch, Instrument: func(es []serialize.Entry, _ *asm.Symtab) ([]serialize.Entry, error) {
 				close(ch)
 				return es, nil
 			}}
 		}, want: "canceled"},
 		{name: "panic", opts: func() Options {
-			return Options{Instrument: func([]serialize.Entry) ([]serialize.Entry, error) {
+			return Options{Instrument: func([]serialize.Entry, *asm.Symtab) ([]serialize.Entry, error) {
 				panic("user hook exploded")
 			}}
 		}, want: "panic"},

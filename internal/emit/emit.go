@@ -39,7 +39,7 @@ type Input struct {
 // TablePatch is one in-place jump-table entry rewrite.
 type TablePatch struct {
 	Addr uint64
-	Plus string
+	Plus asm.Sym
 	Base uint64
 }
 
@@ -67,7 +67,9 @@ func Emit(in Input) ([]byte, *Layout, error) {
 	orig := in.Graph.File
 	newBase := alignUp(orig.MaxVaddr(), 0x10000)
 
-	prog := &asm.Program{}
+	// The program assembles against the stream's own symbol table.
+	syms := in.Graph.Syms
+	prog := &asm.Program{Syms: syms}
 	for name, addr := range in.Sets {
 		prog.Sets = append(prog.Sets, asm.Set{Name: name, Addr: addr})
 	}
@@ -77,7 +79,7 @@ func Emit(in Input) ([]byte, *Layout, error) {
 	text.Align = elfx.PageSize
 	text.Addr = newBase
 	text.HasAddr = true
-	text.Items = serialize.Items(in.Entries)
+	text.Items = serialize.Items(in.Entries, syms)
 
 	ro := prog.Section(".suri.rodata", asm.Alloc)
 	ro.Align = elfx.PageSize
@@ -109,8 +111,7 @@ func Emit(in Input) ([]byte, *Layout, error) {
 
 	// newAddrOf maps an original code address to its copied location.
 	newAddrOf := func(old uint64) (uint64, bool) {
-		v, ok := res.Symbol(serialize.LabelFor(old))
-		return v, ok
+		return res.Symbol(serialize.LabelFor(old))
 	}
 
 	out := &elfx.File{Type: orig.Type}
@@ -151,9 +152,9 @@ func Emit(in Input) ([]byte, *Layout, error) {
 			if ns.Data == nil || p.Addr < ns.Addr || p.Addr+4 > ns.Addr+ns.Size {
 				continue
 			}
-			v, ok := res.Symbol(p.Plus)
+			v, ok := res.Addr(p.Plus)
 			if !ok {
-				return nil, nil, fmt.Errorf("emit: table patch target %q undefined", p.Plus)
+				return nil, nil, fmt.Errorf("emit: table patch target %q undefined", syms.Name(p.Plus))
 			}
 			diff := int64(v) - int64(p.Base)
 			if diff < -1<<31 || diff > 1<<31-1 {

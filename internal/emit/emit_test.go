@@ -87,7 +87,7 @@ func TestEmitLayout(t *testing.T) {
 
 func TestEmitTablePatchErrors(t *testing.T) {
 	in := pipelineInput(t)
-	in.TablePatches = []TablePatch{{Addr: 0x2000, Plus: "no_such_label", Base: 0x2000}}
+	in.TablePatches = []TablePatch{{Addr: 0x2000, Plus: in.Graph.Syms.Intern("no_such_label"), Base: 0x2000}}
 	if _, _, err := Emit(in); err == nil || !strings.Contains(err.Error(), "no_such_label") {
 		t.Errorf("undefined patch target accepted: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestEmitTablePatchApplies(t *testing.T) {
 	}
 	in.TablePatches = []TablePatch{{
 		Addr: ro.Addr,
-		Plus: serialize.LabelFor(orig.Entry),
+		Plus: serialize.Label(in.Graph.Syms, orig.Entry),
 		Base: ro.Addr,
 	}}
 	bin, layout, err := Emit(in)

@@ -35,11 +35,11 @@ func buildMachine(t *testing.T, base uint64, insts []x86.Inst) *Machine {
 
 func TestBasicArithmetic(t *testing.T) {
 	m := buildMachine(t, 0x1000, []x86.Inst{
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(40)},
-		{Op: x86.MOV, W: 8, Dst: x86.RBX, Src: x86.Imm(2)},
-		{Op: x86.ADD, W: 8, Dst: x86.RAX, Src: x86.RBX},
-		{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.RAX},
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)},
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(40).Arg()},
+		{Op: x86.MOV, W: 8, Dst: x86.RBX.Arg(), Src: x86.Imm(2).Arg()},
+		{Op: x86.ADD, W: 8, Dst: x86.RAX.Arg(), Src: x86.RBX.Arg()},
+		{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.RAX.Arg()},
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()},
 		{Op: x86.SYSCALL},
 	})
 	if err := m.Run(); err != nil {
@@ -56,13 +56,13 @@ func TestBasicArithmetic(t *testing.T) {
 func TestFlagsAndBranches(t *testing.T) {
 	// if (5 < 7) exit(1) else exit(0)
 	m := buildMachine(t, 0x1000, []x86.Inst{
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(5)},
-		{Op: x86.CMP, W: 8, Dst: x86.RAX, Src: x86.Imm(7)},
-		{Op: x86.JCC, Cond: x86.CondL, Src: x86.Rel(7), LongBranch: false}, // skip "mov rdi,0; jmp +?" block
-		{Op: x86.MOV, W: 4, Dst: x86.RDI, Src: x86.Imm(0)},                 // 5 bytes
-		{Op: x86.JMP, Src: x86.Rel(5)},                                     // 2 bytes, skip mov rdi,1
-		{Op: x86.MOV, W: 4, Dst: x86.RDI, Src: x86.Imm(1)},                 // 5 bytes
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)},
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(5).Arg()},
+		{Op: x86.CMP, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(7).Arg()},
+		{Op: x86.JCC, Cond: x86.CondL, Src: x86.Rel(7).Arg(), LongBranch: false}, // skip "mov rdi,0; jmp +?" block
+		{Op: x86.MOV, W: 4, Dst: x86.RDI.Arg(), Src: x86.Imm(0).Arg()},           // 5 bytes
+		{Op: x86.JMP, Src: x86.Rel(5).Arg()},                                     // 2 bytes, skip mov rdi,1
+		{Op: x86.MOV, W: 4, Dst: x86.RDI.Arg(), Src: x86.Imm(1).Arg()},           // 5 bytes
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()},
 		{Op: x86.SYSCALL},
 	})
 	if err := m.Run(); err != nil {
@@ -75,8 +75,8 @@ func TestFlagsAndBranches(t *testing.T) {
 
 func TestNXEnforcement(t *testing.T) {
 	m := buildMachine(t, 0x1000, []x86.Inst{
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(0x5000)},
-		{Op: x86.JMP, Src: x86.RAX, NoTrack: true},
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(0x5000).Arg()},
+		{Op: x86.JMP, Src: x86.RAX.Arg(), NoTrack: true},
 	})
 	// Map a readable-but-not-executable page at the jump target.
 	m.Mem.Map(0x5000, PageSize, PermR)
@@ -91,14 +91,14 @@ func TestIBTEnforcement(t *testing.T) {
 	// Indirect jmp (tracked) to a non-endbr instruction must fault; with
 	// notrack it must succeed.
 	target := []x86.Inst{
-		{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(9)},
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)},
+		{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(9).Arg()},
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()},
 		{Op: x86.SYSCALL},
 	}
 	for _, notrack := range []bool{false, true} {
 		jumper := []x86.Inst{
-			{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(0x2000)},
-			{Op: x86.JMP, Src: x86.RAX, NoTrack: notrack},
+			{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(0x2000).Arg()},
+			{Op: x86.JMP, Src: x86.RAX.Arg(), NoTrack: notrack},
 		}
 		m := buildMachine(t, 0x1000, jumper)
 		var code []byte
@@ -127,14 +127,14 @@ func TestIBTEnforcement(t *testing.T) {
 
 func TestIBTEndbrTargetOK(t *testing.T) {
 	m := buildMachine(t, 0x1000, []x86.Inst{
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(0x2000)},
-		{Op: x86.JMP, Src: x86.RAX},
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(0x2000).Arg()},
+		{Op: x86.JMP, Src: x86.RAX.Arg()},
 	})
 	var code []byte
 	for _, in := range []x86.Inst{
 		{Op: x86.ENDBR64},
-		{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(5)},
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)},
+		{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(5).Arg()},
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()},
 		{Op: x86.SYSCALL},
 	} {
 		b, _ := x86.Encode(in)
@@ -155,12 +155,12 @@ func TestIBTEndbrTargetOK(t *testing.T) {
 func TestShadowStack(t *testing.T) {
 	// A function that overwrites its return address must trip SHSTK.
 	m := buildMachine(t, 0x1000, []x86.Inst{
-		{Op: x86.CALL, Src: x86.Rel(10)},                    // call f (skip the next 10 bytes)
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)}, // 7 bytes
-		{Op: x86.SYSCALL},                                   // 2 bytes
-		{Op: x86.HLT},                                       // 1 byte
+		{Op: x86.CALL, Src: x86.Rel(10).Arg()},                          // call f (skip the next 10 bytes)
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()}, // 7 bytes
+		{Op: x86.SYSCALL}, // 2 bytes
+		{Op: x86.HLT},     // 1 byte
 		// f: clobber return address, then ret.
-		{Op: x86.MOV, W: 8, Dst: x86.Mem{Base: x86.RSP, Index: x86.NoReg}, Src: x86.Imm(0x1000)},
+		{Op: x86.MOV, W: 8, Dst: x86.Mem{Base: x86.RSP, Index: x86.NoReg}.Arg(), Src: x86.Imm(0x1000).Arg()},
 		{Op: x86.RET},
 	})
 	m.EnforceCET = true
@@ -173,7 +173,7 @@ func TestShadowStack(t *testing.T) {
 
 func TestWriteProtect(t *testing.T) {
 	m := buildMachine(t, 0x1000, []x86.Inst{
-		{Op: x86.MOV, W: 8, Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Disp: 0x5000}, Src: x86.Imm(1)},
+		{Op: x86.MOV, W: 8, Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Disp: 0x5000}.Arg(), Src: x86.Imm(1).Arg()},
 	})
 	m.Mem.Map(0x5000, PageSize, PermR) // read-only
 	err := m.Run()
@@ -185,10 +185,10 @@ func TestWriteProtect(t *testing.T) {
 
 func TestDivideFault(t *testing.T) {
 	m := buildMachine(t, 0x1000, []x86.Inst{
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(10)},
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(10).Arg()},
 		{Op: x86.CQO, W: 8},
-		{Op: x86.XOR, W: 4, Dst: x86.RCX, Src: x86.RCX},
-		{Op: x86.IDIV, W: 8, Dst: x86.RCX},
+		{Op: x86.XOR, W: 4, Dst: x86.RCX.Arg(), Src: x86.RCX.Arg()},
+		{Op: x86.IDIV, W: 8, Dst: x86.RCX.Arg()},
 	})
 	if err := m.Run(); !errors.Is(err, ErrDivide) {
 		t.Errorf("expected divide error, got %v", err)
@@ -197,7 +197,7 @@ func TestDivideFault(t *testing.T) {
 
 func TestStepLimit(t *testing.T) {
 	m := buildMachine(t, 0x1000, []x86.Inst{
-		{Op: x86.JMP, Src: x86.Rel(-2)}, // tight self-loop
+		{Op: x86.JMP, Src: x86.Rel(-2).Arg()}, // tight self-loop
 	})
 	m.MaxSteps = 1000
 	if err := m.Run(); !errors.Is(err, ErrStepLimit) {
@@ -207,12 +207,12 @@ func TestStepLimit(t *testing.T) {
 
 func TestRegisterWidthSemantics(t *testing.T) {
 	m := buildMachine(t, 0x1000, []x86.Inst{
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(-1)},
-		{Op: x86.MOV, W: 4, Dst: x86.RAX, Src: x86.Imm(7)}, // zeroes upper half
-		{Op: x86.MOV, W: 8, Dst: x86.RBX, Src: x86.Imm(-1)},
-		{Op: x86.MOV, W: 1, Dst: x86.RBX, Src: x86.Imm(7)}, // merges low byte
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)},
-		{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(0)},
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(-1).Arg()},
+		{Op: x86.MOV, W: 4, Dst: x86.RAX.Arg(), Src: x86.Imm(7).Arg()}, // zeroes upper half
+		{Op: x86.MOV, W: 8, Dst: x86.RBX.Arg(), Src: x86.Imm(-1).Arg()},
+		{Op: x86.MOV, W: 1, Dst: x86.RBX.Arg(), Src: x86.Imm(7).Arg()}, // merges low byte
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()},
+		{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(0).Arg()},
 		{Op: x86.SYSCALL},
 	})
 	if err := m.Run(); err != nil {
@@ -236,9 +236,9 @@ func TestMemoryCoalesce(t *testing.T) {
 
 func TestAutoRWShadow(t *testing.T) {
 	m := buildMachine(t, 0x1000, []x86.Inst{
-		{Op: x86.MOV, W: 8, Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Disp: ShadowStart + 0x100}, Src: x86.Imm(1)},
-		{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(0)},
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)},
+		{Op: x86.MOV, W: 8, Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Disp: ShadowStart + 0x100}.Arg(), Src: x86.Imm(1).Arg()},
+		{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(0).Arg()},
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()},
 		{Op: x86.SYSCALL},
 	})
 	// Without auto-map: fault.
@@ -247,9 +247,9 @@ func TestAutoRWShadow(t *testing.T) {
 	}
 	// With auto-map: fine.
 	m2 := buildMachine(t, 0x1000, []x86.Inst{
-		{Op: x86.MOV, W: 8, Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Disp: ShadowStart + 0x100}, Src: x86.Imm(1)},
-		{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(0)},
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)},
+		{Op: x86.MOV, W: 8, Dst: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Disp: ShadowStart + 0x100}.Arg(), Src: x86.Imm(1).Arg()},
+		{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(0).Arg()},
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()},
 		{Op: x86.SYSCALL},
 	})
 	m2.Mem.AddAutoRW(Range{Start: ShadowStart, End: ShadowEnd})

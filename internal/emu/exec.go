@@ -77,28 +77,30 @@ func (m *Machine) memAddr(mem x86.Mem, next uint64) uint64 {
 }
 
 // readArg evaluates an operand at width w (zero-extended raw bits).
-func (m *Machine) readArg(a x86.Arg, w uint8, next uint64) (uint64, error) {
-	switch v := a.(type) {
-	case x86.Reg:
-		return m.getReg(v, w), nil
-	case x86.Imm:
-		return truncate(uint64(int64(v)), w), nil
-	case x86.Mem:
+func (m *Machine) readArg(a *x86.Arg, w uint8, next uint64) (uint64, error) {
+	switch a.Kind {
+	case x86.ArgReg:
+		return m.getReg(a.Base, w), nil
+	case x86.ArgImm:
+		return truncate(uint64(a.Val), w), nil
+	case x86.ArgMem:
+		v, _ := a.AsMem()
 		return m.Mem.ReadU64(m.memAddr(v, next), int(w))
 	}
-	return 0, fmt.Errorf("unreadable operand %v", a)
+	return 0, fmt.Errorf("unreadable operand %v", *a)
 }
 
 // writeArg stores a value to a register or memory operand at width w.
-func (m *Machine) writeArg(a x86.Arg, v uint64, w uint8, next uint64) error {
-	switch d := a.(type) {
-	case x86.Reg:
-		m.setReg(d, v, w)
+func (m *Machine) writeArg(a *x86.Arg, v uint64, w uint8, next uint64) error {
+	switch a.Kind {
+	case x86.ArgReg:
+		m.setReg(a.Base, v, w)
 		return nil
-	case x86.Mem:
+	case x86.ArgMem:
+		d, _ := a.AsMem()
 		return m.Mem.WriteU64(m.memAddr(d, next), v, int(w))
 	}
-	return fmt.Errorf("unwritable operand %v", a)
+	return fmt.Errorf("unwritable operand %v", *a)
 }
 
 func parity(v uint64) bool { return bits.OnesCount8(uint8(v))%2 == 0 }
@@ -161,44 +163,44 @@ func (m *Machine) exec(in x86.Inst, size int) error {
 		return m.syscall()
 
 	case x86.MOV:
-		v, err := m.readArg(in.Src, w, next)
+		v, err := m.readArg(&in.Src, w, next)
 		if err != nil {
 			return err
 		}
-		if err := m.writeArg(in.Dst, v, w, next); err != nil {
+		if err := m.writeArg(&in.Dst, v, w, next); err != nil {
 			return err
 		}
 		m.RIP = next
 		return nil
 
 	case x86.MOVZX:
-		v, err := m.readArg(in.Src, in.SrcW, next)
+		v, err := m.readArg(&in.Src, in.SrcW, next)
 		if err != nil {
 			return err
 		}
-		if err := m.writeArg(in.Dst, v, w, next); err != nil {
+		if err := m.writeArg(&in.Dst, v, w, next); err != nil {
 			return err
 		}
 		m.RIP = next
 		return nil
 
 	case x86.MOVSX, x86.MOVSXD:
-		v, err := m.readArg(in.Src, in.SrcW, next)
+		v, err := m.readArg(&in.Src, in.SrcW, next)
 		if err != nil {
 			return err
 		}
-		if err := m.writeArg(in.Dst, truncate(signExtend(v, in.SrcW), w), w, next); err != nil {
+		if err := m.writeArg(&in.Dst, truncate(signExtend(v, in.SrcW), w), w, next); err != nil {
 			return err
 		}
 		m.RIP = next
 		return nil
 
 	case x86.LEA:
-		mem, ok := in.Src.(x86.Mem)
+		mem, ok := in.Src.AsMem()
 		if !ok {
 			return errors.New("lea without memory operand")
 		}
-		m.setReg(in.Dst.(x86.Reg), m.memAddr(mem, next), w)
+		m.setReg(in.Dst.Base, m.memAddr(mem, next), w)
 		m.RIP = next
 		return nil
 
@@ -221,12 +223,12 @@ func (m *Machine) exec(in x86.Inst, size int) error {
 		return nil
 
 	case x86.NEG:
-		a, err := m.readArg(in.Dst, w, next)
+		a, err := m.readArg(&in.Dst, w, next)
 		if err != nil {
 			return err
 		}
 		r := truncate(-a, w)
-		if err := m.writeArg(in.Dst, r, w, next); err != nil {
+		if err := m.writeArg(&in.Dst, r, w, next); err != nil {
 			return err
 		}
 		m.subFlags(0, a, r, w)
@@ -234,11 +236,11 @@ func (m *Machine) exec(in x86.Inst, size int) error {
 		return nil
 
 	case x86.NOT:
-		a, err := m.readArg(in.Dst, w, next)
+		a, err := m.readArg(&in.Dst, w, next)
 		if err != nil {
 			return err
 		}
-		if err := m.writeArg(in.Dst, truncate(^a, w), w, next); err != nil {
+		if err := m.writeArg(&in.Dst, truncate(^a, w), w, next); err != nil {
 			return err
 		}
 		m.RIP = next
@@ -248,7 +250,7 @@ func (m *Machine) exec(in x86.Inst, size int) error {
 		return m.execShift(in, w, next)
 
 	case x86.PUSH:
-		v, err := m.readArg(in.Src, 8, next)
+		v, err := m.readArg(&in.Src, 8, next)
 		if err != nil {
 			return err
 		}
@@ -265,16 +267,16 @@ func (m *Machine) exec(in x86.Inst, size int) error {
 			return err
 		}
 		m.Regs[x86.RSP] += 8
-		m.setReg(in.Dst.(x86.Reg), v, 8)
+		m.setReg(in.Dst.Base, v, 8)
 		m.RIP = next
 		return nil
 
 	case x86.JMP:
-		if rel, ok := in.Src.(x86.Rel); ok {
+		if rel, ok := in.Src.AsRel(); ok {
 			m.RIP = next + uint64(int64(rel))
 			return nil
 		}
-		target, err := m.readArg(in.Src, 8, next)
+		target, err := m.readArg(&in.Src, 8, next)
 		if err != nil {
 			return err
 		}
@@ -288,7 +290,7 @@ func (m *Machine) exec(in x86.Inst, size int) error {
 		return nil
 
 	case x86.JCC:
-		rel, ok := in.Src.(x86.Rel)
+		rel, ok := in.Src.AsRel()
 		if !ok {
 			return errors.New("jcc without relative target")
 		}
@@ -301,10 +303,10 @@ func (m *Machine) exec(in x86.Inst, size int) error {
 
 	case x86.CALL:
 		var target uint64
-		if rel, ok := in.Src.(x86.Rel); ok {
+		if rel, ok := in.Src.AsRel(); ok {
 			target = next + uint64(int64(rel))
 		} else {
-			t, err := m.readArg(in.Src, 8, next)
+			t, err := m.readArg(&in.Src, 8, next)
 			if err != nil {
 				return err
 			}
@@ -356,7 +358,7 @@ func (m *Machine) exec(in x86.Inst, size int) error {
 		if in.Cond.Eval(m.Flags) {
 			v = 1
 		}
-		if err := m.writeArg(in.Dst, v, 1, next); err != nil {
+		if err := m.writeArg(&in.Dst, v, 1, next); err != nil {
 			return err
 		}
 		m.RIP = next
@@ -364,14 +366,14 @@ func (m *Machine) exec(in x86.Inst, size int) error {
 
 	case x86.CMOVCC:
 		if in.Cond.Eval(m.Flags) {
-			v, err := m.readArg(in.Src, w, next)
+			v, err := m.readArg(&in.Src, w, next)
 			if err != nil {
 				return err
 			}
-			m.setReg(in.Dst.(x86.Reg), v, w)
+			m.setReg(in.Dst.Base, v, w)
 		} else if w == 4 {
 			// 32-bit cmov clears the upper half even when not taken.
-			m.setReg(in.Dst.(x86.Reg), m.getReg(in.Dst.(x86.Reg), 4), 4)
+			m.setReg(in.Dst.Base, m.getReg(in.Dst.Base, 4), 4)
 		}
 		m.RIP = next
 		return nil
@@ -380,11 +382,11 @@ func (m *Machine) exec(in x86.Inst, size int) error {
 }
 
 func (m *Machine) execALU(in x86.Inst, w uint8, next uint64) error {
-	a, err := m.readArg(in.Dst, w, next)
+	a, err := m.readArg(&in.Dst, w, next)
 	if err != nil {
 		return err
 	}
-	b, err := m.readArg(in.Src, w, next)
+	b, err := m.readArg(&in.Src, w, next)
 	if err != nil {
 		return err
 	}
@@ -416,7 +418,7 @@ func (m *Machine) execALU(in x86.Inst, w uint8, next uint64) error {
 		writeback = false
 	}
 	if writeback {
-		if err := m.writeArg(in.Dst, r, w, next); err != nil {
+		if err := m.writeArg(&in.Dst, r, w, next); err != nil {
 			return err
 		}
 	}
@@ -425,16 +427,16 @@ func (m *Machine) execALU(in x86.Inst, w uint8, next uint64) error {
 }
 
 func (m *Machine) execIMul(in x86.Inst, w uint8, next uint64) error {
-	a, err := m.readArg(in.Dst, w, next)
+	a, err := m.readArg(&in.Dst, w, next)
 	if err != nil {
 		return err
 	}
-	b, err := m.readArg(in.Src, w, next)
+	b, err := m.readArg(&in.Src, w, next)
 	if err != nil {
 		return err
 	}
 	if in.HasImm3 {
-		a, err = m.readArg(in.Src, w, next)
+		a, err = m.readArg(&in.Src, w, next)
 		if err != nil {
 			return err
 		}
@@ -455,7 +457,7 @@ func (m *Machine) execIMul(in x86.Inst, w uint8, next uint64) error {
 	m.Flags.CF = overflow
 	m.Flags.OF = overflow
 	m.setResultFlags(r, w)
-	if err := m.writeArg(in.Dst, r, w, next); err != nil {
+	if err := m.writeArg(&in.Dst, r, w, next); err != nil {
 		return err
 	}
 	m.RIP = next
@@ -463,7 +465,7 @@ func (m *Machine) execIMul(in x86.Inst, w uint8, next uint64) error {
 }
 
 func (m *Machine) execIDiv(in x86.Inst, w uint8, next uint64) error {
-	div, err := m.readArg(in.Dst, w, next)
+	div, err := m.readArg(&in.Dst, w, next)
 	if err != nil {
 		return err
 	}
@@ -496,15 +498,15 @@ func (m *Machine) execIDiv(in x86.Inst, w uint8, next uint64) error {
 }
 
 func (m *Machine) execShift(in x86.Inst, w uint8, next uint64) error {
-	a, err := m.readArg(in.Dst, w, next)
+	a, err := m.readArg(&in.Dst, w, next)
 	if err != nil {
 		return err
 	}
 	var count uint64
-	switch src := in.Src.(type) {
-	case x86.Imm:
-		count = uint64(src)
-	case x86.Reg:
+	switch in.Src.Kind {
+	case x86.ArgImm:
+		count = uint64(in.Src.Val)
+	case x86.ArgReg:
 		count = m.getReg(x86.RCX, 1)
 	default:
 		return errors.New("bad shift count operand")
@@ -531,7 +533,7 @@ func (m *Machine) execShift(in x86.Inst, w uint8, next uint64) error {
 		m.Flags.CF = signExtend(a, w)>>(count-1)&1 == 1
 	}
 	m.setResultFlags(r, w)
-	if err := m.writeArg(in.Dst, r, w, next); err != nil {
+	if err := m.writeArg(&in.Dst, r, w, next); err != nil {
 		return err
 	}
 	m.RIP = next

@@ -38,20 +38,20 @@ func profiledMachine(t *testing.T) *Machine {
 	const base = 0x1000
 	insts := []x86.Inst{
 		{Op: x86.ENDBR64},
-		{Op: x86.CALL, Src: x86.Rel(0)}, // patched below to target fn
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(1)},
-		{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(1)},
-		{Op: x86.MOV, W: 8, Dst: x86.RSI, Src: x86.Imm(base)}, // write the code bytes themselves
-		{Op: x86.MOV, W: 8, Dst: x86.RDX, Src: x86.Imm(4)},
+		{Op: x86.CALL, Src: x86.Rel(0).Arg()}, // patched below to target fn
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(1).Arg()},
+		{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(1).Arg()},
+		{Op: x86.MOV, W: 8, Dst: x86.RSI.Arg(), Src: x86.Imm(base).Arg()}, // write the code bytes themselves
+		{Op: x86.MOV, W: 8, Dst: x86.RDX.Arg(), Src: x86.Imm(4).Arg()},
 		{Op: x86.SYSCALL},
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)},
-		{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(7)},
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()},
+		{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(7).Arg()},
 		{Op: x86.SYSCALL},
 		{Op: x86.ENDBR64}, // fn:
 		{Op: x86.RET},
 	}
 	offs := instOffsets(t, insts)
-	insts[1].Src = x86.Rel(offs[10] - offs[2]) // call fn, rel to next inst
+	insts[1].Src = x86.Rel(offs[10] - offs[2]).Arg() // call fn, rel to next inst
 	m := buildMachine(t, base, insts)
 	m.EnforceCET = true
 	m.Prof = NewProfile()
@@ -100,20 +100,20 @@ func TestProfileIBTAndNotrack(t *testing.T) {
 	// Tracked indirect jmp to an endbr64 landing pad, then a notrack
 	// jmp to a target without endbr64 (legal under IBT).
 	insts := []x86.Inst{
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(0)}, // patched: pad address
-		{Op: x86.JMP, Src: x86.RAX},                        // tracked
-		{Op: x86.UD2},                                      // skipped
-		{Op: x86.ENDBR64},                                  // pad:
-		{Op: x86.MOV, W: 8, Dst: x86.RBX, Src: x86.Imm(0)}, // patched: tail address
-		{Op: x86.JMP, Src: x86.RBX, NoTrack: true},
-		{Op: x86.UD2},                                       // skipped
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)}, // tail: no endbr64
-		{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(0)},
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(0).Arg()}, // patched: pad address
+		{Op: x86.JMP, Src: x86.RAX.Arg()},                              // tracked
+		{Op: x86.UD2},                                                  // skipped
+		{Op: x86.ENDBR64},                                              // pad:
+		{Op: x86.MOV, W: 8, Dst: x86.RBX.Arg(), Src: x86.Imm(0).Arg()}, // patched: tail address
+		{Op: x86.JMP, Src: x86.RBX.Arg(), NoTrack: true},
+		{Op: x86.UD2}, // skipped
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()}, // tail: no endbr64
+		{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(0).Arg()},
 		{Op: x86.SYSCALL},
 	}
 	offs := instOffsets(t, insts)
-	insts[0].Src = x86.Imm(base + int64(offs[3])) // rax <- pad
-	insts[4].Src = x86.Imm(base + int64(offs[7])) // rbx <- tail
+	insts[0].Src = x86.Imm(base + int64(offs[3])).Arg() // rax <- pad
+	insts[4].Src = x86.Imm(base + int64(offs[7])).Arg() // rbx <- tail
 	m := buildMachine(t, base, insts)
 	m.EnforceCET = true
 	m.Prof = NewProfile()

@@ -25,14 +25,17 @@ func encodeInput(vals []int64) []byte {
 // runAllocCeiling is the per-run byte ceiling of TestTieredRunAllocs.
 // A run allocates its mapped ELF segments, the stack and TLS pages it
 // touches, its output, and (amortized over the three runs) the decode
-// planes and translations of the code it executes: ~215 KB on the
+// planes and translations of the code it executes: ~212 KB on the
 // gated program, about 1.1x under the ceiling. Each regression the gate
 // exists for breaks it (figures measured with a 56-byte x86.Inst, ~20 KB
 // per run above today's):
 //   - an eagerly mapped 1 MiB stack: ~1.5 MB per run;
 //   - an x86.Inst carried in every translated op's metadata: ~300 KB;
 //   - 512-entry decode-plane chunks: ~305 KB.
-const runAllocCeiling = 237 << 10
+//
+// It also caught an interpreter that took its operands by pointer and
+// let the instruction escape to the heap on every step: ~283 KB.
+const runAllocCeiling = 233 << 10
 
 // TestTieredRunAllocs gates an emulator run's allocation: one corpus
 // binary runs on the tiered engine over three inputs, reloaded between

@@ -57,8 +57,8 @@ func absMem(addr uint64) x86.Mem {
 
 // exitInsts ends a probe with exit(0).
 var exitInsts = []x86.Inst{
-	{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(0)},
-	{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)},
+	{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(0).Arg()},
+	{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()},
 	{Op: x86.SYSCALL},
 }
 
@@ -172,10 +172,10 @@ func TestDemandZeroStack(t *testing.T) {
 
 		// An untouched page reads as zero; the lowest byte is writable.
 		m, err := runProbe(t, rg.name+"/zero-and-low", f, append([]x86.Inst{
-			{Op: x86.MOV, W: 8, Dst: x86.RBX, Src: absMem(lo + 0x800)},
-			{Op: x86.MOV, W: 1, Dst: absMem(lo), Src: x86.Imm(0x5a)},
-			{Op: x86.MOV, W: 8, Dst: x86.RSI, Src: absMem(lo)},
-			{Op: x86.MOV, W: 8, Dst: x86.RDX, Src: absMem(end - 8)},
+			{Op: x86.MOV, W: 8, Dst: x86.RBX.Arg(), Src: absMem(lo + 0x800).Arg()},
+			{Op: x86.MOV, W: 1, Dst: absMem(lo).Arg(), Src: x86.Imm(0x5a).Arg()},
+			{Op: x86.MOV, W: 8, Dst: x86.RSI.Arg(), Src: absMem(lo).Arg()},
+			{Op: x86.MOV, W: 8, Dst: x86.RDX.Arg(), Src: absMem(end - 8).Arg()},
 		}, exitInsts...))
 		if err != nil {
 			t.Fatalf("%s: %v", rg.name, err)
@@ -199,15 +199,15 @@ func TestDemandZeroStack(t *testing.T) {
 		// One byte below the range, and the first byte past it, fault
 		// at that byte: reads and writes alike.
 		_, err = runProbe(t, rg.name+"/below-write", f, []x86.Inst{
-			{Op: x86.MOV, W: 1, Dst: absMem(lo - 1), Src: x86.Imm(1)},
+			{Op: x86.MOV, W: 1, Dst: absMem(lo - 1).Arg(), Src: x86.Imm(1).Arg()},
 		})
 		wantFault(t, rg.name+"/below-write", err, lo-1, "write")
 		_, err = runProbe(t, rg.name+"/below-read", f, []x86.Inst{
-			{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: absMem(lo - 1)},
+			{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: absMem(lo - 1).Arg()},
 		})
 		wantFault(t, rg.name+"/below-read", err, lo-1, "read")
 		_, err = runProbe(t, rg.name+"/above-write", f, []x86.Inst{
-			{Op: x86.MOV, W: 1, Dst: absMem(end), Src: x86.Imm(1)},
+			{Op: x86.MOV, W: 1, Dst: absMem(end).Arg(), Src: x86.Imm(1).Arg()},
 		})
 		wantFault(t, rg.name+"/above-write", err, end, "write")
 
@@ -217,11 +217,11 @@ func TestDemandZeroStack(t *testing.T) {
 			target := lo + 0x100
 			var insts []x86.Inst
 			if touch {
-				insts = append(insts, x86.Inst{Op: x86.MOV, W: 1, Dst: absMem(target), Src: x86.Imm(0xc3)})
+				insts = append(insts, x86.Inst{Op: x86.MOV, W: 1, Dst: absMem(target).Arg(), Src: x86.Imm(0xc3).Arg()})
 			}
 			insts = append(insts,
-				x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(int64(target))},
-				x86.Inst{Op: x86.JMP, Src: x86.RAX, NoTrack: true},
+				x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(int64(target)).Arg()},
+				x86.Inst{Op: x86.JMP, Src: x86.RAX.Arg(), NoTrack: true},
 			)
 			_, err = runProbe(t, rg.name+"/exec", f, insts)
 			wantFault(t, rg.name+"/exec", err, target, "exec")
@@ -239,17 +239,17 @@ func TestWriteFaultLeavesOutput(t *testing.T) {
 	top := uint64(emu.DefaultStackTop)
 	write := func(fd int64, buf uint64, n int64) []x86.Inst {
 		return []x86.Inst{
-			{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(fd)},
-			{Op: x86.MOV, W: 8, Dst: x86.RSI, Src: x86.Imm(int64(buf))},
-			{Op: x86.MOV, W: 8, Dst: x86.RDX, Src: x86.Imm(n)},
-			{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(1)},
+			{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(fd).Arg()},
+			{Op: x86.MOV, W: 8, Dst: x86.RSI.Arg(), Src: x86.Imm(int64(buf)).Arg()},
+			{Op: x86.MOV, W: 8, Dst: x86.RDX.Arg(), Src: x86.Imm(n).Arg()},
+			{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(1).Arg()},
 			{Op: x86.SYSCALL},
 		}
 	}
 	// Four bytes "ok!\n" just below the top of the stack.
 	msg := top - 16
 	prologue := []x86.Inst{
-		{Op: x86.MOV, W: 4, Dst: absMem(msg), Src: x86.Imm(0x0a216b6f)},
+		{Op: x86.MOV, W: 4, Dst: absMem(msg).Arg(), Src: x86.Imm(0x0a216b6f).Arg()},
 	}
 	prologue = append(prologue, write(1, msg, 4)...)
 	prologue = append(prologue, write(2, msg, 4)...)
@@ -269,7 +269,7 @@ func TestWriteFaultLeavesOutput(t *testing.T) {
 			n = 32 // crosses DefaultStackTop
 		}
 		insts := append(append([]x86.Inst(nil), prologue...), write(tc.fd, msg, n)...)
-		insts = append(insts, x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBX, Src: x86.RAX})
+		insts = append(insts, x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBX.Arg(), Src: x86.RAX.Arg()})
 		insts = append(insts, exitInsts...)
 		m, err := runProbe(t, "write/"+tc.name, f, insts)
 		if string(m.Stdout) != "ok!\n" || string(m.Stderr) != "ok!\n" {

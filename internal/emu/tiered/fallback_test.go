@@ -40,10 +40,10 @@ func asm(t *testing.T, insts []x86.Inst) []byte {
 func TestCETViolationMidSuperblock(t *testing.T) {
 	// main: rbx counts calls; fn corrupts [rsp] when rbx==1.
 	fn := []x86.Inst{
-		{Op: x86.CMP, W: 8, Dst: x86.RBX, Src: x86.Imm(1)},
-		{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0)},        // patched: skip the two corrupting movs
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(0x1000)}, // 7 bytes
-		{Op: x86.MOV, W: 8, Dst: x86.Mem{Base: x86.RSP, Index: x86.NoReg}, Src: x86.RAX},
+		{Op: x86.CMP, W: 8, Dst: x86.RBX.Arg(), Src: x86.Imm(1).Arg()},
+		{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0).Arg()},              // patched: skip the two corrupting movs
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(0x1000).Arg()}, // 7 bytes
+		{Op: x86.MOV, W: 8, Dst: x86.Mem{Base: x86.RSP, Index: x86.NoReg}.Arg(), Src: x86.RAX.Arg()},
 		{Op: x86.RET},
 	}
 	// Compute the jcc skip distance from real encodings.
@@ -55,18 +55,18 @@ func TestCETViolationMidSuperblock(t *testing.T) {
 		return len(b)
 	}
 	skip := enc(fn[2]) + enc(fn[3])
-	fn[1].Src = x86.Rel(int32(skip))
+	fn[1].Src = x86.Rel(int32(skip)).Arg()
 
 	fnCode := asm(t, fn)
 
 	main := []x86.Inst{
-		{Op: x86.MOV, W: 8, Dst: x86.RBX, Src: x86.Imm(0)},
-		{Op: x86.CALL, Src: x86.Rel(0)}, // patched below
-		{Op: x86.ADD, W: 8, Dst: x86.RBX, Src: x86.Imm(1)},
-		{Op: x86.CMP, W: 8, Dst: x86.RBX, Src: x86.Imm(3)},
-		{Op: x86.JCC, Cond: x86.CondL, Src: x86.Rel(0)}, // patched below
-		{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(0)},
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)},
+		{Op: x86.MOV, W: 8, Dst: x86.RBX.Arg(), Src: x86.Imm(0).Arg()},
+		{Op: x86.CALL, Src: x86.Rel(0).Arg()}, // patched below
+		{Op: x86.ADD, W: 8, Dst: x86.RBX.Arg(), Src: x86.Imm(1).Arg()},
+		{Op: x86.CMP, W: 8, Dst: x86.RBX.Arg(), Src: x86.Imm(3).Arg()},
+		{Op: x86.JCC, Cond: x86.CondL, Src: x86.Rel(0).Arg()}, // patched below
+		{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(0).Arg()},
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()},
 		{Op: x86.SYSCALL},
 	}
 	sizes := make([]int, len(main))
@@ -77,10 +77,10 @@ func TestCETViolationMidSuperblock(t *testing.T) {
 	}
 	// call target: fn starts right after main.
 	afterCall := sizes[0] + sizes[1]
-	main[1].Src = x86.Rel(int32(total - afterCall))
+	main[1].Src = x86.Rel(int32(total - afterCall)).Arg()
 	// jcc back to the call.
 	afterJcc := afterCall + sizes[2] + sizes[3] + sizes[4]
-	main[4].Src = x86.Rel(int32(sizes[0] - afterJcc))
+	main[4].Src = x86.Rel(int32(sizes[0] - afterJcc)).Arg()
 
 	code := append(asm(t, main), fnCode...)
 
@@ -141,8 +141,8 @@ func link(t *testing.T, items []item) (code []byte, labels map[string]uint64) {
 				labels[it.label] = addr
 			}
 			in := it.in
-			switch in.Src.(type) {
-			case x86.Rel:
+			switch in.Src.Kind {
+			case x86.ArgRel:
 				in.LongBranch = true
 				if it.target != "" {
 					// A long branch is 5 bytes (jmp, call) or 6 (jcc).
@@ -150,11 +150,11 @@ func link(t *testing.T, items []item) (code []byte, labels map[string]uint64) {
 					if in.Op == x86.JCC {
 						n = 6
 					}
-					in.Src = x86.Rel(int32(labels[it.target] - (addr + n)))
+					in.Src = x86.Rel(int32(labels[it.target] - (addr + n))).Arg()
 				}
-			case x86.Imm:
+			case x86.ArgImm:
 				if it.target != "" {
-					in.Src = x86.Imm(labels[it.target])
+					in.Src = x86.Imm(labels[it.target]).Arg()
 				}
 			}
 			code = append(code, asm(t, []x86.Inst{in})...)
@@ -173,32 +173,32 @@ func interpSteps(m *emu.Machine) uint64 { return m.Steps - m.TierStats().TierSte
 // missing-endbr64 violation from inside hot, translated code.
 func indirectEntryProgram(t *testing.T, n int64, violate bool) []byte {
 	items := []item{
-		{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBX, Src: x86.Imm(0)}},
-		{label: "loopA", in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(0)}, target: "fnA"},
-		{in: x86.Inst{Op: x86.CALL, Src: x86.RAX}},
-		{in: x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RBX, Src: x86.Imm(1)}},
-		{in: x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RBX, Src: x86.Imm(n)}},
-		{in: x86.Inst{Op: x86.JCC, Cond: x86.CondL, Src: x86.Rel(0)}, target: "loopA"},
-		{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBX, Src: x86.Imm(0)}},
-		{label: "loopB", in: x86.Inst{Op: x86.CALL, Src: x86.Rel(0)}, target: "fnB"},
-		{in: x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RBX, Src: x86.Imm(1)}},
-		{in: x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RBX, Src: x86.Imm(n)}},
-		{in: x86.Inst{Op: x86.JCC, Cond: x86.CondL, Src: x86.Rel(0)}, target: "loopB"},
+		{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBX.Arg(), Src: x86.Imm(0).Arg()}},
+		{label: "loopA", in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(0).Arg()}, target: "fnA"},
+		{in: x86.Inst{Op: x86.CALL, Src: x86.RAX.Arg()}},
+		{in: x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RBX.Arg(), Src: x86.Imm(1).Arg()}},
+		{in: x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RBX.Arg(), Src: x86.Imm(n).Arg()}},
+		{in: x86.Inst{Op: x86.JCC, Cond: x86.CondL, Src: x86.Rel(0).Arg()}, target: "loopA"},
+		{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RBX.Arg(), Src: x86.Imm(0).Arg()}},
+		{label: "loopB", in: x86.Inst{Op: x86.CALL, Src: x86.Rel(0).Arg()}, target: "fnB"},
+		{in: x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RBX.Arg(), Src: x86.Imm(1).Arg()}},
+		{in: x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RBX.Arg(), Src: x86.Imm(n).Arg()}},
+		{in: x86.Inst{Op: x86.JCC, Cond: x86.CondL, Src: x86.Rel(0).Arg()}, target: "loopB"},
 	}
 	if violate {
 		items = append(items,
-			item{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(0)}, target: "fnB"},
-			item{in: x86.Inst{Op: x86.CALL, Src: x86.RAX}},
+			item{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(0).Arg()}, target: "fnB"},
+			item{in: x86.Inst{Op: x86.CALL, Src: x86.RAX.Arg()}},
 		)
 	}
 	items = append(items,
-		item{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.RCX}},
-		item{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)}},
+		item{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.RCX.Arg()}},
+		item{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()}},
 		item{in: x86.Inst{Op: x86.SYSCALL}},
 		item{label: "fnA", in: x86.Inst{Op: x86.ENDBR64}},
-		item{in: x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RCX, Src: x86.Imm(1)}},
+		item{in: x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RCX.Arg(), Src: x86.Imm(1).Arg()}},
 		item{in: x86.Inst{Op: x86.RET}},
-		item{label: "fnB", in: x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RDX, Src: x86.Imm(1)}},
+		item{label: "fnB", in: x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RDX.Arg(), Src: x86.Imm(1).Arg()}},
 		item{in: x86.Inst{Op: x86.RET}},
 	)
 	code, _ := link(t, items)
@@ -275,22 +275,22 @@ func TestIndirectEntryEndbr(t *testing.T) {
 func TestReentryAfterForcedExit(t *testing.T) {
 	loop := func(n int64, straddle bool) []byte {
 		items := []item{
-			{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RCX, Src: x86.Imm(0)}},
-			{in: x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, target: "loop"},
-			{label: "loop", at: 0x1FE0, in: x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RCX, Src: x86.Imm(1)}},
+			{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RCX.Arg(), Src: x86.Imm(0).Arg()}},
+			{in: x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, target: "loop"},
+			{label: "loop", at: 0x1FE0, in: x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RCX.Arg(), Src: x86.Imm(1).Arg()}},
 		}
 		if straddle {
 			// mov rax, imm32 is 7 bytes: 0x1FFC..0x2002.
-			items = append(items, item{at: 0x1FFC, in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(0x1234)}})
+			items = append(items, item{at: 0x1FFC, in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(0x1234).Arg()}})
 		} else {
-			items = append(items, item{at: 0x2000, in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(0x1234)}})
+			items = append(items, item{at: 0x2000, in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(0x1234).Arg()}})
 		}
 		items = append(items,
-			item{in: x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RDX, Src: x86.RCX}},
-			item{in: x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RCX, Src: x86.Imm(n)}},
-			item{in: x86.Inst{Op: x86.JCC, Cond: x86.CondL, Src: x86.Rel(0)}, target: "loop"},
-			item{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.RDX}},
-			item{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)}},
+			item{in: x86.Inst{Op: x86.ADD, W: 8, Dst: x86.RDX.Arg(), Src: x86.RCX.Arg()}},
+			item{in: x86.Inst{Op: x86.CMP, W: 8, Dst: x86.RCX.Arg(), Src: x86.Imm(n).Arg()}},
+			item{in: x86.Inst{Op: x86.JCC, Cond: x86.CondL, Src: x86.Rel(0).Arg()}, target: "loop"},
+			item{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.RDX.Arg()}},
+			item{in: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()}},
 			item{in: x86.Inst{Op: x86.SYSCALL}},
 		)
 		code, labels := link(t, items)
@@ -339,14 +339,14 @@ func TestReentryAfterForcedExit(t *testing.T) {
 // the exact interpreter error at the exact instruction.
 func TestBudgetSweepInsideSuperblock(t *testing.T) {
 	insts := []x86.Inst{
-		{Op: x86.MOV, W: 8, Dst: x86.RCX, Src: x86.Imm(0)},
-		{Op: x86.ADD, W: 8, Dst: x86.RCX, Src: x86.Imm(1)}, // loop:
-		{Op: x86.ADD, W: 8, Dst: x86.RAX, Src: x86.RCX},
-		{Op: x86.XOR, W: 8, Dst: x86.RDX, Src: x86.RCX},
-		{Op: x86.CMP, W: 8, Dst: x86.RCX, Src: x86.Imm(8)},
-		{Op: x86.JCC, Cond: x86.CondL, Src: x86.Rel(0)}, // patched below
-		{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.RAX},
-		{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)},
+		{Op: x86.MOV, W: 8, Dst: x86.RCX.Arg(), Src: x86.Imm(0).Arg()},
+		{Op: x86.ADD, W: 8, Dst: x86.RCX.Arg(), Src: x86.Imm(1).Arg()}, // loop:
+		{Op: x86.ADD, W: 8, Dst: x86.RAX.Arg(), Src: x86.RCX.Arg()},
+		{Op: x86.XOR, W: 8, Dst: x86.RDX.Arg(), Src: x86.RCX.Arg()},
+		{Op: x86.CMP, W: 8, Dst: x86.RCX.Arg(), Src: x86.Imm(8).Arg()},
+		{Op: x86.JCC, Cond: x86.CondL, Src: x86.Rel(0).Arg()}, // patched below
+		{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.RAX.Arg()},
+		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()},
 		{Op: x86.SYSCALL},
 	}
 	// The back-branch skips from the end of the jcc to the loop head.
@@ -358,7 +358,7 @@ func TestBudgetSweepInsideSuperblock(t *testing.T) {
 		}
 		loopLen += len(b)
 	}
-	insts[5].Src = x86.Rel(int32(-loopLen))
+	insts[5].Src = x86.Rel(int32(-loopLen)).Arg()
 	code := asm(t, insts)
 	seed := make(map[uint64]uint64)
 	for a := uint64(0x1000); a < 0x1100; a++ {

@@ -252,25 +252,25 @@ func TestParityRandomInstructions(t *testing.T) {
 			var in x86.Inst
 			switch r.Intn(10) {
 			case 0:
-				in = x86.Inst{Op: x86.MOV, W: w, Dst: reg(), Src: x86.Imm(r.Int63n(1 << 30))}
+				in = x86.Inst{Op: x86.MOV, W: w, Dst: reg().Arg(), Src: x86.Imm(r.Int63n(1 << 30)).Arg()}
 			case 1:
-				in = x86.Inst{Op: x86.MOV, W: w, Dst: reg(), Src: reg()}
+				in = x86.Inst{Op: x86.MOV, W: w, Dst: reg().Arg(), Src: reg().Arg()}
 			case 2:
-				in = x86.Inst{Op: []x86.Op{x86.ADD, x86.SUB, x86.AND, x86.OR, x86.XOR}[r.Intn(5)], W: w, Dst: reg(), Src: reg()}
+				in = x86.Inst{Op: []x86.Op{x86.ADD, x86.SUB, x86.AND, x86.OR, x86.XOR}[r.Intn(5)], W: w, Dst: reg().Arg(), Src: reg().Arg()}
 			case 3:
-				in = x86.Inst{Op: []x86.Op{x86.CMP, x86.TEST}[r.Intn(2)], W: w, Dst: reg(), Src: x86.Imm(r.Int63n(128))}
+				in = x86.Inst{Op: []x86.Op{x86.CMP, x86.TEST}[r.Intn(2)], W: w, Dst: reg().Arg(), Src: x86.Imm(r.Int63n(128)).Arg()}
 			case 4:
-				in = x86.Inst{Op: []x86.Op{x86.SHL, x86.SHR, x86.SAR}[r.Intn(3)], W: w, Dst: reg(), Src: x86.Imm(r.Int63n(70))}
+				in = x86.Inst{Op: []x86.Op{x86.SHL, x86.SHR, x86.SAR}[r.Intn(3)], W: w, Dst: reg().Arg(), Src: x86.Imm(r.Int63n(70)).Arg()}
 			case 5:
-				in = x86.Inst{Op: x86.SETCC, Cond: x86.Cond(r.Intn(10)), W: 1, Dst: reg()}
+				in = x86.Inst{Op: x86.SETCC, Cond: x86.Cond(r.Intn(10)), W: 1, Dst: reg().Arg()}
 			case 6:
-				in = x86.Inst{Op: x86.CMOVCC, Cond: x86.Cond(r.Intn(10)), W: []uint8{4, 8}[r.Intn(2)], Dst: reg(), Src: reg()}
+				in = x86.Inst{Op: x86.CMOVCC, Cond: x86.Cond(r.Intn(10)), W: []uint8{4, 8}[r.Intn(2)], Dst: reg().Arg(), Src: reg().Arg()}
 			case 7:
-				in = x86.Inst{Op: x86.LEA, W: 8, Dst: reg(), Src: x86.Mem{Base: reg(), Index: x86.NoReg, Disp: int32(r.Intn(64))}}
+				in = x86.Inst{Op: x86.LEA, W: 8, Dst: reg().Arg(), Src: x86.Mem{Base: reg(), Index: x86.NoReg, Disp: int32(r.Intn(64))}.Arg()}
 			case 8:
-				in = x86.Inst{Op: x86.MOVZX, W: []uint8{4, 8}[r.Intn(2)], SrcW: []uint8{1, 2}[r.Intn(2)], Dst: reg(), Src: reg()}
+				in = x86.Inst{Op: x86.MOVZX, W: []uint8{4, 8}[r.Intn(2)], SrcW: []uint8{1, 2}[r.Intn(2)], Dst: reg().Arg(), Src: reg().Arg()}
 			default:
-				in = x86.Inst{Op: x86.IMUL, W: []uint8{4, 8}[r.Intn(2)], Dst: reg(), Src: reg()}
+				in = x86.Inst{Op: x86.IMUL, W: []uint8{4, 8}[r.Intn(2)], Dst: reg().Arg(), Src: reg().Arg()}
 			}
 			b, err := x86.Encode(in)
 			if err != nil {
@@ -280,8 +280,8 @@ func TestParityRandomInstructions(t *testing.T) {
 		}
 		// Terminate with exit(RAX & 0xFF) so clean paths exist too.
 		for _, in := range []x86.Inst{
-			{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.RAX},
-			{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)},
+			{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.RAX.Arg()},
+			{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()},
 			{Op: x86.SYSCALL},
 		} {
 			b, err := x86.Encode(in)

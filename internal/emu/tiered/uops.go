@@ -193,17 +193,18 @@ func bindLoad(a x86.Arg, w uint8, next uint64) valFn {
 	default:
 		return nil
 	}
-	switch v := a.(type) {
-	case x86.Reg:
-		r := v
+	switch a.Kind {
+	case x86.ArgReg:
+		r := a.Base
 		if w == 8 {
 			return func(e *engine) (uint64, error) { return e.m.Regs[r], nil }
 		}
 		return func(e *engine) (uint64, error) { return truncate(e.m.Regs[r], w), nil }
-	case x86.Imm:
-		c := truncate(uint64(int64(v)), w)
+	case x86.ArgImm:
+		c := truncate(uint64(a.Val), w)
 		return func(*engine) (uint64, error) { return c, nil }
-	case x86.Mem:
+	case x86.ArgMem:
+		v, _ := a.AsMem()
 		af := bindAddr(v, next)
 		return func(e *engine) (uint64, error) { return e.load(af(e), w) }
 	}
@@ -220,9 +221,9 @@ func bindStore(a x86.Arg, w uint8, next uint64) storeFn {
 	default:
 		return nil
 	}
-	switch d := a.(type) {
-	case x86.Reg:
-		r := d
+	switch a.Kind {
+	case x86.ArgReg:
+		r := a.Base
 		switch w {
 		case 8:
 			return func(e *engine, v uint64) error { e.m.Regs[r] = v; return nil }
@@ -239,7 +240,8 @@ func bindStore(a x86.Arg, w uint8, next uint64) storeFn {
 				return nil
 			}
 		}
-	case x86.Mem:
+	case x86.ArgMem:
+		d, _ := a.AsMem()
 		af := bindAddr(d, next)
 		return func(e *engine, v uint64) error { return e.store(af(e), v, w) }
 	}
@@ -261,7 +263,7 @@ func opWidth(w uint8) uint8 {
 // ExecInst leaves RIP at the next instruction, which the dispatch
 // loop's fall-through exit agrees with.
 func memHasFS(a x86.Arg) bool {
-	m, ok := a.(x86.Mem)
+	m, ok := a.AsMem()
 	return ok && m.FS
 }
 
@@ -362,11 +364,11 @@ func bindOp(in x86.Inst, addr uint64, size int) (u uop, term bool) {
 		}, false
 
 	case x86.LEA:
-		mem, ok := in.Src.(x86.Mem)
+		mem, ok := in.Src.AsMem()
 		if !ok {
 			return nil, false
 		}
-		dr, ok := in.Dst.(x86.Reg)
+		dr, ok := in.Dst.AsReg()
 		if !ok {
 			return nil, false
 		}
@@ -407,7 +409,7 @@ func bindOp(in x86.Inst, addr uint64, size int) (u uop, term bool) {
 		if ld == nil {
 			return nil, false
 		}
-		if r, ok := in.Src.(x86.Reg); ok {
+		if r, ok := in.Src.AsReg(); ok {
 			return func(e *engine) int {
 				m := e.m
 				v := m.Regs[r] // read before the RSP update: push rsp stores the old value
@@ -432,7 +434,7 @@ func bindOp(in x86.Inst, addr uint64, size int) (u uop, term bool) {
 		}, false
 
 	case x86.POP:
-		dr, ok := in.Dst.(x86.Reg)
+		dr, ok := in.Dst.AsReg()
 		if !ok {
 			return nil, false
 		}
@@ -448,7 +450,7 @@ func bindOp(in x86.Inst, addr uint64, size int) (u uop, term bool) {
 		}, false
 
 	case x86.JMP:
-		if rel, ok := in.Src.(x86.Rel); ok {
+		if rel, ok := in.Src.AsRel(); ok {
 			target := next + uint64(int64(rel))
 			return func(e *engine) int { e.m.RIP = target; return uEnd }, true
 		}
@@ -474,7 +476,7 @@ func bindOp(in x86.Inst, addr uint64, size int) (u uop, term bool) {
 		}, true
 
 	case x86.JCC:
-		rel, ok := in.Src.(x86.Rel)
+		rel, ok := in.Src.AsRel()
 		if !ok {
 			return nil, false
 		}
@@ -533,7 +535,7 @@ func bindOp(in x86.Inst, addr uint64, size int) (u uop, term bool) {
 		}, false
 
 	case x86.CMOVCC:
-		dr, ok := in.Dst.(x86.Reg)
+		dr, ok := in.Dst.AsReg()
 		if !ok {
 			return nil, false
 		}
@@ -577,17 +579,20 @@ func (e *engine) fail(addr uint64, err error) int {
 // into single closures; partial-width register writes fall back to the
 // composed loader/storer pair.
 func bindMov(in x86.Inst, addr uint64, w uint8, next uint64) uop {
-	if dr, ok := in.Dst.(x86.Reg); ok && (w == 8 || w == 4) {
-		switch s := in.Src.(type) {
-		case x86.Reg:
+	if dr, ok := in.Dst.AsReg(); ok && (w == 8 || w == 4) {
+		switch in.Src.Kind {
+		case x86.ArgReg:
+			s, _ := in.Src.AsReg()
 			if w == 8 {
 				return func(e *engine) int { e.m.Regs[dr] = e.m.Regs[s]; return uNext }
 			}
 			return func(e *engine) int { e.m.Regs[dr] = e.m.Regs[s] & 0xFFFFFFFF; return uNext }
-		case x86.Imm:
+		case x86.ArgImm:
+			s, _ := in.Src.AsImm()
 			c := truncate(uint64(int64(s)), w) // w==4 already masks
 			return func(e *engine) int { e.m.Regs[dr] = c; return uNext }
-		case x86.Mem:
+		case x86.ArgMem:
+			s, _ := in.Src.AsMem()
 			af := bindAddr(s, next)
 			if w == 8 {
 				return func(e *engine) int {
@@ -609,17 +614,19 @@ func bindMov(in x86.Inst, addr uint64, w uint8, next uint64) uop {
 			}
 		}
 	}
-	if dm, ok := in.Dst.(x86.Mem); ok {
+	if dm, ok := in.Dst.AsMem(); ok {
 		af := bindAddr(dm, next)
-		switch s := in.Src.(type) {
-		case x86.Reg:
+		switch in.Src.Kind {
+		case x86.ArgReg:
+			s, _ := in.Src.AsReg()
 			return func(e *engine) int {
 				if err := e.store(af(e), truncate(e.m.Regs[s], w), w); err != nil {
 					return e.fail(addr, err)
 				}
 				return uNext
 			}
-		case x86.Imm:
+		case x86.ArgImm:
+			s, _ := in.Src.AsImm()
 			c := truncate(uint64(int64(s)), w)
 			return func(e *engine) int {
 				if err := e.store(af(e), c, w); err != nil {
@@ -686,9 +693,10 @@ func bindALU(in x86.Inst, addr uint64, w uint8, next uint64) uop {
 	op := in.Op
 	// Fused: register destination with register/immediate source — the
 	// dominant ALU shape — needs no fault paths at all.
-	if dr, ok := in.Dst.(x86.Reg); ok && (w == 8 || w == 4) {
-		switch s := in.Src.(type) {
-		case x86.Reg:
+	if dr, ok := in.Dst.AsReg(); ok && (w == 8 || w == 4) {
+		switch in.Src.Kind {
+		case x86.ArgReg:
+			s, _ := in.Src.AsReg()
 			return func(e *engine) int {
 				m := e.m
 				a := truncate(m.Regs[dr], w)
@@ -703,7 +711,8 @@ func bindALU(in x86.Inst, addr uint64, w uint8, next uint64) uop {
 				}
 				return uNext
 			}
-		case x86.Imm:
+		case x86.ArgImm:
+			s, _ := in.Src.AsImm()
 			c := truncate(uint64(int64(s)), w)
 			return func(e *engine) int {
 				m := e.m
@@ -794,10 +803,11 @@ func bindShift(in x86.Inst, addr uint64, w uint8, next uint64) uop {
 	}
 	var countImm uint64
 	var fromCL bool
-	switch s := in.Src.(type) {
-	case x86.Imm:
+	switch in.Src.Kind {
+	case x86.ArgImm:
+		s, _ := in.Src.AsImm()
 		countImm = uint64(s)
-	case x86.Reg:
+	case x86.ArgReg:
 		fromCL = true // the interpreter reads CL for any register count
 	default:
 		return nil
@@ -842,7 +852,7 @@ func bindShift(in x86.Inst, addr uint64, w uint8, next uint64) uop {
 }
 
 func bindCall(in x86.Inst, addr uint64, next uint64) (uop, bool) {
-	if rel, ok := in.Src.(x86.Rel); ok {
+	if rel, ok := in.Src.AsRel(); ok {
 		target := next + uint64(int64(rel))
 		return func(e *engine) int {
 			m := e.m

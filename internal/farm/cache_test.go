@@ -2,6 +2,7 @@ package farm_test
 
 import (
 	"bytes"
+	"repro/internal/asm"
 	"sync"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestFingerprint(t *testing.T) {
 		t.Fatal("fingerprint not deterministic")
 	}
 	if _, ok := farm.Fingerprint([]byte("bin"), core.Options{
-		Instrument: func(e []serialize.Entry) ([]serialize.Entry, error) { return e, nil },
+		Instrument: func(e []serialize.Entry, _ *asm.Symtab) ([]serialize.Entry, error) { return e, nil },
 	}); ok {
 		t.Fatal("instrumented rewrite must be uncacheable: the hook's behaviour cannot be hashed")
 	}

@@ -138,6 +138,10 @@ type Context struct {
 	// Entries is the input stream (read-only).
 	Entries []serialize.Entry
 
+	// Syms is the stream's symbol table; Sym, Alloc and Label intern
+	// into it, and a pass interns any other name it references here.
+	Syms *asm.Symtab
+
 	// Sites lists every instrumentable site, in stream order.
 	Sites []Site
 
@@ -149,14 +153,14 @@ type Context struct {
 	payload      []asm.Item
 	payloadBytes int
 	labelSeq     int
-	spill        map[x86.Reg]string
+	spill        map[x86.Reg]asm.Sym
 }
 
-// Sym returns the payload symbol name for a region the pass allocates
-// (or will allocate) with Alloc: "instr$<pass>$<name>". Deterministic,
+// Sym returns the payload symbol for a region the pass allocates (or
+// will allocate) with Alloc, named "instr$<pass>$<name>". Deterministic,
 // so stateless passes can recompute it in Visit.
-func (c *Context) Sym(name string) string {
-	return "instr$" + c.pass + "$" + name
+func (c *Context) Sym(name string) asm.Sym {
+	return c.Syms.Intern("instr$" + c.pass + "$" + name)
 }
 
 // Alloc claims size zero-initialized bytes in the payload region,
@@ -164,7 +168,7 @@ func (c *Context) Sym(name string) string {
 // places the payload as the writable .suri.instr section, so inserted
 // code addresses it RIP-relatively (PIE-safe) and runs leave it
 // readable in the artifact and in emulator memory (surirun -cov).
-func (c *Context) Alloc(name string, size, align int) string {
+func (c *Context) Alloc(name string, size, align int) asm.Sym {
 	sym := c.Sym(name)
 	if size < 1 {
 		size = 1
@@ -172,15 +176,15 @@ func (c *Context) Alloc(name string, size, align int) string {
 	if align > 1 {
 		c.payload = append(c.payload, asm.AlignTo{N: uint64(align)})
 	}
-	c.payload = append(c.payload, asm.Label{Name: sym}, asm.Space{N: uint64(size)})
+	c.payload = append(c.payload, asm.Label{Sym: sym}, asm.Space{N: uint64(size)})
 	c.payloadBytes += size
 	return sym
 }
 
 // Label returns a fresh local label unique within the pass and run.
-func (c *Context) Label(prefix string) string {
+func (c *Context) Label(prefix string) asm.Sym {
 	c.labelSeq++
-	return fmt.Sprintf(".Linstr_%s_%s%d", c.pass, prefix, c.labelSeq)
+	return c.Syms.Intern(fmt.Sprintf(".Linstr_%s_%s%d", c.pass, prefix, c.labelSeq))
 }
 
 // SaveRegs spills the registers to dedicated payload slots with plain
@@ -203,9 +207,9 @@ func (c *Context) RestoreRegs(regs ...x86.Reg) []serialize.Entry {
 	return out
 }
 
-func (c *Context) spillSlot(r x86.Reg) string {
+func (c *Context) spillSlot(r x86.Reg) asm.Sym {
 	if c.spill == nil {
-		c.spill = make(map[x86.Reg]string)
+		c.spill = make(map[x86.Reg]asm.Sym)
 	}
 	if s, ok := c.spill[r]; ok {
 		return s
@@ -216,25 +220,25 @@ func (c *Context) spillSlot(r x86.Reg) string {
 }
 
 // RipLoad builds "mov dst, [RIP+sym]" (no flags touched).
-func RipLoad(dst x86.Reg, sym string) serialize.Entry {
+func RipLoad(dst x86.Reg, sym asm.Sym) serialize.Entry {
 	return serialize.Entry{
-		Ins:   asm.Ins{Inst: x86.Inst{Op: x86.MOV, W: 8, Dst: dst, Src: ripMem()}, Target: sym},
+		Ins:   asm.Ins{Inst: x86.Inst{Op: x86.MOV, W: 8, Dst: dst.Arg(), Src: ripMem().Arg()}, Target: sym},
 		Synth: true,
 	}
 }
 
 // RipStore builds "mov [RIP+sym], src" (no flags touched).
-func RipStore(sym string, src x86.Reg) serialize.Entry {
+func RipStore(sym asm.Sym, src x86.Reg) serialize.Entry {
 	return serialize.Entry{
-		Ins:   asm.Ins{Inst: x86.Inst{Op: x86.MOV, W: 8, Dst: ripMem(), Src: src}, Target: sym},
+		Ins:   asm.Ins{Inst: x86.Inst{Op: x86.MOV, W: 8, Dst: ripMem().Arg(), Src: src.Arg()}, Target: sym},
 		Synth: true,
 	}
 }
 
 // RipLea builds "lea dst, [RIP+sym]" (no flags touched).
-func RipLea(dst x86.Reg, sym string) serialize.Entry {
+func RipLea(dst x86.Reg, sym asm.Sym) serialize.Entry {
 	return serialize.Entry{
-		Ins:   asm.Ins{Inst: x86.Inst{Op: x86.LEA, W: 8, Dst: dst, Src: ripMem()}, Target: sym},
+		Ins:   asm.Ins{Inst: x86.Inst{Op: x86.LEA, W: 8, Dst: dst.Arg(), Src: ripMem().Arg()}, Target: sym},
 		Synth: true,
 	}
 }
@@ -273,8 +277,9 @@ type Result struct {
 // Apply runs the passes over the stream and merges their insertions.
 // Each pass sees the same census of the input stream — never another
 // pass's output — so composition is deterministic; at shared anchors
-// inserted code executes in pass order.
-func Apply(entries []serialize.Entry, passes []Pass, opts Options) (*Result, error) {
+// inserted code executes in pass order. Labels and payload symbols are
+// interned in syms, the stream's symbol table.
+func Apply(entries []serialize.Entry, syms *asm.Symtab, passes []Pass, opts Options) (*Result, error) {
 	if len(passes) == 0 {
 		return &Result{Entries: entries, Inserted: make([]bool, len(entries))}, nil
 	}
@@ -301,7 +306,7 @@ func Apply(entries []serialize.Entry, passes []Pass, opts Options) (*Result, err
 
 		span := tr.Start("pass." + p.Name())
 		ctx := &Context{
-			Entries: entries, Sites: sites,
+			Entries: entries, Syms: syms, Sites: sites,
 			Blocks: totals.blocks, Funcs: totals.funcs,
 			Indirects: totals.indirects, Rets: totals.rets,
 			pass: p.Name(),
@@ -344,11 +349,10 @@ func Apply(entries []serialize.Entry, passes []Pass, opts Options) (*Result, err
 			after = append(append([]serialize.Entry{}, before...), after...)
 			before = nil
 		}
-		if len(before) > 0 && len(e.Labels) > 0 {
+		if len(before) > 0 && e.Label != 0 {
 			// Branches into the block must execute the instrumentation:
 			// the anchor's labels move onto the first inserted entry.
-			before[0].Labels = append(append([]string{}, e.Labels...), before[0].Labels...)
-			e.Labels = nil
+			serialize.MoveLabels(syms, &before[0], &e)
 		}
 		for _, b := range before {
 			out = append(out, b)
@@ -391,7 +395,7 @@ func census(entries []serialize.Entry) ([]Site, totals) {
 			continue
 		}
 		s := Site{Index: i, Entry: e, Block: -1, Func: -1, Indirect: -1, Ret: -1}
-		if len(e.Labels) > 0 {
+		if e.Label != 0 {
 			s.Points |= BlockEntry
 			s.Block = t.blocks
 			t.blocks++
@@ -435,11 +439,11 @@ func isProloguePoint(entries []serialize.Entry, i int) bool {
 	if e.Synth || e.Inst.Op != x86.SUB {
 		return false
 	}
-	d, ok := e.Inst.Dst.(x86.Reg)
+	d, ok := e.Inst.Dst.AsReg()
 	if !ok || d != x86.RSP {
 		return false
 	}
-	if _, isImm := e.Inst.Src.(x86.Imm); !isImm {
+	if e.Inst.Src.Kind != x86.ArgImm {
 		return false
 	}
 	// Preceding instruction should be "mov rbp, rsp".
@@ -449,8 +453,8 @@ func isProloguePoint(entries []serialize.Entry, i int) bool {
 			continue
 		}
 		if p.Inst.Op == x86.MOV {
-			if pd, ok := p.Inst.Dst.(x86.Reg); ok && pd == x86.RBP {
-				if ps, ok := p.Inst.Src.(x86.Reg); ok && ps == x86.RSP {
+			if pd, ok := p.Inst.Dst.AsReg(); ok && pd == x86.RBP {
+				if ps, ok := p.Inst.Src.AsReg(); ok && ps == x86.RSP {
 					return true
 				}
 			}
@@ -467,8 +471,8 @@ func isEpiloguePoint(entries []serialize.Entry, i int) bool {
 	if e.Synth || e.Inst.Op != x86.MOV {
 		return false
 	}
-	d, dok := e.Inst.Dst.(x86.Reg)
-	s, sok := e.Inst.Src.(x86.Reg)
+	d, dok := e.Inst.Dst.AsReg()
+	s, sok := e.Inst.Src.AsReg()
 	if !dok || !sok || d != x86.RSP || s != x86.RBP {
 		return false
 	}

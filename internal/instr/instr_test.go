@@ -244,8 +244,8 @@ func TestStandardPassesValidated(t *testing.T) {
 			// — nothing may slip between an indirect-branch target label
 			// and its pad, so the framework must not move those labels.
 			for i := range origBase {
-				if origBase[i].Inst.Op == x86.ENDBR64 && len(origBase[i].Labels) > 0 &&
-					len(origInstr[i].Labels) == 0 {
+				if origBase[i].Inst.Op == x86.ENDBR64 && origBase[i].Label != 0 &&
+					origInstr[i].Label == 0 {
 					t.Fatalf("labels moved off endbr64 landing pad (entry %d)", i)
 				}
 			}

@@ -58,7 +58,7 @@ func (c Coverage) Visit(ctx *Context, s Site) (before, after []serialize.Entry) 
 		b = append(b,
 			RipLea(x86.R11, ctx.Sym("map")),
 			synthI(x86.Inst{Op: x86.MOV, W: 1,
-				Dst: x86.Mem{Base: x86.R11, Index: x86.NoReg, Disp: id}, Src: x86.Imm(1)}),
+				Dst: x86.Mem{Base: x86.R11, Index: x86.NoReg, Disp: id}.Arg(), Src: x86.Imm(1).Arg()}),
 		)
 		return append(b, ctx.RestoreRegs(x86.R11)...), nil
 	}
@@ -68,8 +68,8 @@ func (c Coverage) Visit(ctx *Context, s Site) (before, after []serialize.Entry) 
 		RipLea(x86.R11, ctx.Sym("map")),
 		// map[prev + 2*cur] = 1
 		synthI(x86.Inst{Op: x86.MOV, W: 1,
-			Dst: x86.Mem{Base: x86.R11, Index: x86.R10, Scale: 1, Disp: 2 * id}, Src: x86.Imm(1)}),
-		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10, Src: x86.Imm(int64(id))}),
+			Dst: x86.Mem{Base: x86.R11, Index: x86.R10, Scale: 1, Disp: 2 * id}.Arg(), Src: x86.Imm(1).Arg()}),
+		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10.Arg(), Src: x86.Imm(int64(id)).Arg()}),
 		RipStore(ctx.Sym("prev"), x86.R10),
 	)
 	return append(b, ctx.RestoreRegs(x86.R10, x86.R11)...), nil
@@ -103,12 +103,12 @@ func (Counters) Visit(ctx *Context, s Site) (before, after []serialize.Entry) {
 	b := ctx.SaveRegs(x86.R10, x86.R11)
 	b = append(b,
 		RipLea(x86.R11, ctx.Sym("hits")),
-		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10,
-			Src: x86.Mem{Base: x86.R11, Index: x86.NoReg, Disp: disp}}),
-		synthI(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.R10,
-			Src: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: 1}}),
+		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10.Arg(),
+			Src: x86.Mem{Base: x86.R11, Index: x86.NoReg, Disp: disp}.Arg()}),
+		synthI(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.R10.Arg(),
+			Src: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: 1}.Arg()}),
 		synthI(x86.Inst{Op: x86.MOV, W: 8,
-			Dst: x86.Mem{Base: x86.R11, Index: x86.NoReg, Disp: disp}, Src: x86.R10}),
+			Dst: x86.Mem{Base: x86.R11, Index: x86.NoReg, Disp: disp}.Arg(), Src: x86.R10.Arg()}),
 	)
 	return append(b, ctx.RestoreRegs(x86.R10, x86.R11)...), nil
 }
@@ -144,22 +144,22 @@ func (CallTrace) Visit(ctx *Context, s Site) (before, after []serialize.Entry) {
 	b := ctx.SaveRegs(x86.R10, x86.R11)
 	// Capture the target into R10 by re-evaluating the anchor's operand.
 	captured := true
-	switch t := s.Entry.Inst.Src.(type) {
-	case x86.Reg:
-		b = append(b, synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10, Src: t}))
-	case x86.Mem:
+	switch t := s.Entry.Inst.Src; t.Kind {
+	case x86.ArgReg:
+		b = append(b, synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10.Arg(), Src: t}))
+	case x86.ArgMem:
 		if t.Rip {
-			if s.Entry.Target == "" {
+			if s.Entry.Target == 0 {
 				captured = false
 			} else {
 				b = append(b, serialize.Entry{
-					Ins: asm.Ins{Inst: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10, Src: t},
+					Ins: asm.Ins{Inst: x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10.Arg(), Src: t},
 						Target: s.Entry.Target, Addend: s.Entry.Addend},
 					Synth: true,
 				})
 			}
 		} else {
-			b = append(b, synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10, Src: t}))
+			b = append(b, synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10.Arg(), Src: t}))
 		}
 	default:
 		captured = false
@@ -167,15 +167,15 @@ func (CallTrace) Visit(ctx *Context, s Site) (before, after []serialize.Entry) {
 	b = append(b, RipLea(x86.R11, ctx.Sym("log")))
 	if captured {
 		b = append(b, synthI(x86.Inst{Op: x86.MOV, W: 8,
-			Dst: x86.Mem{Base: x86.R11, Index: x86.NoReg, Disp: slot + 8}, Src: x86.R10}))
+			Dst: x86.Mem{Base: x86.R11, Index: x86.NoReg, Disp: slot + 8}.Arg(), Src: x86.R10.Arg()}))
 	}
 	b = append(b,
-		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10,
-			Src: x86.Mem{Base: x86.R11, Index: x86.NoReg, Disp: slot}}),
-		synthI(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.R10,
-			Src: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: 1}}),
+		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10.Arg(),
+			Src: x86.Mem{Base: x86.R11, Index: x86.NoReg, Disp: slot}.Arg()}),
+		synthI(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.R10.Arg(),
+			Src: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: 1}.Arg()}),
 		synthI(x86.Inst{Op: x86.MOV, W: 8,
-			Dst: x86.Mem{Base: x86.R11, Index: x86.NoReg, Disp: slot}, Src: x86.R10}),
+			Dst: x86.Mem{Base: x86.R11, Index: x86.NoReg, Disp: slot}.Arg(), Src: x86.R10.Arg()}),
 	)
 	return append(b, ctx.RestoreRegs(x86.R10, x86.R11)...), nil
 }
@@ -217,15 +217,15 @@ func (s ShadowStack) Visit(ctx *Context, site Site) (before, after []serialize.E
 		b = append(b,
 			RipLoad(x86.R10, ctx.Sym("top")),
 			RipLea(x86.R11, ctx.Sym("stack")),
-			synthI(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.R11,
-				Src: x86.Mem{Base: x86.R11, Index: x86.R10, Scale: 1}}),
-			synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10,
-				Src: x86.Mem{Base: x86.RSP, Index: x86.NoReg}}),
+			synthI(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.R11.Arg(),
+				Src: x86.Mem{Base: x86.R11, Index: x86.R10, Scale: 1}.Arg()}),
+			synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10.Arg(),
+				Src: x86.Mem{Base: x86.RSP, Index: x86.NoReg}.Arg()}),
 			synthI(x86.Inst{Op: x86.MOV, W: 8,
-				Dst: x86.Mem{Base: x86.R11, Index: x86.NoReg}, Src: x86.R10}),
+				Dst: x86.Mem{Base: x86.R11, Index: x86.NoReg}.Arg(), Src: x86.R10.Arg()}),
 			RipLoad(x86.R10, ctx.Sym("top")),
-			synthI(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.R10,
-				Src: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: 8}}),
+			synthI(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.R10.Arg(),
+				Src: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: 8}.Arg()}),
 			RipStore(ctx.Sym("top"), x86.R10),
 		)
 		b = append(b, ctx.RestoreRegs(x86.R10, x86.R11)...)
@@ -242,23 +242,23 @@ func (s ShadowStack) Visit(ctx *Context, site Site) (before, after []serialize.E
 	b := ctx.SaveRegs(x86.R10, x86.R11)
 	b = append(b,
 		RipLoad(x86.R10, ctx.Sym("top")),
-		synthI(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.R10, Src: x86.Imm(0)}),
-		serialize.Entry{Ins: asm.Ins{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0)},
+		synthI(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.R10.Arg(), Src: x86.Imm(0).Arg()}),
+		serialize.Entry{Ins: asm.Ins{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0).Arg()},
 			Target: skip}, Synth: true},
-		synthI(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.R10,
-			Src: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: -8}}),
+		synthI(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.R10.Arg(),
+			Src: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: -8}.Arg()}),
 		RipStore(ctx.Sym("top"), x86.R10),
 		RipLea(x86.R11, ctx.Sym("stack")),
-		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R11,
-			Src: x86.Mem{Base: x86.R11, Index: x86.R10, Scale: 1}}),
-		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10,
-			Src: x86.Mem{Base: x86.RSP, Index: x86.NoReg}}),
-		synthI(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.R10, Src: x86.R11}),
-		serialize.Entry{Ins: asm.Ins{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0)},
-			Target: "instr$shadowstack$fail"}, Synth: true},
+		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R11.Arg(),
+			Src: x86.Mem{Base: x86.R11, Index: x86.R10, Scale: 1}.Arg()}),
+		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10.Arg(),
+			Src: x86.Mem{Base: x86.RSP, Index: x86.NoReg}.Arg()}),
+		synthI(x86.Inst{Op: x86.CMP, W: 8, Dst: x86.R10.Arg(), Src: x86.R11.Arg()}),
+		serialize.Entry{Ins: asm.Ins{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0).Arg()},
+			Target: ctx.Sym("fail")}, Synth: true},
 	)
 	rest := ctx.RestoreRegs(x86.R10, x86.R11)
-	rest[0].Labels = append([]string{skip}, rest[0].Labels...)
+	rest[0].Label = skip
 	return append(b, rest...), nil
 }
 
@@ -266,22 +266,21 @@ func (s ShadowStack) Visit(ctx *Context, site Site) (before, after []serialize.E
 func (ShadowStack) Epilogue(ctx *Context) []serialize.Entry {
 	msg := []byte("=SS=\n")
 	out := []serialize.Entry{
-		{Labels: []string{"instr$shadowstack$fail"},
-			Ins: asm.Ins{Inst: x86.Inst{Op: x86.ENDBR64}}, Synth: true},
-		synthI(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSP, Src: x86.Imm(16)}),
+		{Ins: asm.Ins{Inst: x86.Inst{Op: x86.ENDBR64}}, Label: ctx.Sym("fail"), Synth: true},
+		synthI(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSP.Arg(), Src: x86.Imm(16).Arg()}),
 	}
 	for i, c := range msg {
 		out = append(out, synthI(x86.Inst{Op: x86.MOV, W: 1,
-			Dst: x86.Mem{Base: x86.RSP, Index: x86.NoReg, Disp: int32(i)}, Src: x86.Imm(int64(c))}))
+			Dst: x86.Mem{Base: x86.RSP, Index: x86.NoReg, Disp: int32(i)}.Arg(), Src: x86.Imm(int64(c)).Arg()}))
 	}
 	out = append(out,
-		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RSI, Src: x86.RSP}),
-		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDX, Src: x86.Imm(int64(len(msg)))}),
-		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(2)}),
-		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(1)}), // write
+		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RSI.Arg(), Src: x86.RSP.Arg()}),
+		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDX.Arg(), Src: x86.Imm(int64(len(msg))).Arg()}),
+		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(2).Arg()}),
+		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(1).Arg()}), // write
 		synthI(x86.Inst{Op: x86.SYSCALL}),
-		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(135)}),
-		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)}), // exit
+		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(135).Arg()}),
+		synthI(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()}), // exit
 		synthI(x86.Inst{Op: x86.SYSCALL}),
 		synthI(x86.Inst{Op: x86.HLT}),
 	)

@@ -10,6 +10,8 @@ package repair
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/cfg"
 	"repro/internal/harden"
@@ -30,11 +32,12 @@ type Result struct {
 }
 
 // OrigLabel names the pinned absolute label for an original address.
-func OrigLabel(addr uint64) string { return fmt.Sprintf("LO_%x", addr) }
+func OrigLabel(addr uint64) string { return "LO_" + strconv.FormatUint(addr, 16) }
 
 // Repair symbolizes every RIP-relative memory operand in the entries.
 // Direct branches were already symbolized by the serializer. The entries
-// are modified in place.
+// are modified in place; their labels go into g.Syms, the stream's
+// symbol table.
 func Repair(entries []serialize.Entry, g *cfg.Graph) (*Result, error) {
 	if err := harden.Inject(harden.FPRepair); err != nil {
 		return nil, fmt.Errorf("repair: %w", err)
@@ -42,11 +45,7 @@ func Repair(entries []serialize.Entry, g *cfg.Graph) (*Result, error) {
 	res := &Result{Sets: make(map[string]uint64)}
 	for i := range entries {
 		e := &entries[i]
-		if e.Synth || e.Target != "" {
-			continue
-		}
-		m, ok := e.Inst.MemArg()
-		if !ok || !m.Rip {
+		if e.Synth || e.Target != 0 {
 			continue
 		}
 		target, ok := e.Inst.RipTarget(e.Addr, int(e.Size))
@@ -56,7 +55,7 @@ func Repair(entries []serialize.Entry, g *cfg.Graph) (*Result, error) {
 		if cfg.IsEndbr(g.File, target) {
 			if _, known := g.Blocks[target]; known {
 				// A genuine code pointer: reference the copied code.
-				e.Target = serialize.LabelFor(target)
+				e.Target = serialize.Label(g.Syms, target)
 				res.CodePointers++
 				continue
 			}
@@ -65,7 +64,7 @@ func Repair(entries []serialize.Entry, g *cfg.Graph) (*Result, error) {
 		}
 		lbl := OrigLabel(target)
 		res.Sets[lbl] = target
-		e.Target = lbl
+		e.Target = g.Syms.Intern(lbl)
 		res.Pinned++
 	}
 	return res, nil
@@ -79,16 +78,15 @@ func Audit(entries []serialize.Entry, g *cfg.Graph) (int, error) {
 		return 0, fmt.Errorf("audit: %w", err)
 	}
 	n := 0
-	for _, e := range entries {
-		if e.Synth || e.Target == "" || len(e.Target) < 3 || e.Target[:3] != "LC_" {
+	for i := range entries {
+		e := &entries[i]
+		if e.Synth || e.Target == 0 {
 			continue
 		}
-		m, ok := e.Inst.MemArg()
-		if !ok || !m.Rip {
-			continue // direct branches: not pointer material
-		}
+		// Direct branches are not pointer material: only RIP-relative
+		// operands are.
 		target, ok := e.Inst.RipTarget(e.Addr, int(e.Size))
-		if !ok {
+		if !ok || !strings.HasPrefix(g.Syms.Name(e.Target), "LC_") {
 			continue
 		}
 		if !cfg.IsEndbr(g.File, target) {

@@ -83,7 +83,7 @@ func TestRepairClassifiesPointers(t *testing.T) {
 		if e.Synth {
 			continue
 		}
-		if m, ok := e.Inst.MemArg(); ok && m.Rip && e.Target == "" {
+		if m, ok := e.Inst.MemArg(); ok && m.Rip && e.Target == 0 {
 			t.Errorf("unrepaired RIP reference at %#x: %s", e.Addr, e.Inst)
 		}
 	}
@@ -104,12 +104,12 @@ func TestRepairAudit(t *testing.T) {
 	// Corrupt one classification: point a pinned entry at a code label.
 	for i := range entries {
 		e := &entries[i]
-		if e.Synth || e.Target == "" || !strings.HasPrefix(e.Target, "LO_") {
+		if e.Synth || e.Target == 0 || !strings.HasPrefix(g.Syms.Name(e.Target), "LO_") {
 			continue
 		}
 		if m, ok := e.Inst.MemArg(); ok && m.Rip {
 			tgt, _ := e.Inst.RipTarget(e.Addr, int(e.Size))
-			e.Target = serialize.LabelFor(tgt)
+			e.Target = serialize.Label(g.Syms, tgt)
 			break
 		}
 	}

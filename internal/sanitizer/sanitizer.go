@@ -104,12 +104,12 @@ func (p Pass) Visit(ctx *instr.Context, s instr.Site) (before, after []serialize
 }
 
 // Epilogue implements instr.Pass: the appended "=SAN=" reporter.
-func (Pass) Epilogue(*instr.Context) []serialize.Entry { return reportRoutine() }
+func (Pass) Epilogue(ctx *instr.Context) []serialize.Entry { return reportRoutine(ctx) }
 
 // Instrument returns a SURI instrumenter implementing the sanitizer.
 func Instrument(tool Tool) core.Instrumenter {
-	return func(entries []serialize.Entry) ([]serialize.Entry, error) {
-		res, err := instr.Apply(entries, []instr.Pass{NewPass(tool)}, instr.Options{})
+	return func(entries []serialize.Entry, syms *asm.Symtab) ([]serialize.Entry, error) {
+		res, err := instr.Apply(entries, syms, []instr.Pass{NewPass(tool)}, instr.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -153,13 +153,13 @@ func indexedAccess(e serialize.Entry, tool Tool) (x86.Mem, bool) {
 func shadowCheck(ctx *instr.Context, m x86.Mem) []serialize.Entry {
 	ok := ctx.Label("ok")
 	return []serialize.Entry{
-		synth(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.R10, Src: m}),
-		synth(x86.Inst{Op: x86.SHR, W: 8, Dst: x86.R10, Src: x86.Imm(3)}),
+		synth(x86.Inst{Op: x86.LEA, W: 8, Dst: x86.R10.Arg(), Src: m.Arg()}),
+		synth(x86.Inst{Op: x86.SHR, W: 8, Dst: x86.R10.Arg(), Src: x86.Imm(3).Arg()}),
 		synth(x86.Inst{Op: x86.CMP, W: 1,
-			Dst: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: ShadowBase}, Src: x86.Imm(0)}),
-		{Ins: asm.Ins{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0)}, Target: ok}, Synth: true},
-		{Ins: asm.Ins{Inst: x86.Inst{Op: x86.CALL, Src: x86.Rel(0)}, Target: "san$report"}, Synth: true},
-		{Labels: []string{ok}, Ins: asm.Ins{Inst: x86.Inst{Op: x86.NOP}}, Synth: true},
+			Dst: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: ShadowBase}.Arg(), Src: x86.Imm(0).Arg()}),
+		{Ins: asm.Ins{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondE, Src: x86.Rel(0).Arg()}, Target: ok}, Synth: true},
+		{Ins: asm.Ins{Inst: x86.Inst{Op: x86.CALL, Src: x86.Rel(0).Arg()}, Target: ctx.Syms.Intern(reportLabel)}, Synth: true},
+		{Ins: asm.Ins{Inst: x86.Inst{Op: x86.NOP}}, Label: ok, Synth: true},
 	}
 }
 
@@ -167,12 +167,12 @@ func shadowCheck(ctx *instr.Context, m x86.Mem) []serialize.Entry {
 // the saved frame pointer and the return address — with the given value.
 func poisonFrame(v int64) []serialize.Entry {
 	return []serialize.Entry{
-		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10, Src: x86.RBP}),
-		synth(x86.Inst{Op: x86.SHR, W: 8, Dst: x86.R10, Src: x86.Imm(3)}),
+		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10.Arg(), Src: x86.RBP.Arg()}),
+		synth(x86.Inst{Op: x86.SHR, W: 8, Dst: x86.R10.Arg(), Src: x86.Imm(3).Arg()}),
 		synth(x86.Inst{Op: x86.MOV, W: 1,
-			Dst: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: ShadowBase}, Src: x86.Imm(v)}),
+			Dst: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: ShadowBase}.Arg(), Src: x86.Imm(v).Arg()}),
 		synth(x86.Inst{Op: x86.MOV, W: 1,
-			Dst: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: ShadowBase + 1}, Src: x86.Imm(v)}),
+			Dst: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: ShadowBase + 1}.Arg(), Src: x86.Imm(v).Arg()}),
 	}
 }
 
@@ -182,42 +182,45 @@ func poisonFrame(v int64) []serialize.Entry {
 // poison is safe while the function runs — provided it is cleaned up.
 func belowRSP(v int64) []serialize.Entry {
 	return []serialize.Entry{
-		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10, Src: x86.RSP}),
-		synth(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.R10, Src: x86.Imm(16)}),
-		synth(x86.Inst{Op: x86.SHR, W: 8, Dst: x86.R10, Src: x86.Imm(3)}),
+		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.R10.Arg(), Src: x86.RSP.Arg()}),
+		synth(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.R10.Arg(), Src: x86.Imm(16).Arg()}),
+		synth(x86.Inst{Op: x86.SHR, W: 8, Dst: x86.R10.Arg(), Src: x86.Imm(3).Arg()}),
 		synth(x86.Inst{Op: x86.MOV, W: 1,
-			Dst: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: ShadowBase}, Src: x86.Imm(v)}),
+			Dst: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: ShadowBase}.Arg(), Src: x86.Imm(v).Arg()}),
 		synth(x86.Inst{Op: x86.MOV, W: 1,
-			Dst: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: ShadowBase + 1}, Src: x86.Imm(v)}),
+			Dst: x86.Mem{Base: x86.R10, Index: x86.NoReg, Disp: ShadowBase + 1}.Arg(), Src: x86.Imm(v).Arg()}),
 	}
 }
 
+// reportLabel names the entry of the appended diagnostic routine.
+const reportLabel = "san$report"
+
 // reportRoutine is the appended diagnostic: print "=SAN=\n" to stderr and
 // exit(134).
-func reportRoutine() []serialize.Entry {
+func reportRoutine(ctx *instr.Context) []serialize.Entry {
 	// The message is materialized on the stack to stay section-free.
 	msg := []byte("=SAN=\n")
 	var mk []serialize.Entry
 	mk = append(mk, serialize.Entry{
-		Labels: []string{"san$report"},
-		Ins:    asm.Ins{Inst: x86.Inst{Op: x86.ENDBR64}},
-		Synth:  true,
+		Ins:   asm.Ins{Inst: x86.Inst{Op: x86.ENDBR64}},
+		Label: ctx.Syms.Intern(reportLabel),
+		Synth: true,
 	})
 	mk = append(mk,
-		synth(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSP, Src: x86.Imm(16)}),
+		synth(x86.Inst{Op: x86.SUB, W: 8, Dst: x86.RSP.Arg(), Src: x86.Imm(16).Arg()}),
 	)
 	for i, c := range msg {
 		mk = append(mk, synth(x86.Inst{Op: x86.MOV, W: 1,
-			Dst: x86.Mem{Base: x86.RSP, Index: x86.NoReg, Disp: int32(i)}, Src: x86.Imm(int64(c))}))
+			Dst: x86.Mem{Base: x86.RSP, Index: x86.NoReg, Disp: int32(i)}.Arg(), Src: x86.Imm(int64(c)).Arg()}))
 	}
 	mk = append(mk,
-		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RSI, Src: x86.RSP}),
-		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDX, Src: x86.Imm(int64(len(msg)))}),
-		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(2)}),
-		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(1)}), // write
+		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RSI.Arg(), Src: x86.RSP.Arg()}),
+		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDX.Arg(), Src: x86.Imm(int64(len(msg))).Arg()}),
+		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(2).Arg()}),
+		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(1).Arg()}), // write
 		synth(x86.Inst{Op: x86.SYSCALL}),
-		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI, Src: x86.Imm(134)}),
-		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX, Src: x86.Imm(60)}), // exit
+		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RDI.Arg(), Src: x86.Imm(134).Arg()}),
+		synth(x86.Inst{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(60).Arg()}), // exit
 		synth(x86.Inst{Op: x86.SYSCALL}),
 		synth(x86.Inst{Op: x86.HLT}),
 	)

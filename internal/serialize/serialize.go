@@ -20,25 +20,53 @@ import (
 // Entry is one element of the serialized code stream Σcopy. Synthesized
 // entries (inserted jumps, traps, instrumentation) have Synth set and no
 // original address.
+//
+// An Entry is 80 bytes with no pointers (TestLayout pins both): labels
+// and symbolic operands are IDs into the stream's symbol table
+// (cfg.Graph.Syms), so the slab a rewrite fills costs the garbage
+// collector nothing to scan and moving entries needs no write barriers.
 type Entry struct {
-	// Labels are defined at this position, before the instruction.
-	Labels []string
-
 	// Ins is the instruction as the assembler reads it: Inst, and the
 	// symbolic operand Target (+Addend) a branch or RIP-relative operand
-	// must resolve to. An empty Target means the operand is still
-	// numeric (pre-repair) or absent. The emitter points its text items
-	// at this field, so S' is assembled in place, never copied.
+	// must resolve to. A zero Target means the operand is still numeric
+	// (pre-repair) or absent. The emitter points its text items at this
+	// field, so S' is assembled in place, never copied.
 	asm.Ins
 
 	// Addr/Size identify the original instruction this entry copies;
 	// zero for synthesized entries. An x86-64 instruction is at most 15
-	// bytes, so Size and Synth share a word and an Entry is 120 bytes
-	// (TestLayout bounds it).
+	// bytes, so Size fits a byte.
 	Addr uint64
-	Size uint8
 
+	// Label is the first label defined at this position, before the
+	// instruction (0 for none); any further ones follow it in the symbol
+	// table's label list (asm.Symtab.Next). AddLabel and MoveLabels edit
+	// the list.
+	Label asm.Sym
+
+	Size  uint8
 	Synth bool
+}
+
+// AddLabel defines label l at e's position, after any labels e already
+// has.
+func (e *Entry) AddLabel(syms *asm.Symtab, l asm.Sym) { e.Label = syms.Link(e.Label, l) }
+
+// MoveLabels moves every label of from onto to, ahead of to's own: code
+// inserted before an entry takes over the entry's labels, so control
+// reaching the labels runs the inserted code first.
+func MoveLabels(syms *asm.Symtab, to, from *Entry) {
+	to.Label = syms.Link(from.Label, to.Label)
+	from.Label = 0
+}
+
+// Labels lists the labels defined at e's position, in order.
+func (e *Entry) Labels(syms *asm.Symtab) []asm.Sym {
+	var out []asm.Sym
+	for l := e.Label; l != 0; l = syms.Next(l) {
+		out = append(out, l)
+	}
+	return out
 }
 
 // TrapLabel is the shared landing pad for bogus jump-table entries whose
@@ -48,6 +76,9 @@ const TrapLabel = "LTRAP"
 // LabelFor names the new-code label of an original instruction address.
 func LabelFor(addr uint64) string { return "LC_" + strconv.FormatUint(addr, 16) }
 
+// Label interns the new-code label of an original instruction address.
+func Label(syms *asm.Symtab, addr uint64) asm.Sym { return syms.Intern(LabelFor(addr)) }
+
 // Serialize linearizes the superset CFG. Blocks are emitted in ascending
 // address order; a block whose fall-through successor is not the next
 // emitted block gets an explicit jump (Algorithm 1's add_br_instruction).
@@ -55,20 +86,21 @@ func LabelFor(addr uint64) string { return "LC_" + strconv.FormatUint(addr, 16) 
 //
 // The stream is allocated once: its length is counted up front, and its
 // capacity also covers the dispatch fixes the symbolizer inserts, so
-// later stages edit it in place.
+// later stages edit it in place. Serialize starts a fresh symbol table
+// for the stream in g.Syms.
 func Serialize(g *cfg.Graph) ([]Entry, error) {
 	if err := harden.Inject(harden.FPSerialize); err != nil {
 		return nil, fmt.Errorf("serialize: %w", err)
 	}
 	blocks := g.SortedBlocks()
 
-	// Every block start is a label; one slab holds them all, and each
-	// block's label list is a capped one-element window into it, so an
-	// append by a later stage copies instead of clobbering a neighbour.
-	names := make([]string, len(blocks))
+	// Every block start is a label, interned in block order.
+	syms := asm.NewSymtab(len(blocks) + 1)
+	g.Syms = syms
+	names := make([]asm.Sym, len(blocks))
 	n := 1 // the shared trap
 	for bi, b := range blocks {
-		names[bi] = LabelFor(b.Addr)
+		names[bi] = Label(syms, b.Addr)
 		n += len(b.Insts)
 		if len(b.Insts) == 0 || b.Invalid || (b.HasFall && !fallsThrough(blocks, bi)) {
 			n++ // a lone trap, a sealing trap, or an explicit jump
@@ -76,49 +108,49 @@ func Serialize(g *cfg.Graph) ([]Entry, error) {
 	}
 	// labelOf resolves a branch target to its block's label, or the trap
 	// when the target starts no block (bogus code only).
-	labelOf := func(tgt uint64) string {
+	trap := syms.Intern(TrapLabel)
+	labelOf := func(tgt uint64) asm.Sym {
 		i, ok := slices.BinarySearchFunc(blocks, tgt, func(b *cfg.Block, a uint64) int {
 			return cmp.Compare(b.Addr, a)
 		})
 		if !ok {
-			return TrapLabel
+			return trap
 		}
 		return names[i]
 	}
 	out := make([]Entry, 0, n+fixRoom(g))
 
 	for bi, b := range blocks {
-		labels := names[bi : bi+1 : bi+1]
+		label := names[bi]
 
 		if len(b.Insts) == 0 {
 			// Degenerate invalid block (undecodable first byte): emit a
 			// labelled trap.
 			out = append(out, Entry{
-				Labels: labels,
-				Ins:    asm.Ins{Inst: x86.Inst{Op: x86.UD2}},
-				Synth:  true,
+				Ins:   asm.Ins{Inst: x86.Inst{Op: x86.UD2}},
+				Label: label,
+				Synth: true,
 			})
 			continue
 		}
 
 		addr := b.Addr
-		for i, in := range b.Insts {
+		for i := range b.Insts {
 			size := b.Sizes[i]
-			e := Entry{
-				Labels: labels,
-				Ins:    asm.Ins{Inst: in},
-				Addr:   addr,
-				Size:   size,
-			}
-			labels = nil
+			// The slab is fresh, so its reserved tail is already zero:
+			// extend it and fill the fields in place.
+			out = out[:len(out)+1]
+			e := &out[len(out)-1]
+			e.Inst = b.Insts[i]
+			e.Addr, e.Label, e.Size = addr, label, size
+			label = 0
 			// Direct branches become symbolic immediately: their targets
 			// are blocks (or harvested entries) by construction. Targets
 			// with no block only occur in bogus (never-executed) code and
 			// are routed to the trap.
-			if tgt, ok := in.BranchTarget(addr, int(size)); ok {
+			if tgt, ok := e.Inst.BranchTarget(addr, int(size)); ok {
 				e.Target = labelOf(tgt)
 			}
-			out = append(out, e)
 			addr += uint64(size)
 		}
 
@@ -131,7 +163,7 @@ func Serialize(g *cfg.Graph) ([]Entry, error) {
 				break // natural adjacency
 			}
 			out = append(out, Entry{
-				Ins:   asm.Ins{Inst: x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, Target: LabelFor(b.Fall)},
+				Ins:   asm.Ins{Inst: x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, Target: Label(syms, b.Fall)},
 				Synth: true,
 			})
 		}
@@ -139,9 +171,9 @@ func Serialize(g *cfg.Graph) ([]Entry, error) {
 
 	// Shared trap for undecodable jump-table targets.
 	out = append(out, Entry{
-		Labels: []string{TrapLabel},
-		Ins:    asm.Ins{Inst: x86.Inst{Op: x86.UD2}},
-		Synth:  true,
+		Ins:   asm.Ins{Inst: x86.Inst{Op: x86.UD2}},
+		Label: trap,
+		Synth: true,
 	})
 	return out, nil
 }
@@ -167,15 +199,17 @@ func fixRoom(g *cfg.Graph) int {
 // a pointer to the asm.Ins the entry embeds, so the stream is assembled
 // in place, never copied. The list is sized exactly (labels plus
 // instructions).
-func Items(entries []Entry) []asm.Item {
+func Items(entries []Entry, syms *asm.Symtab) []asm.Item {
 	n := len(entries)
 	for i := range entries {
-		n += len(entries[i].Labels)
+		for l := entries[i].Label; l != 0; l = syms.Next(l) {
+			n++
+		}
 	}
 	items := make([]asm.Item, 0, n)
 	for i := range entries {
-		for _, l := range entries[i].Labels {
-			items = append(items, asm.Label{Name: l})
+		for l := entries[i].Label; l != 0; l = syms.Next(l) {
+			items = append(items, asm.Label{Sym: l})
 		}
 		items = append(items, &entries[i].Ins)
 	}
@@ -185,8 +219,8 @@ func Items(entries []Entry) []asm.Item {
 // Count reports original and synthesized instruction counts, the
 // §4.3.1 added-instruction metric.
 func Count(entries []Entry) (orig, synth int) {
-	for _, e := range entries {
-		if e.Synth {
+	for i := range entries {
+		if entries[i].Synth {
 			synth++
 		} else {
 			orig++

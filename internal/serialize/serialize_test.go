@@ -1,6 +1,8 @@
 package serialize
 
 import (
+	"reflect"
+	"repro/internal/layout"
 	"testing"
 	"unsafe"
 
@@ -51,8 +53,8 @@ func TestSerializeCoversAllBlocks(t *testing.T) {
 	// Every block start must be labelled exactly once.
 	labels := map[string]int{}
 	for _, e := range entries {
-		for _, l := range e.Labels {
-			labels[l]++
+		for _, l := range e.Labels(g.Syms) {
+			labels[g.Syms.Name(l)]++
 		}
 	}
 	for addr := range g.Blocks {
@@ -86,7 +88,7 @@ func TestSerializeDirectBranchesSymbolic(t *testing.T) {
 		if e.Synth {
 			continue
 		}
-		if _, ok := e.Inst.BranchTarget(e.Addr, int(e.Size)); ok && e.Target == "" {
+		if _, ok := e.Inst.BranchTarget(e.Addr, int(e.Size)); ok && e.Target == 0 {
 			t.Errorf("direct branch at %#x (%s) not symbolized", e.Addr, e.Inst)
 		}
 	}
@@ -105,7 +107,7 @@ func TestSerializeFallThroughOrder(t *testing.T) {
 	// previous original instruction falls through, either the label must
 	// be the fall target (adjacency) or a synthesized jmp must precede.
 	for i := 1; i < len(entries); i++ {
-		if len(entries[i].Labels) == 0 {
+		if entries[i].Label == 0 {
 			continue
 		}
 		prev := entries[i-1]
@@ -121,8 +123,8 @@ func TestSerializeFallThroughOrder(t *testing.T) {
 		if prev.Addr != 0 {
 			next := prev.Addr + uint64(prev.Size)
 			found := false
-			for _, l := range entries[i].Labels {
-				if l == LabelFor(next) {
+			for _, l := range entries[i].Labels(g.Syms) {
+				if g.Syms.Name(l) == LabelFor(next) {
 					found = true
 				}
 			}
@@ -130,7 +132,7 @@ func TestSerializeFallThroughOrder(t *testing.T) {
 				// A non-branch falling into a non-adjacent label would
 				// change semantics.
 				t.Errorf("instruction at %#x falls into label(s) %v, expected %s",
-					prev.Addr, entries[i].Labels, LabelFor(next))
+					prev.Addr, entries[i].Labels(g.Syms), LabelFor(next))
 			}
 		}
 	}
@@ -151,10 +153,14 @@ func TestCount(t *testing.T) {
 	}
 }
 
-// TestLayout bounds Entry at 120 bytes: every rewrite fills a slab of
-// them, one per instruction of S'.
+// TestLayout bounds Entry at 80 bytes and pins it pointer-free: every
+// rewrite fills a slab of them, one per instruction of S', and a
+// pointer-free slab is never scanned by the garbage collector.
 func TestLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Entry{}); got > 120 {
-		t.Errorf("unsafe.Sizeof(Entry{}) = %d, want <= 120", got)
+	if got := unsafe.Sizeof(Entry{}); got > 80 {
+		t.Errorf("unsafe.Sizeof(Entry{}) = %d, want <= 80", got)
+	}
+	if err := layout.PointerFree(reflect.TypeOf(Entry{})); err != nil {
+		t.Error(err)
 	}
 }

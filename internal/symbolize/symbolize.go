@@ -10,6 +10,7 @@ package symbolize
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/asm"
 	"repro/internal/cfg"
@@ -44,7 +45,7 @@ type Result struct {
 
 // TableLabel names the isolated copy of the jump table at an original
 // base address.
-func TableLabel(base uint64) string { return fmt.Sprintf("LJT_%x", base) }
+func TableLabel(base uint64) string { return "LJT_" + strconv.FormatUint(base, 16) }
 
 // Symbolize rewrites the serialized stream S into S': dispatch fixes are
 // inserted before each jump-table load, and the isolated tables are
@@ -109,9 +110,9 @@ func Symbolize(entries []serialize.Entry, g *cfg.Graph) ([]serialize.Entry, *Res
 	fixes := make([]serialize.Entry, 0, room)
 	at := make([]insertion, 0, len(sites))
 	labelN := 0
-	newLabel := func(p string) string {
+	newLabel := func(p string) asm.Sym {
 		labelN++
-		return fmt.Sprintf(".Lsym_%s%d", p, labelN)
+		return g.Syms.Intern(fmt.Sprintf(".Lsym_%s%d", p, labelN))
 	}
 	for i := range entries {
 		e := &entries[i]
@@ -123,7 +124,7 @@ func Symbolize(entries []serialize.Entry, g *cfg.Graph) ([]serialize.Entry, *Res
 			continue
 		}
 		start := len(fixes)
-		fixes = buildFix(fixes, s.baseReg, s.bases, res, newLabel)
+		fixes = buildFix(fixes, g.Syms, s.baseReg, s.bases, res, newLabel)
 		fix := fixes[start:]
 		res.Inserted += len(fix)
 		res.Tables++
@@ -135,8 +136,7 @@ func Symbolize(entries []serialize.Entry, g *cfg.Graph) ([]serialize.Entry, *Res
 		// real control flow through an explicit jump to that label).
 		// The fix must dominate every path into the load, so the labels
 		// move onto its first instruction.
-		fix[0].Labels = append(e.Labels, fix[0].Labels...)
-		e.Labels = nil
+		serialize.MoveLabels(g.Syms, &fix[0], e)
 		at = append(at, insertion{pos: i, start: start})
 	}
 	return insertFixes(entries, fixes, at), res, nil
@@ -185,12 +185,14 @@ func containsU64(xs []uint64, v uint64) bool {
 // offset of the (new-code) target from the new table's own label, the
 // same compiler-generated S4 form as the original.
 func buildTable(g *cfg.Graph, base uint64, targets []uint64) ([]asm.Item, int, error) {
-	lbl := TableLabel(base)
-	items := []asm.Item{asm.AlignTo{N: 4}, asm.Label{Name: lbl}}
+	lbl := g.Syms.Intern(TableLabel(base))
+	trap := g.Syms.Intern(serialize.TrapLabel)
+	items := make([]asm.Item, 0, 2+len(targets))
+	items = append(items, asm.AlignTo{N: 4}, asm.Label{Sym: lbl})
 	for _, tgt := range targets {
-		ref := serialize.TrapLabel
+		ref := trap
 		if _, ok := g.Blocks[tgt]; ok {
-			ref = serialize.LabelFor(tgt)
+			ref = serialize.Label(g.Syms, tgt)
 		}
 		items = append(items, asm.LongDiff{Plus: ref, Minus: lbl})
 	}
@@ -202,16 +204,16 @@ func buildTable(g *cfg.Graph, base uint64, targets []uint64) ([]asm.Item, int, e
 // lea; with several it is the §3.5.2 if-then-else chain comparing the
 // live base register against each original table address. The fix is
 // appended to dst.
-func buildFix(dst []serialize.Entry, baseReg x86.Reg, bases []uint64, res *Result, newLabel func(string) string) []serialize.Entry {
-	lea := func(target string) serialize.Entry {
+func buildFix(dst []serialize.Entry, syms *asm.Symtab, baseReg x86.Reg, bases []uint64, res *Result, newLabel func(string) asm.Sym) []serialize.Entry {
+	lea := func(target asm.Sym) serialize.Entry {
 		return serialize.Entry{
-			Ins: asm.Ins{Inst: x86.Inst{Op: x86.LEA, W: 8, Dst: baseReg,
-				Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}}, Target: target},
+			Ins: asm.Ins{Inst: x86.Inst{Op: x86.LEA, W: 8, Dst: baseReg.Arg(),
+				Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg()}, Target: target},
 			Synth: true,
 		}
 	}
 	if len(bases) == 1 {
-		return append(dst, lea(TableLabel(bases[0])))
+		return append(dst, lea(syms.Intern(TableLabel(bases[0]))))
 	}
 
 	scratch := x86.R11
@@ -219,12 +221,12 @@ func buildFix(dst []serialize.Entry, baseReg x86.Reg, bases []uint64, res *Resul
 		scratch = x86.R10
 	}
 	done := newLabel("done")
-	out := append(dst, serialize.Entry{Ins: asm.Ins{Inst: x86.Inst{Op: x86.PUSH, Src: scratch}}, Synth: true})
+	out := append(dst, serialize.Entry{Ins: asm.Ins{Inst: x86.Inst{Op: x86.PUSH, Src: scratch.Arg()}}, Synth: true})
 	for i, base := range bases {
 		if i == len(bases)-1 {
 			// Conservative analysis guarantees the true base is among the
 			// candidates; the last one needs no comparison.
-			out = append(out, lea(TableLabel(base)))
+			out = append(out, lea(syms.Intern(TableLabel(base))))
 			break
 		}
 		origLbl := repair.OrigLabel(base)
@@ -235,28 +237,28 @@ func buildFix(dst []serialize.Entry, baseReg x86.Reg, bases []uint64, res *Resul
 		next := newLabel("next")
 		out = append(out,
 			serialize.Entry{
-				Ins: asm.Ins{Inst: x86.Inst{Op: x86.LEA, W: 8, Dst: scratch,
-					Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}}, Target: origLbl},
+				Ins: asm.Ins{Inst: x86.Inst{Op: x86.LEA, W: 8, Dst: scratch.Arg(),
+					Src: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Rip: true}.Arg()}, Target: syms.Intern(origLbl)},
 				Synth: true,
 			},
 			serialize.Entry{
-				Ins:   asm.Ins{Inst: x86.Inst{Op: x86.CMP, W: 8, Dst: baseReg, Src: scratch}},
+				Ins:   asm.Ins{Inst: x86.Inst{Op: x86.CMP, W: 8, Dst: baseReg.Arg(), Src: scratch.Arg()}},
 				Synth: true,
 			},
 			serialize.Entry{
-				Ins:   asm.Ins{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0)}, Target: next},
+				Ins:   asm.Ins{Inst: x86.Inst{Op: x86.JCC, Cond: x86.CondNE, Src: x86.Rel(0).Arg()}, Target: next},
 				Synth: true,
 			},
-			lea(TableLabel(base)),
+			lea(syms.Intern(TableLabel(base))),
 			serialize.Entry{
-				Ins:   asm.Ins{Inst: x86.Inst{Op: x86.JMP, Src: x86.Rel(0)}, Target: done},
+				Ins:   asm.Ins{Inst: x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, Target: done},
 				Synth: true,
 			},
-			serialize.Entry{Labels: []string{next}, Ins: asm.Ins{Inst: x86.Inst{Op: x86.NOP}}, Synth: true},
+			serialize.Entry{Ins: asm.Ins{Inst: x86.Inst{Op: x86.NOP}}, Label: next, Synth: true},
 		)
 	}
 	out = append(out,
-		serialize.Entry{Labels: []string{done}, Ins: asm.Ins{Inst: x86.Inst{Op: x86.POP, Dst: scratch}}, Synth: true},
+		serialize.Entry{Ins: asm.Ins{Inst: x86.Inst{Op: x86.POP, Dst: scratch.Arg()}}, Label: done, Synth: true},
 	)
 	return out
 }

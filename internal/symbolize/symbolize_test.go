@@ -3,6 +3,7 @@ package symbolize
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -86,7 +87,7 @@ func TestSymbolizeInsertsBaseFix(t *testing.T) {
 		found := false
 		for j := i - 1; j >= 0 && j >= i-12; j-- {
 			p := out[j]
-			if p.Synth && p.Inst.Op == x86.LEA && len(p.Target) > 4 && p.Target[:4] == "LJT_" {
+			if p.Synth && p.Inst.Op == x86.LEA && strings.HasPrefix(g.Syms.Name(p.Target), "LJT_") {
 				found = true
 				break
 			}
@@ -101,8 +102,8 @@ func TestSymbolizeInsertsBaseFix(t *testing.T) {
 	for _, it := range res.TableItems {
 		if d, ok := it.(asm.LongDiff); ok {
 			diffs++
-			if len(d.Minus) < 4 || d.Minus[:4] != "LJT_" {
-				t.Errorf("table entry subtracts %q, want an LJT_ base", d.Minus)
+			if name := g.Syms.Name(d.Minus); !strings.HasPrefix(name, "LJT_") {
+				t.Errorf("table entry subtracts %q, want an LJT_ base", name)
 			}
 		}
 	}
@@ -122,8 +123,9 @@ func collectLoads(g *cfg.Graph) map[uint64]bool {
 func TestBuildFixMultiBase(t *testing.T) {
 	res := &Result{Sets: map[string]uint64{}}
 	n := 0
-	newLabel := func(p string) string { n++; return p + "x" }
-	fix := buildFix(nil, x86.RDX, []uint64{0x2000, 0x3000}, res, newLabel)
+	syms := asm.NewSymtab(0)
+	newLabel := func(p string) asm.Sym { n++; return syms.Intern(p + "x") }
+	fix := buildFix(nil, syms, x86.RDX, []uint64{0x2000, 0x3000}, res, newLabel)
 	// Must contain: push scratch, per-base compare chain, final
 	// unconditional lea, pop scratch.
 	if fix[0].Inst.Op != x86.PUSH {
@@ -151,8 +153,8 @@ func TestBuildFixMultiBase(t *testing.T) {
 		t.Errorf("expected 1 original-base set, got %d", len(res.Sets))
 	}
 	// Scratch register selection must avoid the base register.
-	fix2 := buildFix(nil, x86.R11, []uint64{0x2000, 0x3000}, res, newLabel)
-	if r, ok := fix2[0].Inst.Src.(x86.Reg); !ok || r == x86.R11 {
+	fix2 := buildFix(nil, syms, x86.R11, []uint64{0x2000, 0x3000}, res, newLabel)
+	if r, ok := fix2[0].Inst.Src.AsReg(); !ok || r == x86.R11 {
 		t.Error("scratch register collides with base register")
 	}
 }
@@ -175,16 +177,15 @@ func referenceSymbolize(entries []serialize.Entry, g *cfg.Graph) ([]serialize.En
 		}
 	}
 	n := 0
-	newLabel := func(p string) string {
+	newLabel := func(p string) asm.Sym {
 		n++
-		return fmt.Sprintf(".Lsym_%s%d", p, n)
+		return g.Syms.Intern(fmt.Sprintf(".Lsym_%s%d", p, n))
 	}
 	var out []serialize.Entry
 	for _, e := range entries {
 		if bs, ok := bases[e.Addr]; ok && !e.Synth && e.Addr != 0 {
-			fix := buildFix(nil, regs[e.Addr], bs, res, newLabel)
-			fix[0].Labels = append(append([]string(nil), e.Labels...), fix[0].Labels...)
-			e.Labels = nil
+			fix := buildFix(nil, g.Syms, regs[e.Addr], bs, res, newLabel)
+			serialize.MoveLabels(g.Syms, &fix[0], &e)
 			out = append(out, fix...)
 			res.Inserted += len(fix)
 			res.Tables++
@@ -207,9 +208,11 @@ func inPlaceCase() ([]serialize.Entry, *cfg.Graph) {
 	for i := range entries {
 		entries[i] = serialize.Entry{Ins: asm.Ins{Inst: x86.Inst{Op: x86.NOP}}, Addr: base + 4*uint64(i), Size: 4}
 	}
-	entries[0].Labels = []string{"first"}
-	entries[3].Labels = []string{"mid"}
-	entries[6].Labels = []string{"split_a", "split_b"}
+	syms := asm.NewSymtab(0)
+	entries[0].Label = syms.Intern("first")
+	entries[3].Label = syms.Intern("mid")
+	entries[6].Label = syms.Intern("split_a")
+	entries[6].AddLabel(syms, syms.Intern("split_b"))
 	at := func(i int) uint64 { return base + 4*uint64(i) }
 	tgt := at(2)
 	table := func(load int, reg x86.Reg, bases ...uint64) *cfg.JumpTable {
@@ -221,6 +224,7 @@ func inPlaceCase() ([]serialize.Entry, *cfg.Graph) {
 		return t
 	}
 	g := &cfg.Graph{
+		Syms:   syms,
 		Blocks: map[uint64]*cfg.Block{tgt: {Addr: tgt}},
 		Tables: []*cfg.JumpTable{
 			table(0, x86.RDX, 0x5000, 0x5100, 0x5200),

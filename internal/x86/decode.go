@@ -20,6 +20,13 @@ var ErrBadInstruction = errors.New("x86: invalid instruction")
 // Byte registers are always decoded in their REX-style meaning (SPL..DIL
 // rather than AH..BH); the legacy high-byte registers are outside the
 // supported subset.
+//
+// A 0x66 prefix selects 16-bit operands where the subset has them (mov,
+// ALU, test, imul). On push and pop without REX.W it would make a 16-bit
+// stack operation, so those are rejected with ErrBadInstruction, like an
+// FS prefix with no memory operand: re-encoding would drop the prefix.
+// On near branches the prefix is accepted and ignored, as Intel CPUs do
+// in 64-bit mode.
 func Decode(b []byte) (Inst, int, error) {
 	d := decoder{b: b}
 	in, err := d.decode()
@@ -110,14 +117,14 @@ func (d *decoder) regField(modrm byte) Reg {
 func (d *decoder) modRM() (Reg, Arg, error) {
 	modrm, err := d.u8()
 	if err != nil {
-		return 0, nil, err
+		return 0, Arg{}, err
 	}
 	reg := d.regField(modrm)
 	mod := modrm >> 6
 	rm := modrm & 0x7
 
 	if mod == 3 {
-		return reg, Reg(rm | d.rex&rexB<<3), nil
+		return reg, Reg(rm | d.rex&rexB<<3).Arg(), nil
 	}
 
 	var m Mem
@@ -127,33 +134,35 @@ func (d *decoder) modRM() (Reg, Arg, error) {
 	if rm == 0x4 { // SIB
 		sib, err := d.u8()
 		if err != nil {
-			return 0, nil, err
+			return 0, Arg{}, err
 		}
-		m.Scale = 1 << (sib >> 6)
 		idx := Reg(sib>>3&0x7 | d.rex&rexX<<2)
 		if idx != RSP { // index=100 with REX.X=0 means "no index"
+			// The scale bits mean nothing without an index; leaving
+			// Scale at 1 then keeps equal operands equal.
 			m.Index = idx
+			m.Scale = 1 << (sib >> 6)
 		}
 		base := Reg(sib&0x7 | d.rex&rexB<<3)
 		if base.lowBits() == 0x5 && mod == 0 {
 			// No base, disp32 follows.
 			disp, err := d.i32()
 			if err != nil {
-				return 0, nil, err
+				return 0, Arg{}, err
 			}
 			m.Disp = int32(disp)
-			return reg, m, nil
+			return reg, m.Arg(), nil
 		}
 		m.Base = base
 	} else if rm == 0x5 && mod == 0 {
 		// RIP-relative.
 		disp, err := d.i32()
 		if err != nil {
-			return 0, nil, err
+			return 0, Arg{}, err
 		}
 		m.Rip = true
 		m.Disp = int32(disp)
-		return reg, m, nil
+		return reg, m.Arg(), nil
 	} else {
 		m.Base = Reg(rm | d.rex&rexB<<3)
 	}
@@ -162,18 +171,18 @@ func (d *decoder) modRM() (Reg, Arg, error) {
 	case 1:
 		disp, err := d.i8()
 		if err != nil {
-			return 0, nil, err
+			return 0, Arg{}, err
 		}
 		m.Disp = int32(disp)
 	case 2:
 		disp, err := d.i32()
 		if err != nil {
-			return 0, nil, err
+			return 0, Arg{}, err
 		}
 		m.Disp = int32(disp)
 		m.Wide = true
 	}
-	return reg, m, nil
+	return reg, m.Arg(), nil
 }
 
 // skipModRM consumes a ModRM byte and its SIB/displacement without
@@ -238,14 +247,14 @@ func (d *decoder) decode() (Inst, error) {
 // dropped on re-encode, breaking decode/encode byte-stability, so it is
 // rejected instead.
 func applyFS(in Inst) (Inst, error) {
-	if m, ok := in.Dst.(Mem); ok {
+	if m, ok := in.Dst.AsMem(); ok {
 		m.FS = true
-		in.Dst = m
+		in.Dst = m.Arg()
 		return in, nil
 	}
-	if m, ok := in.Src.(Mem); ok {
+	if m, ok := in.Src.AsMem(); ok {
 		m.FS = true
-		in.Src = m
+		in.Src = m.Arg()
 		return in, nil
 	}
 	return Inst{}, ErrBadInstruction
@@ -259,10 +268,16 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 	case isALUBase(op&0xF8) && op&0x07 <= 0x03:
 		return d.decodeALURM(op)
 
+	case (op >= 0x50 && op <= 0x5F || op == 0x68 || op == 0x6A) && d.opSize && d.rex&rexW == 0:
+		// 0x66 makes push/pop a 16-bit stack operation (and shortens
+		// push imm32 to imm16), which the subset does not model and
+		// re-encoding would silently widen.
+		return Inst{}, ErrBadInstruction
+
 	case op >= 0x50 && op <= 0x57:
-		return Inst{Op: PUSH, Src: Reg(op - 0x50 | d.rex&rexB<<3)}, nil
+		return Inst{Op: PUSH, Src: Reg(op - 0x50 | d.rex&rexB<<3).Arg()}, nil
 	case op >= 0x58 && op <= 0x5F:
-		return Inst{Op: POP, Dst: Reg(op - 0x58 | d.rex&rexB<<3)}, nil
+		return Inst{Op: POP, Dst: Reg(op - 0x58 | d.rex&rexB<<3).Arg()}, nil
 
 	case op == 0x63:
 		if d.rex&rexW == 0 {
@@ -272,20 +287,20 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: MOVSXD, W: 8, SrcW: 4, Dst: reg, Src: rm}, nil
+		return Inst{Op: MOVSXD, W: 8, SrcW: 4, Dst: reg.Arg(), Src: rm}, nil
 
 	case op == 0x68:
 		v, err := d.i32()
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: PUSH, Src: Imm(v)}, nil
+		return Inst{Op: PUSH, Src: Imm(v).Arg()}, nil
 	case op == 0x6A:
 		v, err := d.i8()
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: PUSH, Src: Imm(v)}, nil
+		return Inst{Op: PUSH, Src: Imm(v).Arg()}, nil
 
 	case op == 0x69 || op == 0x6B:
 		w := d.width()
@@ -302,14 +317,14 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: IMUL, W: w, Dst: reg, Src: rm, Imm3: v, HasImm3: true}, nil
+		return Inst{Op: IMUL, W: w, Dst: reg.Arg(), Src: rm, Imm3: v, HasImm3: true}, nil
 
 	case op >= 0x70 && op <= 0x7F:
 		v, err := d.i8()
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: JCC, Cond: Cond(op - 0x70), Src: Rel(v)}, nil
+		return Inst{Op: JCC, Cond: Cond(op - 0x70), Src: Rel(v).Arg()}, nil
 
 	case op == 0x80 || op == 0x81 || op == 0x83:
 		return d.decodeALUImm(op)
@@ -323,7 +338,7 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: TEST, W: w, Dst: rm, Src: reg}, nil
+		return Inst{Op: TEST, W: w, Dst: rm, Src: reg.Arg()}, nil
 
 	case op >= 0x88 && op <= 0x8B:
 		return d.decodeMovRM(op)
@@ -333,11 +348,11 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 		if err != nil {
 			return Inst{}, err
 		}
-		m, ok := rm.(Mem)
+		m, ok := rm.AsMem()
 		if !ok {
 			return Inst{}, ErrBadInstruction
 		}
-		return Inst{Op: LEA, W: d.width(), Dst: reg, Src: m}, nil
+		return Inst{Op: LEA, W: d.width(), Dst: reg.Arg(), Src: m.Arg()}, nil
 
 	case op == 0x90:
 		if d.hasRex && d.rex&rexB != 0 {
@@ -353,7 +368,7 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: MOV, W: 1, Dst: Reg(op - 0xB0 | d.rex&rexB<<3), Src: Imm(v)}, nil
+		return Inst{Op: MOV, W: 1, Dst: Reg(op - 0xB0 | d.rex&rexB<<3).Arg(), Src: Imm(v).Arg()}, nil
 
 	case op >= 0xB8 && op <= 0xBF:
 		r := Reg(op - 0xB8 | d.rex&rexB<<3)
@@ -362,14 +377,14 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 			if err != nil {
 				return Inst{}, err
 			}
-			return Inst{Op: MOV, W: 8, Dst: r, Src: Imm(v)}, nil
+			return Inst{Op: MOV, W: 8, Dst: r.Arg(), Src: Imm(v).Arg()}, nil
 		}
 		w := d.width()
 		v, err := d.immForWidth(w)
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: MOV, W: w, Dst: r, Src: Imm(v)}, nil
+		return Inst{Op: MOV, W: w, Dst: r.Arg(), Src: Imm(v).Arg()}, nil
 
 	case op == 0xC0 || op == 0xC1 || op == 0xD0 || op == 0xD1 || op == 0xD2 || op == 0xD3:
 		return d.decodeShift(op)
@@ -397,7 +412,7 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: MOV, W: w, Dst: rm, Src: Imm(v)}, nil
+		return Inst{Op: MOV, W: w, Dst: rm, Src: Imm(v).Arg()}, nil
 
 	case op == 0xCC:
 		return Inst{Op: INT3}, nil
@@ -407,19 +422,19 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: CALL, Src: Rel(v)}, nil
+		return Inst{Op: CALL, Src: Rel(v).Arg()}, nil
 	case op == 0xE9:
 		v, err := d.i32()
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: JMP, Src: Rel(v), LongBranch: true}, nil
+		return Inst{Op: JMP, Src: Rel(v).Arg(), LongBranch: true}, nil
 	case op == 0xEB:
 		v, err := d.i8()
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: JMP, Src: Rel(v)}, nil
+		return Inst{Op: JMP, Src: Rel(v).Arg()}, nil
 
 	case op == 0xF4:
 		return Inst{Op: HLT}, nil
@@ -455,10 +470,10 @@ func (d *decoder) decodeALURM(op byte) (Inst, error) {
 	}
 	if form <= 1 {
 		// op r/m, r
-		return Inst{Op: aluOp, W: w, Dst: rm, Src: reg}, nil
+		return Inst{Op: aluOp, W: w, Dst: rm, Src: reg.Arg()}, nil
 	}
 	// op r, r/m
-	return Inst{Op: aluOp, W: w, Dst: reg, Src: rm}, nil
+	return Inst{Op: aluOp, W: w, Dst: reg.Arg(), Src: rm}, nil
 }
 
 func (d *decoder) decodeALUImm(op byte) (Inst, error) {
@@ -488,7 +503,7 @@ func (d *decoder) decodeALUImm(op byte) (Inst, error) {
 	if err != nil {
 		return Inst{}, err
 	}
-	return Inst{Op: aluOp, W: w, Dst: rm, Src: Imm(v)}, nil
+	return Inst{Op: aluOp, W: w, Dst: rm, Src: Imm(v).Arg()}, nil
 }
 
 func (d *decoder) decodeMovRM(op byte) (Inst, error) {
@@ -501,9 +516,9 @@ func (d *decoder) decodeMovRM(op byte) (Inst, error) {
 		return Inst{}, err
 	}
 	if op <= 0x89 {
-		return Inst{Op: MOV, W: w, Dst: rm, Src: reg}, nil
+		return Inst{Op: MOV, W: w, Dst: rm, Src: reg.Arg()}, nil
 	}
-	return Inst{Op: MOV, W: w, Dst: reg, Src: rm}, nil
+	return Inst{Op: MOV, W: w, Dst: reg.Arg(), Src: rm}, nil
 }
 
 var shiftByDigit = [8]Op{BAD, BAD, BAD, BAD, SHL, SHR, BAD, SAR}
@@ -531,11 +546,11 @@ func (d *decoder) decodeShift(op byte) (Inst, error) {
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: shOp, W: w, Dst: rm, Src: Imm(v)}, nil
+		return Inst{Op: shOp, W: w, Dst: rm, Src: Imm(v).Arg()}, nil
 	case 0xD0, 0xD1:
-		return Inst{Op: shOp, W: w, Dst: rm, Src: Imm(1)}, nil
+		return Inst{Op: shOp, W: w, Dst: rm, Src: Imm(1).Arg()}, nil
 	default: // D2, D3: shift by CL
-		return Inst{Op: shOp, W: w, Dst: rm, Src: RCX}, nil
+		return Inst{Op: shOp, W: w, Dst: rm, Src: RCX.Arg()}, nil
 	}
 }
 
@@ -562,7 +577,7 @@ func (d *decoder) decodeGroup3(op byte) (Inst, error) {
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: TEST, W: w, Dst: rm, Src: Imm(v)}, nil
+		return Inst{Op: TEST, W: w, Dst: rm, Src: Imm(v).Arg()}, nil
 	case 2, 3, 7:
 		_, rm, err := d.modRM()
 		if err != nil {
@@ -630,13 +645,13 @@ func (d *decoder) decode0F() (Inst, error) {
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: CMOVCC, Cond: Cond(op - 0x40), W: w, Dst: reg, Src: rm}, nil
+		return Inst{Op: CMOVCC, Cond: Cond(op - 0x40), W: w, Dst: reg.Arg(), Src: rm}, nil
 	case op >= 0x80 && op <= 0x8F:
 		v, err := d.i32()
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: JCC, Cond: Cond(op - 0x80), Src: Rel(v), LongBranch: true}, nil
+		return Inst{Op: JCC, Cond: Cond(op - 0x80), Src: Rel(v).Arg(), LongBranch: true}, nil
 	case op >= 0x90 && op <= 0x9F:
 		_, rm, err := d.modRM()
 		if err != nil {
@@ -649,7 +664,7 @@ func (d *decoder) decode0F() (Inst, error) {
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: IMUL, W: w, Dst: reg, Src: rm}, nil
+		return Inst{Op: IMUL, W: w, Dst: reg.Arg(), Src: rm}, nil
 	case op == 0xB6 || op == 0xB7 || op == 0xBE || op == 0xBF:
 		w := d.width()
 		if w == 2 {
@@ -667,7 +682,7 @@ func (d *decoder) decode0F() (Inst, error) {
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: mvOp, W: w, SrcW: srcW, Dst: reg, Src: rm}, nil
+		return Inst{Op: mvOp, W: w, SrcW: srcW, Dst: reg.Arg(), Src: rm}, nil
 	}
 	return Inst{}, ErrBadInstruction
 }

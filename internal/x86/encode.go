@@ -159,11 +159,15 @@ func (e *encoder) setOpReg(r Reg, w uint8) {
 	}
 }
 
-// setRM encodes the r/m operand (register or memory).
-func (e *encoder) setRM(a Arg, w uint8) error {
+// setRM encodes the r/m operand (register or memory). Operands are
+// passed by pointer here and in setMem: an Arg passed by value travels
+// in eight registers, and spilling it back to memory field by field
+// stalls the first whole-struct read.
+func (e *encoder) setRM(a *Arg, w uint8) error {
 	e.hasMod = true
-	switch v := a.(type) {
-	case Reg:
+	switch a.Kind {
+	case ArgReg:
+		v := a.Base
 		if !v.Valid() {
 			return fmt.Errorf("invalid register operand")
 		}
@@ -173,14 +177,15 @@ func (e *encoder) setRM(a Arg, w uint8) error {
 			e.needRex = true
 		}
 		return nil
-	case Mem:
-		return e.setMem(v)
+	case ArgMem:
+		return e.setMem(a)
 	default:
-		return fmt.Errorf("operand %v cannot be encoded as r/m", a)
+		return fmt.Errorf("operand %v cannot be encoded as r/m", *a)
 	}
 }
 
-func (e *encoder) setMem(m Mem) error {
+// setMem encodes the ArgMem operand m.
+func (e *encoder) setMem(m *Arg) error {
 	e.hasMod = true
 	if m.FS {
 		if m.Rip {
@@ -193,7 +198,7 @@ func (e *encoder) setMem(m Mem) error {
 			return fmt.Errorf("RIP-relative operand cannot have base or index")
 		}
 		e.modrm |= 0x05 // mod=00 rm=101
-		e.disp32(m.Disp)
+		e.disp32(int32(m.Val))
 		return nil
 	}
 	if m.Index == RSP {
@@ -212,7 +217,7 @@ func (e *encoder) setMem(m Mem) error {
 		// Plain [base + disp].
 		e.modrm |= m.Base.lowBits()
 		e.rex |= m.Base.hiBit() // REX.B
-		e.setDispModWide(m.Base, m.Disp, m.Wide)
+		e.setDispModWide(m.Base, int32(m.Val), m.Wide)
 		return nil
 	}
 
@@ -228,11 +233,11 @@ func (e *encoder) setMem(m Mem) error {
 	if m.Base.Valid() {
 		e.sib |= m.Base.lowBits()
 		e.rex |= m.Base.hiBit() // REX.B
-		e.setDispModWide(m.Base, m.Disp, m.Wide)
+		e.setDispModWide(m.Base, int32(m.Val), m.Wide)
 	} else {
 		// No base: SIB base=101 with mod=00 means disp32 only.
 		e.sib |= 0x05
-		e.disp32(m.Disp)
+		e.disp32(int32(m.Val))
 	}
 	return nil
 }
@@ -323,7 +328,7 @@ func (e *encoder) encode(in Inst) error {
 	case PUSH:
 		return e.encodePush(in)
 	case POP:
-		r, ok := in.Dst.(Reg)
+		r, ok := in.Dst.AsReg()
 		if !ok {
 			return fmt.Errorf("pop requires a register operand")
 		}
@@ -371,12 +376,14 @@ func widthOrDefault(w uint8) uint8 {
 }
 
 func (e *encoder) encodePush(in Inst) error {
-	switch v := in.Src.(type) {
-	case Reg:
+	switch in.Src.Kind {
+	case ArgReg:
+		v, _ := in.Src.AsReg()
 		e.op(0x50)
 		e.setOpReg(v, 8)
 		return nil
-	case Imm:
+	case ArgImm:
+		v, _ := in.Src.AsImm()
 		if fitsInt8(int64(v)) {
 			e.op(0x6A)
 			e.setImm(int64(v), 1)
@@ -394,10 +401,12 @@ func (e *encoder) encodePush(in Inst) error {
 
 func (e *encoder) encodeMov(in Inst) error {
 	w := widthOrDefault(in.W)
-	switch dst := in.Dst.(type) {
-	case Reg:
-		switch src := in.Src.(type) {
-		case Reg, Mem:
+	switch in.Dst.Kind {
+	case ArgReg:
+		dst, _ := in.Dst.AsReg()
+		switch in.Src.Kind {
+		case ArgReg, ArgMem:
+			src := &in.Src
 			// mov r, r/m: 8A (byte) / 8B
 			e.setW(w)
 			if w == 1 {
@@ -407,7 +416,8 @@ func (e *encoder) encodeMov(in Inst) error {
 			}
 			e.setReg(dst, w)
 			return e.setRM(src, w)
-		case Imm:
+		case ArgImm:
+			src, _ := in.Src.AsImm()
 			v := int64(src)
 			if w == 8 && !fitsInt32(v) {
 				// movabs r64, imm64
@@ -422,7 +432,7 @@ func (e *encoder) encodeMov(in Inst) error {
 				e.setW(8)
 				e.op(0xC7)
 				e.setImm(v, 4)
-				return e.setRM(dst, 8)
+				return e.setRM(&in.Dst, 8)
 			}
 			if w == 1 {
 				e.op(0xB0)
@@ -436,9 +446,11 @@ func (e *encoder) encodeMov(in Inst) error {
 			e.setImm(v, int(w))
 			return nil
 		}
-	case Mem:
-		switch src := in.Src.(type) {
-		case Reg:
+	case ArgMem:
+		dst := &in.Dst
+		switch in.Src.Kind {
+		case ArgReg:
+			src, _ := in.Src.AsReg()
 			// mov r/m, r: 88 (byte) / 89
 			e.setW(w)
 			if w == 1 {
@@ -448,7 +460,8 @@ func (e *encoder) encodeMov(in Inst) error {
 			}
 			e.setReg(src, w)
 			return e.setRM(dst, w)
-		case Imm:
+		case ArgImm:
+			src, _ := in.Src.AsImm()
 			v := int64(src)
 			e.setW(w)
 			if w == 1 {
@@ -478,7 +491,7 @@ func (e *encoder) encodeMov(in Inst) error {
 }
 
 func (e *encoder) encodeMovx(in Inst) error {
-	dst, ok := in.Dst.(Reg)
+	dst, ok := in.Dst.AsReg()
 	if !ok {
 		return fmt.Errorf("movzx/movsx destination must be a register")
 	}
@@ -499,43 +512,44 @@ func (e *encoder) encodeMovx(in Inst) error {
 	}
 	e.op(0x0F, op)
 	e.setReg(dst, w)
-	return e.setRM(in.Src, in.SrcW)
+	return e.setRM(&in.Src, in.SrcW)
 }
 
 func (e *encoder) encodeMovsxd(in Inst) error {
-	dst, ok := in.Dst.(Reg)
+	dst, ok := in.Dst.AsReg()
 	if !ok {
 		return fmt.Errorf("movsxd destination must be a register")
 	}
 	e.setW(8)
 	e.op(0x63)
 	e.setReg(dst, 8)
-	return e.setRM(in.Src, 4)
+	return e.setRM(&in.Src, 4)
 }
 
 func (e *encoder) encodeLea(in Inst) error {
-	dst, ok := in.Dst.(Reg)
+	dst, ok := in.Dst.AsReg()
 	if !ok {
 		return fmt.Errorf("lea destination must be a register")
 	}
-	m, ok := in.Src.(Mem)
-	if !ok {
+	if in.Src.Kind != ArgMem {
 		return fmt.Errorf("lea source must be a memory operand")
 	}
 	e.setW(widthOrDefault(in.W))
 	e.op(0x8D)
 	e.setReg(dst, 8)
-	return e.setMem(m)
+	return e.setMem(&in.Src)
 }
 
 func (e *encoder) encodeALU(in Inst) error {
 	w := widthOrDefault(in.W)
 	base := aluBase[in.Op]
 	digit := aluDigit[in.Op]
-	switch dst := in.Dst.(type) {
-	case Reg:
-		switch src := in.Src.(type) {
-		case Reg, Mem:
+	switch in.Dst.Kind {
+	case ArgReg:
+		dst, _ := in.Dst.AsReg()
+		switch in.Src.Kind {
+		case ArgReg, ArgMem:
+			src := &in.Src
 			// op r, r/m
 			e.setW(w)
 			if w == 1 {
@@ -545,12 +559,15 @@ func (e *encoder) encodeALU(in Inst) error {
 			}
 			e.setReg(dst, w)
 			return e.setRM(src, w)
-		case Imm:
-			return e.encodeALUImm(in.Op, dst, int64(src), w, digit)
+		case ArgImm:
+			src, _ := in.Src.AsImm()
+			return e.encodeALUImm(in.Op, &in.Dst, int64(src), w, digit)
 		}
-	case Mem:
-		switch src := in.Src.(type) {
-		case Reg:
+	case ArgMem:
+		dst := &in.Dst
+		switch in.Src.Kind {
+		case ArgReg:
+			src, _ := in.Src.AsReg()
 			e.setW(w)
 			if w == 1 {
 				e.op(base)
@@ -559,14 +576,15 @@ func (e *encoder) encodeALU(in Inst) error {
 			}
 			e.setReg(src, w)
 			return e.setRM(dst, w)
-		case Imm:
+		case ArgImm:
+			src, _ := in.Src.AsImm()
 			return e.encodeALUImm(in.Op, dst, int64(src), w, digit)
 		}
 	}
 	return fmt.Errorf("unsupported %v operand combination", in.Op)
 }
 
-func (e *encoder) encodeALUImm(op Op, dst Arg, v int64, w uint8, digit byte) error {
+func (e *encoder) encodeALUImm(op Op, dst *Arg, v int64, w uint8, digit byte) error {
 	e.setW(w)
 	e.modrm |= digit << 3
 	if w == 1 {
@@ -602,8 +620,9 @@ func (e *encoder) encodeALUImm(op Op, dst Arg, v int64, w uint8, digit byte) err
 
 func (e *encoder) encodeTest(in Inst) error {
 	w := widthOrDefault(in.W)
-	switch src := in.Src.(type) {
-	case Reg:
+	switch in.Src.Kind {
+	case ArgReg:
+		src, _ := in.Src.AsReg()
 		e.setW(w)
 		if w == 1 {
 			e.op(0x84)
@@ -611,20 +630,24 @@ func (e *encoder) encodeTest(in Inst) error {
 			e.op(0x85)
 		}
 		e.setReg(src, w)
-		return e.setRM(in.Dst, w)
-	case Imm:
+		return e.setRM(&in.Dst, w)
+	case ArgImm:
+		src, _ := in.Src.AsImm()
 		e.setW(w)
 		if w == 1 {
 			e.op(0xF6)
 		} else {
 			e.op(0xF7)
 		}
-		if err := e.setRM(in.Dst, w); err != nil {
+		if err := e.setRM(&in.Dst, w); err != nil {
 			return err
 		}
-		if w == 1 {
+		switch {
+		case w == 1:
 			e.setImm(int64(src), 1)
-		} else {
+		case w == 2:
+			e.setImm(int64(src), 2)
+		default:
 			if !fitsInt32(int64(src)) {
 				return fmt.Errorf("test immediate out of range")
 			}
@@ -636,7 +659,7 @@ func (e *encoder) encodeTest(in Inst) error {
 }
 
 func (e *encoder) encodeImul(in Inst) error {
-	dst, ok := in.Dst.(Reg)
+	dst, ok := in.Dst.AsReg()
 	if !ok {
 		return fmt.Errorf("imul destination must be a register")
 	}
@@ -646,7 +669,7 @@ func (e *encoder) encodeImul(in Inst) error {
 		if fitsInt8(in.Imm3) {
 			e.op(0x6B)
 			e.setReg(dst, w)
-			if err := e.setRM(in.Src, w); err != nil {
+			if err := e.setRM(&in.Src, w); err != nil {
 				return err
 			}
 			e.setImm(in.Imm3, 1)
@@ -657,15 +680,19 @@ func (e *encoder) encodeImul(in Inst) error {
 		}
 		e.op(0x69)
 		e.setReg(dst, w)
-		if err := e.setRM(in.Src, w); err != nil {
+		if err := e.setRM(&in.Src, w); err != nil {
 			return err
 		}
-		e.setImm(in.Imm3, 4)
+		immW := 4
+		if w == 2 {
+			immW = 2
+		}
+		e.setImm(in.Imm3, immW)
 		return nil
 	}
 	e.op(0x0F, 0xAF)
 	e.setReg(dst, w)
-	return e.setRM(in.Src, w)
+	return e.setRM(&in.Src, w)
 }
 
 func (e *encoder) encodeGroup3(in Inst) error {
@@ -686,34 +713,36 @@ func (e *encoder) encodeGroup3(in Inst) error {
 		digit = 7
 	}
 	e.modrm |= digit << 3
-	return e.setRM(in.Dst, w)
+	return e.setRM(&in.Dst, w)
 }
 
 func (e *encoder) encodeShift(in Inst) error {
 	w := widthOrDefault(in.W)
 	e.setW(w)
 	e.modrm |= shiftDigit[in.Op] << 3
-	switch src := in.Src.(type) {
-	case Imm:
+	switch in.Src.Kind {
+	case ArgImm:
+		src, _ := in.Src.AsImm()
 		if src == 1 {
 			if w == 1 {
 				e.op(0xD0)
 			} else {
 				e.op(0xD1)
 			}
-			return e.setRM(in.Dst, w)
+			return e.setRM(&in.Dst, w)
 		}
 		if w == 1 {
 			e.op(0xC0)
 		} else {
 			e.op(0xC1)
 		}
-		if err := e.setRM(in.Dst, w); err != nil {
+		if err := e.setRM(&in.Dst, w); err != nil {
 			return err
 		}
 		e.setImm(int64(src), 1)
 		return nil
-	case Reg:
+	case ArgReg:
+		src, _ := in.Src.AsReg()
 		if src != RCX {
 			return fmt.Errorf("variable shift count must be CL")
 		}
@@ -722,14 +751,15 @@ func (e *encoder) encodeShift(in Inst) error {
 		} else {
 			e.op(0xD3)
 		}
-		return e.setRM(in.Dst, w)
+		return e.setRM(&in.Dst, w)
 	}
 	return fmt.Errorf("unsupported shift operand")
 }
 
 func (e *encoder) encodeJmp(in Inst) error {
-	switch src := in.Src.(type) {
-	case Rel:
+	switch in.Src.Kind {
+	case ArgRel:
+		src, _ := in.Src.AsRel()
 		if fitsInt8(int64(src)) && !in.LongBranch {
 			e.op(0xEB)
 			e.setImm(int64(src), 1)
@@ -738,7 +768,8 @@ func (e *encoder) encodeJmp(in Inst) error {
 			e.setImm(int64(src), 4)
 		}
 		return nil
-	case Reg, Mem:
+	case ArgReg, ArgMem:
+		src := &in.Src
 		if in.NoTrack {
 			e.addPrefix(0x3E)
 		}
@@ -750,7 +781,7 @@ func (e *encoder) encodeJmp(in Inst) error {
 }
 
 func (e *encoder) encodeJcc(in Inst) error {
-	rel, ok := in.Src.(Rel)
+	rel, ok := in.Src.AsRel()
 	if !ok {
 		return fmt.Errorf("jcc requires a relative target")
 	}
@@ -765,12 +796,14 @@ func (e *encoder) encodeJcc(in Inst) error {
 }
 
 func (e *encoder) encodeCall(in Inst) error {
-	switch src := in.Src.(type) {
-	case Rel:
+	switch in.Src.Kind {
+	case ArgRel:
+		src, _ := in.Src.AsRel()
 		e.op(0xE8)
 		e.setImm(int64(src), 4)
 		return nil
-	case Reg, Mem:
+	case ArgReg, ArgMem:
+		src := &in.Src
 		if in.NoTrack {
 			e.addPrefix(0x3E)
 		}
@@ -783,11 +816,11 @@ func (e *encoder) encodeCall(in Inst) error {
 
 func (e *encoder) encodeSetcc(in Inst) error {
 	e.op(0x0F, 0x90+byte(in.Cond))
-	return e.setRM(in.Dst, 1)
+	return e.setRM(&in.Dst, 1)
 }
 
 func (e *encoder) encodeCmovcc(in Inst) error {
-	dst, ok := in.Dst.(Reg)
+	dst, ok := in.Dst.AsReg()
 	if !ok {
 		return fmt.Errorf("cmov destination must be a register")
 	}
@@ -795,7 +828,7 @@ func (e *encoder) encodeCmovcc(in Inst) error {
 	e.setW(w)
 	e.op(0x0F, 0x40+byte(in.Cond))
 	e.setReg(dst, w)
-	return e.setRM(in.Src, w)
+	return e.setRM(&in.Src, w)
 }
 
 // NopBytes returns n bytes of padding using the recommended multi-byte NOP

@@ -28,3 +28,36 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRoundTrip is the codec-level guard for the operand model: every
+// instruction Decode accepts and EncodeAppend can encode must re-decode
+// to the same Inst and consume exactly the encoded bytes. (The bytes
+// themselves may differ: the encoder picks the shortest form.)
+func FuzzRoundTrip(f *testing.F) {
+	f.Add([]byte{0x66, 0xF7, 0x03, 0x34, 0x12})             // test WORD PTR [RBX], 0x1234
+	f.Add([]byte{0x66, 0x69, 0x03, 0x34, 0x12})             // imul AX, WORD PTR [RBX], 0x1234
+	f.Add([]byte{0x48, 0x8D, 0x05, 1, 2, 3, 4})             // lea rax, [rip+d]
+	f.Add([]byte{0x64, 0x48, 0x8B, 0x04, 0x25, 0, 0, 0, 0}) // mov rax, fs:[0]
+	f.Add([]byte{0x3E, 0xFF, 0xE0})                         // notrack jmp rax
+	f.Add([]byte{0x0F, 0x84, 0x10, 0, 0, 0})                // je rel32
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, _, err := Decode(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeAppend(nil, in)
+		if err != nil {
+			return
+		}
+		got, n, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("Decode(%x) = %v; re-encoded as %x, which does not decode: %v", data, in, enc, err)
+		}
+		if n != len(enc) {
+			t.Fatalf("Decode(%x) = %v; re-encoded as %x, which decodes %d of %d bytes", data, in, enc, n, len(enc))
+		}
+		if got != in {
+			t.Fatalf("Decode(%x) = %+v; re-encoded as %x, which decodes to %+v", data, in, enc, got)
+		}
+	})
+}

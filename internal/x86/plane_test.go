@@ -3,8 +3,10 @@ package x86
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
-	"unsafe"
+
+	"repro/internal/layout"
 )
 
 // planeTestText builds a slab mixing real encoded instructions with
@@ -14,11 +16,11 @@ func planeTestText(t *testing.T) []byte {
 	var text []byte
 	insts := []Inst{
 		{Op: ENDBR64},
-		{Op: MOV, W: 8, Dst: RAX, Src: Imm(42)},
-		{Op: ADD, W: 8, Dst: RAX, Src: RBX},
-		{Op: PUSH, Src: RBP},
-		{Op: CALL, Src: Rel(0x100)},
-		{Op: JMP, Src: Rel(-5)},
+		{Op: MOV, W: 8, Dst: RAX.Arg(), Src: Imm(42).Arg()},
+		{Op: ADD, W: 8, Dst: RAX.Arg(), Src: RBX.Arg()},
+		{Op: PUSH, Src: RBP.Arg()},
+		{Op: CALL, Src: Rel(0x100).Arg()},
+		{Op: JMP, Src: Rel(-5).Arg()},
 		{Op: RET},
 		{Op: NOP},
 	}
@@ -122,7 +124,7 @@ func TestPlaneDecodeAllocs(t *testing.T) {
 		t.Errorf("cached Plane.Decode allocates %.1f times per sweep, want 0", avg)
 	}
 
-	in := Inst{Op: MOV, W: 8, Dst: RAX, Src: Imm(1234)}
+	in := Inst{Op: MOV, W: 8, Dst: RAX.Arg(), Src: Imm(1234).Arg()}
 	if avg := testing.AllocsPerRun(200, func() {
 		if _, err := EncodedLen(in); err != nil {
 			t.Fatal(err)
@@ -141,12 +143,28 @@ func TestPlaneDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestLayout pins Inst at 48 bytes: its one-byte fields and flags share
-// the first word. The CFG builder's arena, S' and every decode-plane
-// entry hold Insts by value, so a field added in the wrong place costs
-// a word per instruction everywhere.
+// TestLayout pins the shapes the rewriter and the emulator hold in large
+// slabs: an Inst is 48 bytes (its one-byte fields and flags share the
+// first word), an operand 16, and a decode-plane entry 56. None of them
+// may hold a pointer, so the CFG builder's arena, S' and the decode
+// planes are allocated noscan and the garbage collector never walks
+// them. A field added in the wrong place costs a word per instruction
+// everywhere; a pointer-typed one costs a scan of every slab.
 func TestLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Inst{}); got != 48 {
-		t.Errorf("unsafe.Sizeof(Inst{}) = %d, want 48", got)
+	for _, c := range []struct {
+		v    any
+		size uintptr
+	}{
+		{Inst{}, 48},
+		{Arg{}, 16},
+		{planeEntry{}, 56},
+	} {
+		typ := reflect.TypeOf(c.v)
+		if got := typ.Size(); got != c.size {
+			t.Errorf("%s is %d bytes, want %d", typ, got, c.size)
+		}
+		if err := layout.PointerFree(typ); err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -61,18 +61,18 @@ func randWidth(r *rand.Rand) uint8 {
 // randRM returns either a register or memory operand.
 func randRM(r *rand.Rand) Arg {
 	if r.Intn(2) == 0 {
-		return randReg(r, false)
+		return randReg(r, false).Arg()
 	}
-	return randMem(r)
+	return randMem(r).Arg()
 }
 
 // randInst generates a random valid instruction of the supported subset.
 func randInst(r *rand.Rand) Inst {
 	switch r.Intn(16) {
 	case 0:
-		return Inst{Op: MOV, W: randWidth(r), Dst: randReg(r, false), Src: randRM(r)}
+		return Inst{Op: MOV, W: randWidth(r), Dst: randReg(r, false).Arg(), Src: randRM(r)}
 	case 1:
-		return Inst{Op: MOV, W: randWidth(r), Dst: randMem(r), Src: randReg(r, false)}
+		return Inst{Op: MOV, W: randWidth(r), Dst: randMem(r).Arg(), Src: randReg(r, false).Arg()}
 	case 2:
 		w := randWidth(r)
 		var v int64
@@ -84,10 +84,10 @@ func randInst(r *rand.Rand) Inst {
 		default:
 			v = r.Int63() - r.Int63()
 		}
-		return Inst{Op: MOV, W: w, Dst: randReg(r, false), Src: Imm(v)}
+		return Inst{Op: MOV, W: w, Dst: randReg(r, false).Arg(), Src: Imm(v).Arg()}
 	case 3:
 		ops := []Op{ADD, OR, AND, SUB, XOR, CMP}
-		return Inst{Op: ops[r.Intn(len(ops))], W: randWidth(r), Dst: randReg(r, false), Src: randRM(r)}
+		return Inst{Op: ops[r.Intn(len(ops))], W: randWidth(r), Dst: randReg(r, false).Arg(), Src: randRM(r)}
 	case 4:
 		ops := []Op{ADD, OR, AND, SUB, XOR, CMP}
 		w := randWidth(r)
@@ -97,49 +97,49 @@ func randInst(r *rand.Rand) Inst {
 		} else {
 			v = int64(int32(r.Int63()))
 		}
-		return Inst{Op: ops[r.Intn(len(ops))], W: w, Dst: randRM(r), Src: Imm(v)}
+		return Inst{Op: ops[r.Intn(len(ops))], W: w, Dst: randRM(r), Src: Imm(v).Arg()}
 	case 5:
-		return Inst{Op: LEA, W: 8, Dst: randReg(r, false), Src: randMem(r)}
+		return Inst{Op: LEA, W: 8, Dst: randReg(r, false).Arg(), Src: randMem(r).Arg()}
 	case 6:
 		if r.Intn(2) == 0 {
-			return Inst{Op: PUSH, Src: randReg(r, false)}
+			return Inst{Op: PUSH, Src: randReg(r, false).Arg()}
 		}
-		return Inst{Op: POP, Dst: randReg(r, false)}
+		return Inst{Op: POP, Dst: randReg(r, false).Arg()}
 	case 7:
-		return Inst{Op: JCC, Cond: Cond(r.Intn(16)), Src: Rel(int32(r.Int63()))}
+		return Inst{Op: JCC, Cond: Cond(r.Intn(16)), Src: Rel(int32(r.Int63())).Arg()}
 	case 8:
 		if r.Intn(2) == 0 {
-			return Inst{Op: JMP, Src: Rel(int32(r.Int63()))}
+			return Inst{Op: JMP, Src: Rel(int32(r.Int63())).Arg()}
 		}
-		return Inst{Op: JMP, Src: randReg(r, false), NoTrack: r.Intn(2) == 0}
+		return Inst{Op: JMP, Src: randReg(r, false).Arg(), NoTrack: r.Intn(2) == 0}
 	case 9:
 		if r.Intn(2) == 0 {
-			return Inst{Op: CALL, Src: Rel(int32(r.Int63()))}
+			return Inst{Op: CALL, Src: Rel(int32(r.Int63())).Arg()}
 		}
 		return Inst{Op: CALL, Src: randRM(r)}
 	case 10:
-		return Inst{Op: MOVSXD, W: 8, SrcW: 4, Dst: randReg(r, false), Src: randRM(r)}
+		return Inst{Op: MOVSXD, W: 8, SrcW: 4, Dst: randReg(r, false).Arg(), Src: randRM(r)}
 	case 11:
 		ops := []Op{MOVZX, MOVSX}
 		return Inst{
 			Op: ops[r.Intn(2)], W: []uint8{4, 8}[r.Intn(2)], SrcW: uint8(1 + r.Intn(2)),
-			Dst: randReg(r, false), Src: randRM(r),
+			Dst: randReg(r, false).Arg(), Src: randRM(r),
 		}
 	case 12:
 		ops := []Op{SHL, SHR, SAR}
 		if r.Intn(2) == 0 {
-			return Inst{Op: ops[r.Intn(3)], W: randWidth(r), Dst: randRM(r), Src: Imm(int64(1 + r.Intn(63)))}
+			return Inst{Op: ops[r.Intn(3)], W: randWidth(r), Dst: randRM(r), Src: Imm(int64(1 + r.Intn(63))).Arg()}
 		}
-		return Inst{Op: ops[r.Intn(3)], W: randWidth(r), Dst: randRM(r), Src: RCX}
+		return Inst{Op: ops[r.Intn(3)], W: randWidth(r), Dst: randRM(r), Src: RCX.Arg()}
 	case 13:
 		ops := []Op{NEG, NOT, IDIV}
 		return Inst{Op: ops[r.Intn(3)], W: randWidth(r), Dst: randRM(r)}
 	case 14:
 		if r.Intn(2) == 0 {
-			return Inst{Op: IMUL, W: []uint8{4, 8}[r.Intn(2)], Dst: randReg(r, false), Src: randRM(r)}
+			return Inst{Op: IMUL, W: []uint8{4, 8}[r.Intn(2)], Dst: randReg(r, false).Arg(), Src: randRM(r)}
 		}
 		return Inst{
-			Op: IMUL, W: []uint8{4, 8}[r.Intn(2)], Dst: randReg(r, false), Src: randRM(r),
+			Op: IMUL, W: []uint8{4, 8}[r.Intn(2)], Dst: randReg(r, false).Arg(), Src: randRM(r),
 			Imm3: int64(int32(r.Int63())), HasImm3: true,
 		}
 	default:
@@ -147,8 +147,8 @@ func randInst(r *rand.Rand) Inst {
 			{Op: ENDBR64}, {Op: NOP}, {Op: RET}, {Op: SYSCALL}, {Op: UD2},
 			{Op: HLT}, {Op: INT3}, {Op: CQO, W: 8},
 			{Op: SETCC, Cond: Cond(r.Intn(16)), Dst: randRM(r), W: 1},
-			{Op: CMOVCC, Cond: Cond(r.Intn(16)), W: 8, Dst: randReg(r, false), Src: randRM(r)},
-			{Op: TEST, W: randWidth(r), Dst: randRM(r), Src: randReg(r, false)},
+			{Op: CMOVCC, Cond: Cond(r.Intn(16)), W: 8, Dst: randReg(r, false).Arg(), Src: randRM(r)},
+			{Op: TEST, W: randWidth(r), Dst: randRM(r), Src: randReg(r, false).Arg()},
 		}
 		return simple[r.Intn(len(simple))]
 	}

@@ -8,7 +8,8 @@
 # each with its own decode planes and translations), the
 # hot-path allocation gates (cached plane decode, emulator fetch span,
 # and arithmetic encode must stay allocation-free) with the layout pins
-# (the sizes of x86.Inst, asm.Ins and serialize.Entry), a one-iteration
+# (the sizes of x86.Inst, its operand, the decode-plane entry, asm.Ins
+# and serialize.Entry, and that none of them holds a pointer), a one-iteration
 # smoke of the two profiling benchmarks (BenchmarkRewrite and
 # BenchmarkEmulatorHotTiered), an end-to-end coverage-pass smoke
 # (rewrite with the coverage pass, emulate, check the bitmap filled),
@@ -62,9 +63,12 @@ go test -race -count=1 \
 # byte ceilings (each pipeline stage sizes its stream once); a tiered
 # emulator run must stay under its per-run byte ceiling
 # (TestTieredRunAllocs: demand-zero stack, compact decode planes, slim
-# block metadata). Layout pins (TestLayout): x86.Inst is 48 bytes,
-# asm.Ins at most 80 and serialize.Entry at most 120, the element sizes
-# of the CFG arena, S' and the decode planes.
+# block metadata). Layout pins (TestLayout): x86.Inst is 48 bytes, its
+# operand x86.Arg 16, a decode-plane entry 56, asm.Ins 64 and
+# serialize.Entry at most 80 (the element sizes of the CFG arena, the
+# decode planes and S'), and a reflect walk finds no pointer, interface,
+# string, slice, map, chan or func in any of them, so those slabs stay
+# noscan for the garbage collector.
 go test -run 'Allocs$|Layout$' -count=1 ./internal/x86/... ./internal/asm/ \
     ./internal/serialize/ ./internal/emu/... ./internal/core/...
 # Byte-identity gates: assembler output, rewritten binaries and verdicts must match their checked-in manifests.

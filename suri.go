@@ -17,7 +17,7 @@
 // Instrumentation inserts code into S', the symbolized assembly stream:
 //
 //	out, err := suri.Rewrite(binary, suri.Options{
-//		Instrument: func(entries []suri.Entry) ([]suri.Entry, error) {
+//		Instrument: func(entries []suri.Entry, syms *suri.Symtab) ([]suri.Entry, error) {
 //			// insert, e.g., counters before instructions
 //			return entries, nil
 //		},
@@ -28,6 +28,7 @@
 package suri
 
 import (
+	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/farm"
 	"repro/internal/harden"
@@ -39,6 +40,11 @@ import (
 // Entry is one element of the symbolized assembly stream S' (§3.3–3.5 of
 // the paper). Instrumenters receive and return slices of entries.
 type Entry = serialize.Entry
+
+// Symtab is the symbol table of an S' stream: entry labels and symbolic
+// operands are its IDs (asm.Sym), and instrumenters intern new labels
+// in it.
+type Symtab = asm.Symtab
 
 // Options configure a rewrite. The zero value is the standard pipeline.
 type Options = core.Options
