@@ -26,8 +26,8 @@
 // the rewrite is retried under widened resource budgets, and if no
 // attempt validates the ORIGINAL binary is written out unmodified —
 // never a silently wrong rewrite. -engine picks the validation
-// emulator: auto (default) runs the tiered superblock engine,
-// interpreter forces the baseline; with -stats-json the run's
+// emulator: auto or tiered (default) runs the tiered superblock
+// engine, interpreter forces the baseline; with -stats-json the run's
 // emu.tier_* counters land in the metric registry either way.
 //
 // Exit codes: 1 — the rewrite (or file I/O) failed; the message names
@@ -82,7 +82,7 @@ func main() {
 	trace := flag.Bool("trace", false, "print the per-stage pipeline span tree")
 	statsJSON := flag.Bool("stats-json", false, "print the trace and metric registry as JSON")
 	validate := flag.Bool("validate", false, "differentially validate the rewrite; fall back to the original on failure (exit 3)")
-	engine := flag.String("engine", "auto", "validation emulator engine: auto (tiered when linked), interpreter, tiered")
+	engine := flag.String("engine", "auto", "validation emulator engine: auto or tiered (the tiered engine), interpreter")
 	var vinputs inputList
 	flag.Var(&vinputs, "validate-input", "comma-separated int64 input words for one validation run (repeatable)")
 	flag.Parse()

@@ -19,8 +19,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/prog"
-
-	_ "repro/internal/emu/tiered"
 )
 
 func main() {

@@ -8,9 +8,9 @@
 //	        [-engine auto|interpreter|tiered] [-seed-heat file] [-tier-stats]
 //	        prog.bin
 //
-// -engine selects the execution engine: auto (the default) runs the
-// tiered superblock engine with interpreter fallback, interpreter
-// forces the baseline. -seed-heat feeds a prior run's -heat-json export
+// -engine selects the execution engine: auto or tiered (the default)
+// runs the tiered superblock engine with interpreter fallback,
+// interpreter forces the baseline. -seed-heat feeds a prior run's -heat-json export
 // back in so its hot blocks translate on first encounter; -tier-stats
 // prints the tiered engine's translation/exit counters to stderr.
 //
@@ -37,9 +37,6 @@ import (
 
 	"repro/internal/elfx"
 	"repro/internal/emu"
-
-	// Link the tiered superblock engine so -engine auto/tiered resolves.
-	_ "repro/internal/emu/tiered"
 )
 
 func main() {
@@ -52,7 +49,7 @@ func main() {
 	heatJSON := flag.String("heat-json", "", "write the suri.heat.v1 block-heat export to this file (\"-\" = stderr)")
 	cov := flag.Bool("cov", false, "capture the .suri.instr payload after the run; summary to stderr")
 	covOut := flag.String("cov-out", "", "dump the captured .suri.instr payload bytes to this file (implies -cov)")
-	engine := flag.String("engine", "auto", "execution engine: auto (tiered), interpreter, tiered")
+	engine := flag.String("engine", "auto", "execution engine: auto or tiered (the tiered engine), interpreter")
 	seedHeat := flag.String("seed-heat", "", "pre-translate hot blocks from this suri.heat.v1 file (a prior -heat-json export at the same bias)")
 	tierStats := flag.Bool("tier-stats", false, "print tiered-engine counters to stderr after the run")
 	flag.Parse()
@@ -140,8 +137,8 @@ func instrRange(bin []byte) emu.Range {
 	panic("unreachable")
 }
 
-// dumpTierStats summarizes the tiered engine's counters on stderr; an
-// interpreted run (forced, or no tiered engine linked) says so.
+// dumpTierStats summarizes the tiered engine's counters on stderr; a
+// forced-interpreter run says so.
 func dumpTierStats(t *emu.TierStats) {
 	if t == nil {
 		fmt.Fprintln(os.Stderr, "[tier: interpreted run, no tiered-engine state]")

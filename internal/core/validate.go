@@ -9,13 +9,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/harden"
 	"repro/internal/obs"
-
-	// Link the tiered execution engine into every binary that validates:
-	// emu.EngineAuto then resolves to it, so differential validation runs
-	// at translated-superblock speed by default. The engine is
-	// parity-tested bit-identical to the interpreter; ValidateOptions.
-	// Engine forces the interpreter for A/B measurement.
-	_ "repro/internal/emu/tiered"
 )
 
 // Verdict is the machine-readable outcome of a validated rewrite.
@@ -50,9 +43,10 @@ type ValidateOptions struct {
 	Inputs [][]byte
 
 	// Engine selects the differential executions' emulator engine:
-	// EngineAuto (the default) runs the tiered superblock engine linked
-	// in above, EngineInterpreter forces the plane-fetch interpreter
-	// (the engine A/B baseline).
+	// EngineTiered (the default) runs the tiered superblock engine,
+	// which is parity-tested bit-identical to the interpreter;
+	// EngineInterpreter forces the interpreter (the engine A/B
+	// baseline).
 	Engine emu.EngineKind
 }
 
@@ -364,8 +358,8 @@ func (v *validator) validate(rewritten []byte, emuSteps uint64) error {
 
 // feedTierMetrics publishes one validated rewrite's tiered-engine
 // counters into the metric registry under the emu.tier_* series. All
-// zeros (interpreter-forced runs, or no tiered engine linked) still
-// registers the series, so /metrics exports are stable. Nil-safe.
+// zeros (interpreter-forced runs) still registers the series, so
+// /metrics exports are stable. Nil-safe.
 func feedTierMetrics(reg *obs.Registry, t emu.TierStats) {
 	reg.Counter("emu.tier_translations").Add(int64(t.Translations))
 	reg.Counter("emu.tier_trans_insts").Add(int64(t.TransInsts))

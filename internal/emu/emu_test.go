@@ -205,6 +205,22 @@ func TestStepLimit(t *testing.T) {
 	}
 }
 
+// TestParseEngine pins the -engine / ?engine= spellings: auto and the
+// empty string still name the default, now always the tiered engine.
+func TestParseEngine(t *testing.T) {
+	for s, want := range map[string]EngineKind{
+		"": EngineTiered, "auto": EngineTiered, "tiered": EngineTiered,
+		"interpreter": EngineInterpreter, "interp": EngineInterpreter,
+	} {
+		if got, err := ParseEngine(s); err != nil || got != want {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	if _, err := ParseEngine("jit"); err == nil {
+		t.Error("ParseEngine accepted an unknown engine")
+	}
+}
+
 func TestRegisterWidthSemantics(t *testing.T) {
 	m := buildMachine(t, 0x1000, []x86.Inst{
 		{Op: x86.MOV, W: 8, Dst: x86.RAX.Arg(), Src: x86.Imm(-1).Arg()},

@@ -105,32 +105,107 @@ func (m *Machine) writeArg(a *x86.Arg, v uint64, w uint8, next uint64) error {
 
 func parity(v uint64) bool { return bits.OnesCount8(uint8(v))%2 == 0 }
 
-func (m *Machine) setResultFlags(r uint64, w uint8) {
-	m.Flags.ZF = r == 0
-	m.Flags.SF = signBit(r, w)
-	m.Flags.PF = parity(r)
+// The value functions below are the one copy of the x86 flag, ALU,
+// shift and divide semantics: the interpreter's exec and the tiered
+// engine's micro-ops both call them.
+
+func setResultFlags(f *x86.Flags, r uint64, w uint8) {
+	f.ZF = r == 0
+	f.SF = signBit(r, w)
+	f.PF = parity(r)
 }
 
-func (m *Machine) addFlags(a, b, r uint64, w uint8) {
+func addFlags(f *x86.Flags, a, b, r uint64, w uint8) {
 	if w == 8 {
-		m.Flags.CF = r < a
+		f.CF = r < a
 	} else {
-		m.Flags.CF = (a+b)>>widthBits(w) != 0
+		f.CF = (a+b)>>widthBits(w) != 0
 	}
-	m.Flags.OF = signBit(^(a^b)&(a^r), w)
-	m.setResultFlags(r, w)
+	f.OF = signBit(^(a^b)&(a^r), w)
+	setResultFlags(f, r, w)
 }
 
-func (m *Machine) subFlags(a, b, r uint64, w uint8) {
-	m.Flags.CF = a < b
-	m.Flags.OF = signBit((a^b)&(a^r), w)
-	m.setResultFlags(r, w)
+func subFlags(f *x86.Flags, a, b, r uint64, w uint8) {
+	f.CF = a < b
+	f.OF = signBit((a^b)&(a^r), w)
+	setResultFlags(f, r, w)
 }
 
-func (m *Machine) logicFlags(r uint64, w uint8) {
-	m.Flags.CF = false
-	m.Flags.OF = false
-	m.setResultFlags(r, w)
+func logicFlags(f *x86.Flags, r uint64, w uint8) {
+	f.CF = false
+	f.OF = false
+	setResultFlags(f, r, w)
+}
+
+// aluCompute is the ADD/SUB/CMP/AND/OR/XOR/TEST core: the result and
+// flags of one operation on w-wide operands. wb reports whether the op
+// writes its destination.
+func aluCompute(f *x86.Flags, op x86.Op, a, b uint64, w uint8) (r uint64, wb bool) {
+	switch op {
+	case x86.ADD:
+		r = truncate(a+b, w)
+		addFlags(f, a, b, r, w)
+		return r, true
+	case x86.SUB, x86.CMP:
+		r = truncate(a-b, w)
+		subFlags(f, a, b, r, w)
+		return r, op == x86.SUB
+	case x86.AND, x86.TEST:
+		r = a & b
+	case x86.OR:
+		r = a | b
+	case x86.XOR:
+		r = a ^ b
+	}
+	logicFlags(f, r, w)
+	return r, op != x86.TEST
+}
+
+// shiftCompute is the SHL/SHR/SAR core. count is the raw count operand;
+// a masked count of zero changes nothing, flags included, and reports
+// wb false.
+func shiftCompute(f *x86.Flags, op x86.Op, a, count uint64, w uint8) (r uint64, wb bool) {
+	mask := uint64(31)
+	if w == 8 {
+		mask = 63
+	}
+	if count &= mask; count == 0 {
+		return 0, false
+	}
+	switch op {
+	case x86.SHL:
+		r = truncate(a<<count, w)
+		f.CF = count <= uint64(widthBits(w)) && a>>(uint64(widthBits(w))-count)&1 == 1
+	case x86.SHR:
+		r = a >> count
+		f.CF = a>>(count-1)&1 == 1
+	default: // SAR
+		r = truncate(uint64(int64(signExtend(a, w))>>count), w)
+		f.CF = signExtend(a, w)>>(count-1)&1 == 1
+	}
+	setResultFlags(f, r, w)
+	return r, true
+}
+
+// idivCompute is the IDIV core: the w-wide quotient and remainder of
+// RDX:RAX (given as raw register values) divided by div.
+func idivCompute(rax, rdx, div uint64, w uint8) (q, r uint64, err error) {
+	d := int64(signExtend(div, w))
+	if d == 0 {
+		return 0, 0, ErrDivide
+	}
+	lo := int64(signExtend(truncate(rax, w), w))
+	hi := int64(signExtend(truncate(rdx, w), w))
+	// Only the CQO/CDQ-prepared case (RDX = sign extension of RAX) is a
+	// representable 64-bit dividend; anything else overflows the quotient
+	// for the divisors our subset produces, which is a #DE fault.
+	if hi != lo>>63 {
+		return 0, 0, fmt.Errorf("%w (dividend overflow)", ErrDivide)
+	}
+	if lo == -1<<63 && d == -1 {
+		return 0, 0, fmt.Errorf("%w (quotient overflow)", ErrDivide)
+	}
+	return truncate(uint64(lo/d), w), truncate(uint64(lo%d), w), nil
 }
 
 const defaultWidth = 8
@@ -231,7 +306,7 @@ func (m *Machine) exec(in x86.Inst, size int) error {
 		if err := m.writeArg(&in.Dst, r, w, next); err != nil {
 			return err
 		}
-		m.subFlags(0, a, r, w)
+		subFlags(&m.Flags, 0, a, r, w)
 		m.RIP = next
 		return nil
 
@@ -390,34 +465,7 @@ func (m *Machine) execALU(in x86.Inst, w uint8, next uint64) error {
 	if err != nil {
 		return err
 	}
-	var r uint64
-	writeback := true
-	switch in.Op {
-	case x86.ADD:
-		r = truncate(a+b, w)
-		m.addFlags(a, b, r, w)
-	case x86.SUB:
-		r = truncate(a-b, w)
-		m.subFlags(a, b, r, w)
-	case x86.CMP:
-		r = truncate(a-b, w)
-		m.subFlags(a, b, r, w)
-		writeback = false
-	case x86.AND:
-		r = a & b
-		m.logicFlags(r, w)
-	case x86.OR:
-		r = a | b
-		m.logicFlags(r, w)
-	case x86.XOR:
-		r = a ^ b
-		m.logicFlags(r, w)
-	case x86.TEST:
-		r = a & b
-		m.logicFlags(r, w)
-		writeback = false
-	}
-	if writeback {
+	if r, wb := aluCompute(&m.Flags, in.Op, a, b, w); wb {
 		if err := m.writeArg(&in.Dst, r, w, next); err != nil {
 			return err
 		}
@@ -456,7 +504,7 @@ func (m *Machine) execIMul(in x86.Inst, w uint8, next uint64) error {
 	overflow := int64(signExtend(r, w)) != int64(lo) || int64(hi) != int64(lo)>>63
 	m.Flags.CF = overflow
 	m.Flags.OF = overflow
-	m.setResultFlags(r, w)
+	setResultFlags(&m.Flags, r, w)
 	if err := m.writeArg(&in.Dst, r, w, next); err != nil {
 		return err
 	}
@@ -469,30 +517,12 @@ func (m *Machine) execIDiv(in x86.Inst, w uint8, next uint64) error {
 	if err != nil {
 		return err
 	}
-	d := int64(signExtend(div, w))
-	if d == 0 {
-		return ErrDivide
+	q, r, err := idivCompute(m.Regs[x86.RAX], m.Regs[x86.RDX], div, w)
+	if err != nil {
+		return err
 	}
-	var lo, hi int64
-	if w == 8 {
-		lo = int64(m.Regs[x86.RAX])
-		hi = int64(m.Regs[x86.RDX])
-	} else {
-		lo = int64(signExtend(m.getReg(x86.RAX, w), w))
-		hi = int64(signExtend(m.getReg(x86.RDX, w), w))
-	}
-	// Only the CQO/CDQ-prepared case (RDX = sign extension of RAX) is a
-	// representable 64-bit dividend; anything else overflows the quotient
-	// for the divisors our subset produces, which is a #DE fault.
-	if hi != lo>>63 {
-		return fmt.Errorf("%w (dividend overflow)", ErrDivide)
-	}
-	if lo == -1<<63 && d == -1 {
-		return fmt.Errorf("%w (quotient overflow)", ErrDivide)
-	}
-	q, r := lo/d, lo%d
-	m.setReg(x86.RAX, truncate(uint64(q), w), w)
-	m.setReg(x86.RDX, truncate(uint64(r), w), w)
+	m.setReg(x86.RAX, q, w)
+	m.setReg(x86.RDX, r, w)
 	m.RIP = next
 	return nil
 }
@@ -511,30 +541,10 @@ func (m *Machine) execShift(in x86.Inst, w uint8, next uint64) error {
 	default:
 		return errors.New("bad shift count operand")
 	}
-	mask := uint64(31)
-	if w == 8 {
-		mask = 63
-	}
-	count &= mask
-	if count == 0 {
-		m.RIP = next
-		return nil // flags unchanged
-	}
-	var r uint64
-	switch in.Op {
-	case x86.SHL:
-		r = truncate(a<<count, w)
-		m.Flags.CF = count <= uint64(widthBits(w)) && a>>(uint64(widthBits(w))-count)&1 == 1
-	case x86.SHR:
-		r = a >> count
-		m.Flags.CF = a>>(count-1)&1 == 1
-	case x86.SAR:
-		r = truncate(uint64(int64(signExtend(a, w))>>count), w)
-		m.Flags.CF = signExtend(a, w)>>(count-1)&1 == 1
-	}
-	m.setResultFlags(r, w)
-	if err := m.writeArg(&in.Dst, r, w, next); err != nil {
-		return err
+	if r, wb := shiftCompute(&m.Flags, in.Op, a, count, w); wb {
+		if err := m.writeArg(&in.Dst, r, w, next); err != nil {
+			return err
+		}
 	}
 	m.RIP = next
 	return nil

@@ -34,9 +34,9 @@ type Options struct {
 	// in Result.Prof. Disabled costs nothing.
 	Profile bool
 
-	// Engine selects the execution engine: EngineAuto (default) runs
-	// the tiered engine when linked in, EngineInterpreter forces the
-	// interpreter, EngineTiered fails if no tiered engine is linked.
+	// Engine selects the execution engine: EngineTiered (the zero
+	// default) runs the tiered superblock engine, EngineInterpreter
+	// forces the interpreter.
 	Engine EngineKind
 
 	// HeatSeed maps runtime addresses (load bias applied) to block

@@ -64,8 +64,8 @@ type Machine struct {
 	// block heat, syscall log, CET events). Nil disables all hooks.
 	Prof *Profile
 
-	// Engine selects the execution engine (see EngineKind). EngineAuto
-	// resolves to the tiered engine when one is linked in.
+	// Engine selects the execution engine (see EngineKind); the zero
+	// value is the tiered engine.
 	Engine EngineKind
 
 	// profSeq is the address the previous instruction would fall through
@@ -78,15 +78,20 @@ type Machine struct {
 	// for the machine's lifetime and survive Reset.
 	planes map[uint64]*x86.Plane
 
-	// planeVersion is bumped by InvalidatePlanes; caches keyed on
-	// decoded bytes (the tiered translation cache) revalidate against
-	// it.
+	// stepPage/stepPlane hold the decode plane of the page Step last
+	// fetched from, so sequential execution costs one array load per
+	// instruction instead of a map lookup. A nil plane is never reused.
+	stepPage  uint64
+	stepPlane *x86.Plane
+
+	// planeVersion is bumped by InvalidatePlanes; the tiered
+	// translation cache revalidates against it.
 	planeVersion uint64
 
-	// engineState is the tiered engine's opaque per-machine state. It
-	// survives Reset (like the planes it is keyed on) so translations
-	// amortize across Reload of the same image.
-	engineState any
+	// tier is the tiered engine's per-machine state, created on the
+	// first tiered run. It survives Reset (like the planes it is keyed
+	// on) so translations amortize across Reload of the same image.
+	tier *engine
 
 	// heatSeed is Options.HeatSeed: profiled block heat that lets the
 	// tiered engine translate known-hot blocks on first encounter.
@@ -147,75 +152,15 @@ func (m *Machine) Reset() {
 
 // Run executes until exit, fault, or the step limit.
 //
-// The default path executes page-resident superblocks: the current
-// page's decode plane is held across straight-line runs and near jumps,
-// so sequential execution costs one array load per instruction instead
-// of per-step map lookups. Every Step side effect — budget check order,
-// trace hook, profile counters, CET endbr64 enforcement, error text —
-// is preserved exactly.
+// The default path is the tiered engine (tiered.go); EngineInterpreter
+// runs a plain loop over Step. Both produce bit-identical results.
 func (m *Machine) Run() error {
-	if m.Engine == EngineTiered && tieredRunFn == nil {
-		return fmt.Errorf("emu: tiered engine requested but not linked into this binary")
+	if m.Engine == EngineTiered {
+		return m.runTiered()
 	}
-	if m.Engine != EngineInterpreter && tieredRunFn != nil {
-		return tieredRunFn(m)
-	}
-	pageBase := uint64(1) // not page-aligned: forces the initial refill
-	var plane *x86.Plane
 	for !m.exited {
-		if m.Steps >= m.MaxSteps {
-			return &harden.BudgetExceeded{Resource: "emu.steps", Limit: int64(m.MaxSteps)}
-		}
-		m.Steps++
-
-		rip := m.RIP
-		if pa := rip &^ (PageSize - 1); pa != pageBase {
-			pageBase = pa
-			plane = m.pagePlane(pa)
-		}
-		var in x86.Inst
-		var size int
-		if plane != nil {
-			var derr error
-			in, size, derr = plane.Decode(int(rip - pageBase))
-			if derr != nil {
-				plane = nil // fall through to the slow path below
-			}
-		}
-		if plane == nil {
-			// Non-executable page, page-spanning instruction, or
-			// undecodable bytes: the slow path fetches across page
-			// boundaries and produces the canonical error.
-			var err error
-			in, size, err = m.fetch(rip)
-			if err != nil {
-				return fmt.Errorf("at %#x: %w", rip, err)
-			}
-			pageBase = 1 // force plane re-lookup on the next step
-		}
-		if m.TraceFn != nil {
-			m.TraceFn(rip)
-		}
-		if m.Prof != nil {
-			m.Prof.Opcode[in.Op]++
-			if rip != m.profSeq {
-				m.Prof.Heat[rip]++
-			}
-			m.profSeq = rip + uint64(size)
-		}
-
-		if m.EnforceCET && m.expectEndbr {
-			if in.Op != x86.ENDBR64 {
-				return &CETViolation{RIP: rip, Kind: "missing endbr64"}
-			}
-			if m.Prof != nil {
-				m.Prof.IBTChecks++
-			}
-		}
-		m.expectEndbr = false
-
-		if err := m.exec(in, size); err != nil {
-			return fmt.Errorf("at %#x (%s): %w", rip, in, err)
+		if err := m.Step(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -223,29 +168,58 @@ func (m *Machine) Run() error {
 
 // Step executes one instruction.
 func (m *Machine) Step() error {
+	_, err := m.step()
+	return err
+}
+
+// step is Step that also returns the executed instruction's encoded
+// size, so the tiered engine can tell a sequential successor from a
+// control transfer without decoding the instruction a second time. The
+// size is 0 when no instruction was fetched.
+func (m *Machine) step() (int, error) {
 	if m.Steps >= m.MaxSteps {
-		return &harden.BudgetExceeded{Resource: "emu.steps", Limit: int64(m.MaxSteps)}
+		return 0, &harden.BudgetExceeded{Resource: "emu.steps", Limit: int64(m.MaxSteps)}
 	}
 	m.Steps++
 
-	in, size, err := m.fetch(m.RIP)
-	if err != nil {
-		return fmt.Errorf("at %#x: %w", m.RIP, err)
+	// The current page's plane is looked up only when execution enters
+	// a new page, or when the last lookup found none (a page mapped
+	// since must be able to gain a plane).
+	rip := m.RIP
+	pa := rip &^ (PageSize - 1)
+	pl := m.stepPlane
+	if pa != m.stepPage || pl == nil {
+		pl = m.pagePlane(pa)
+		m.stepPage, m.stepPlane = pa, pl
+	}
+	var in x86.Inst
+	var size int
+	var err error
+	if pl != nil {
+		in, size, err = pl.Decode(int(rip - pa))
+	}
+	if pl == nil || err != nil {
+		// No plane, a page-spanning instruction, or undecodable bytes:
+		// the slow path fetches across the page boundary and produces
+		// the canonical error.
+		if in, size, err = m.fetchSlow(rip); err != nil {
+			return 0, fmt.Errorf("at %#x: %w", rip, err)
+		}
 	}
 	if m.TraceFn != nil {
-		m.TraceFn(m.RIP)
+		m.TraceFn(rip)
 	}
 	if m.Prof != nil {
 		m.Prof.Opcode[in.Op]++
-		if m.RIP != m.profSeq {
-			m.Prof.Heat[m.RIP]++
+		if rip != m.profSeq {
+			m.Prof.Heat[rip]++
 		}
-		m.profSeq = m.RIP + uint64(size)
+		m.profSeq = rip + uint64(size)
 	}
 
 	if m.EnforceCET && m.expectEndbr {
 		if in.Op != x86.ENDBR64 {
-			return &CETViolation{RIP: m.RIP, Kind: "missing endbr64"}
+			return size, &CETViolation{RIP: rip, Kind: "missing endbr64"}
 		}
 		if m.Prof != nil {
 			m.Prof.IBTChecks++
@@ -254,9 +228,9 @@ func (m *Machine) Step() error {
 	m.expectEndbr = false
 
 	if err := m.exec(in, size); err != nil {
-		return fmt.Errorf("at %#x (%s): %w", m.RIP, in, err)
+		return size, fmt.Errorf("at %#x (%s): %w", rip, in, err)
 	}
-	return nil
+	return size, nil
 }
 
 // fetch decodes the instruction at addr, using the page decode plane.

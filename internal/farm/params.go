@@ -26,8 +26,9 @@ type Params struct {
 	Validate bool
 
 	// Engine selects the validation emulator engine
-	// (?engine=auto|interpreter|tiered). Auto — the default — runs the
-	// tiered superblock engine; only validated rewrites consult it.
+	// (?engine=auto|interpreter|tiered). The default, spelled auto or
+	// tiered, runs the tiered superblock engine; interpreter forces the
+	// interpreter. Only validated rewrites consult it.
 	Engine emu.EngineKind
 
 	// Trace requests the span tree in the response (?trace=1).
@@ -44,7 +45,7 @@ type Params struct {
 // other failure is a plain client error (400).
 //
 //	ignore-ehframe=1  allow-noncet=1  validate=1  trace=1
-//	engine=<auto|interpreter|tiered>  timeout=<duration>
+//	engine=<auto|tiered|interpreter>  timeout=<duration>
 //	budget-insts=<n>  budget-steps=<n>  instrument=<pass,pass,...>
 func ParseQuery(q url.Values, budget harden.Budget, maxTimeout time.Duration) (Params, error) {
 	p := Params{

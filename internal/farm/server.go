@@ -98,7 +98,8 @@ type HealthResponse struct {
 //
 //	POST /rewrite       binary in -> RewriteResponse out
 //	                    query: ignore-ehframe=1, allow-noncet=1,
-//	                           validate=1, engine=<auto|interpreter|tiered>,
+//	                           validate=1, engine=<auto|tiered|interpreter>
+//	                           (auto and tiered name the default engine),
 //	                           trace=1, timeout=<duration>,
 //	                           budget-insts=<n>, budget-steps=<n>,
 //	                           instrument=<pass,pass,...>

@@ -16,7 +16,6 @@ import (
 )
 
 // engines are the differential execution engines every case runs under.
-// The tiered engine is linked via internal/core's blank import.
 var engines = []emu.EngineKind{emu.EngineInterpreter, emu.EngineTiered}
 
 // FuzzOptions configure a fuzzing campaign.

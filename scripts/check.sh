@@ -4,8 +4,8 @@
 # pipeline; farm is the concurrent rewrite pool + cache + HTTP layer;
 # harden's failpoints are armed via atomics; elfx parses hostile input;
 # instr runs concurrent instrumented rewrites of one binary; cfg runs
-# concurrent builds of one binary; emu/tiered runs concurrent machines,
-# each with its own decode planes and translations), the
+# concurrent builds of one binary; emu's tiered engine runs concurrent
+# machines, each with its own decode planes and translations), the
 # hot-path allocation gates (cached plane decode, emulator fetch span,
 # and arithmetic encode must stay allocation-free) with the layout pins
 # (the sizes of x86.Inst, its operand, the decode-plane entry, asm.Ins
@@ -54,10 +54,11 @@ go test -race -run 'TestConcurrentBuilds' ./internal/cfg/...
 # steps (TestWarmRunStaysTranslated), endbr64-led indirect entries pass
 # their check inside translated blocks (TestIndirectEntryEndbr), and
 # execution re-enters translated code after a page-boundary or declined
-# block end (TestReentryAfterForcedExit).
+# block end (TestReentryAfterForcedExit). The engine lives in package
+# emu beside the interpreter it falls back to.
 go test -race -count=1 \
     -run 'TestConcurrentMachinesTiered|TestPlaneInvalidationBetweenRuns|TestWarmRunStaysTranslated|TestIndirectEntryEndbr|TestReentryAfterForcedExit' \
-    ./internal/emu/tiered/
+    ./internal/emu/
 # Allocation gates: cached plane decode and the emulator fetch span must
 # stay allocation-free; a whole rewrite must stay under its malloc and
 # byte ceilings (each pipeline stage sizes its stream once); a tiered
