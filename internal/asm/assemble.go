@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/x86"
 )
@@ -85,8 +86,22 @@ func Assemble(p *Program, base uint64) (*Result, error) {
 		p.Syms = NewSymtab(len(p.Sets))
 	}
 	a := assembler{prog: p, syms: p.Syms, base: base}
+	t := tablesPool.Get().(*tables)
+	defer tablesPool.Put(t)
+	a.cut(t)
 	return a.run()
 }
+
+// tables is the per-item storage of one Assemble call, flat over all
+// sections: it dies with the call (the Result keeps only the per-Sym
+// addresses), so tablesPool hands it to the next call instead of the
+// collector. Neither slab holds pointers.
+type tables struct {
+	info  []itemInfo
+	addrs []uint64
+}
+
+var tablesPool = sync.Pool{New: func() any { return new(tables) }}
 
 type assembler struct {
 	prog *Program
@@ -103,6 +118,30 @@ type assembler struct {
 	// non-branch items and both form lengths of symbolic branches,
 	// computed once before the first round.
 	info [][]itemInfo
+}
+
+// cut sizes t for the program's items and cuts it into per-section
+// windows of a.info and a.addrs. buildInfo writes every info entry and
+// layout every address before either is read, so the reused slabs need
+// no clearing.
+func (a *assembler) cut(t *tables) {
+	n := 0
+	for _, s := range a.prog.Sections {
+		n += len(s.Items)
+	}
+	if cap(t.info) < n {
+		t.info = make([]itemInfo, n)
+		t.addrs = make([]uint64, n)
+	}
+	a.info = make([][]itemInfo, len(a.prog.Sections))
+	a.addrs = make([][]uint64, len(a.prog.Sections))
+	n = 0
+	for si, s := range a.prog.Sections {
+		m := n + len(s.Items)
+		a.info[si] = t.info[n:m:m]
+		a.addrs[si] = t.addrs[n:m:m]
+		n = m
+	}
 }
 
 // itemInfo kinds.
@@ -156,9 +195,8 @@ func (a *assembler) run() (*Result, error) {
 // buildInfo computes every item's encoded length once. Symbolic branches
 // get both form lengths so later rounds never re-enter the encoder.
 func (a *assembler) buildInfo() error {
-	a.info = make([][]itemInfo, len(a.prog.Sections))
 	for si, s := range a.prog.Sections {
-		infos := make([]itemInfo, len(s.Items))
+		infos := a.info[si]
 		for ii, it := range s.Items {
 			switch v := it.(type) {
 			case Label:
@@ -198,7 +236,6 @@ func (a *assembler) buildInfo() error {
 				infos[ii] = itemInfo{kind: kOther, size: n}
 			}
 		}
-		a.info[si] = infos
 	}
 	return nil
 }
@@ -224,12 +261,8 @@ func (a *assembler) layout() error {
 			a.defined[sets[i]] = true
 			a.symAddr[sets[i]] = set.Addr
 		}
-		a.addrs = make([][]uint64, len(a.prog.Sections))
 		a.starts = make([]uint64, len(a.prog.Sections))
 		a.ends = make([]uint64, len(a.prog.Sections))
-		for si := range a.prog.Sections {
-			a.addrs[si] = make([]uint64, len(a.prog.Sections[si].Items))
-		}
 	}
 
 	cursor := a.base

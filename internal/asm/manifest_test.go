@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -191,6 +192,28 @@ func TestAssembleReuseDeterministic(t *testing.T) {
 		if !bytes.Equal(a.Sections[i].Data, b.Sections[i].Data) {
 			t.Errorf("section %q differs across identical assemblies", a.Sections[i].Name)
 		}
+	}
+}
+
+// TestAssembleReuseIsolation assembles a large program, then a small
+// one: the per-item tables Assemble reuses across calls arrive holding
+// the large program's state, and neither result may differ from
+// assembling that program with empty pools.
+func TestAssembleReuseIsolation(t *testing.T) {
+	large := func() *Program { return randomProgram(rand.New(rand.NewSource(11)), 3000) }
+	small := func() *Program { return randomProgram(rand.New(rand.NewSource(12)), 200) }
+	digest := func(p *Program) string { return resultDigest(Assemble(p, 0x2000)) }
+	emptyPools := func() { runtime.GC(); runtime.GC() }
+
+	emptyPools()
+	wantLarge := digest(large())
+	emptyPools()
+	wantSmall := digest(small())
+	if got := digest(large()); got != wantLarge {
+		t.Error("large program differs after a reuse")
+	}
+	if got := digest(small()); got != wantSmall {
+		t.Error("small program assembled after a large one differs from assembling it alone")
 	}
 }
 

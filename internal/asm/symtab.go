@@ -47,6 +47,13 @@ func (t *Symtab) Lookup(name string) (Sym, bool) {
 	return s, ok
 }
 
+// LookupBytes is Lookup for a name held in a byte slice; it builds no
+// string.
+func (t *Symtab) LookupBytes(name []byte) (Sym, bool) {
+	s, ok := t.ids[string(name)]
+	return s, ok
+}
+
 // Name returns the symbol's name ("" for the zero Sym).
 func (t *Symtab) Name(s Sym) string { return t.names[s] }
 

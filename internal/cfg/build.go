@@ -2,8 +2,10 @@ package cfg
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/ehframe"
 	"repro/internal/elfx"
@@ -118,12 +120,13 @@ type slot struct {
 	idx int32
 }
 
-type builder struct {
-	f    *elfx.File
-	text *elfx.Section
-	opts Options
-	g    *Graph
-
+// scratch is the builder state that dies with Build: nothing in the
+// Graph points into it. Build takes one from scratchPool, resets it on
+// take and returns it when it is done, so consecutive builds reuse its
+// storage instead of allocating and zeroing it afresh. Only blocks holds
+// pointers, and they are cleared on return, so an idle scratch pins no
+// Graph.
+type scratch struct {
 	// owner is the dense index of the text, one slot per byte, and
 	// blocks maps builder ids to blocks. The index is pointer-free, so
 	// per-instruction bookkeeping costs no map probe and no GC scan.
@@ -138,7 +141,55 @@ type builder struct {
 
 	// knownBases records every candidate table base seen so far; the
 	// BoundsCmp fallback uses them as scan barriers.
-	knownBases  map[uint64]bool
+	knownBases map[uint64]bool
+
+	// tableVer records the graph version each dispatch block's table
+	// was last analyzed at (see builder.graphVersion).
+	tableVer map[uint64]uint64
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{
+		entrySet:   make(map[uint64]bool),
+		knownBases: make(map[uint64]bool),
+		tableVer:   make(map[uint64]uint64),
+	}
+}}
+
+// takeScratch returns a reset scratch whose owner index covers n text
+// bytes.
+func takeScratch(n int) *scratch {
+	s := scratchPool.Get().(*scratch)
+	if cap(s.owner) < n {
+		s.owner = make([]slot, n)
+	} else {
+		s.owner = s.owner[:n]
+		clear(s.owner)
+	}
+	s.blocks = s.blocks[:0]
+	s.work = s.work[:0]
+	s.jmps = s.jmps[:0]
+	clear(s.entrySet)
+	clear(s.knownBases)
+	clear(s.tableVer)
+	return s
+}
+
+// putScratch returns s to the pool. Only blocks[:len] can hold block
+// pointers (every earlier return cleared the rest of its array), so
+// clearing that prefix leaves the pool pointing at no Graph.
+func putScratch(s *scratch) {
+	clear(s.blocks)
+	scratchPool.Put(s)
+}
+
+type builder struct {
+	f    *elfx.File
+	text *elfx.Section
+	opts Options
+	g    *Graph
+
+	*scratch
 	useBarriers bool
 
 	// arenaInsts/arenaSizes are the current chunk of the build-wide
@@ -157,7 +208,6 @@ type builder struct {
 	// version cannot produce a different result, so analyzeAllTables
 	// skips it — the converged final round touches no table at all.
 	graphVersion uint64
-	tableVer     map[uint64]uint64
 
 	// harvestGrew records whether decode-time harvesting added an entry
 	// since the last round boundary.
@@ -223,11 +273,9 @@ func Build(f *elfx.File, opts Options) (*Graph, error) {
 			TextEnd:   text.Addr + text.Size,
 			File:      f,
 		},
-		owner:      make([]slot, len(text.Data)),
-		entrySet:   make(map[uint64]bool),
-		knownBases: make(map[uint64]bool),
-		tableVer:   make(map[uint64]uint64),
+		scratch: takeScratch(len(text.Data)),
 	}
+	defer putScratch(b.scratch)
 	if err := b.run(); err != nil {
 		return nil, err
 	}
@@ -285,8 +333,7 @@ func (b *builder) run() error {
 			break
 		}
 	}
-	sort.Slice(b.g.Entries, func(i, j int) bool { return b.g.Entries[i] < b.g.Entries[j] })
-	sort.Slice(b.g.Tables, func(i, j int) bool { return b.g.Tables[i].JmpAddr < b.g.Tables[j].JmpAddr })
+	slices.SortFunc(b.g.Tables, func(x, y *JumpTable) int { return cmp.Compare(x.JmpAddr, y.JmpAddr) })
 	b.g.invalidatePreds()
 	return nil
 }
@@ -350,8 +397,8 @@ func (b *builder) addEntry(addr uint64) bool {
 	}
 	b.graphVersion++
 	b.entrySet[addr] = true
-	b.g.Entries = append(b.g.Entries, addr)
-	sort.Slice(b.g.Entries, func(i, j int) bool { return b.g.Entries[i] < b.g.Entries[j] })
+	i, _ := slices.BinarySearch(b.g.Entries, addr)
+	b.g.Entries = slices.Insert(b.g.Entries, i, addr)
 	b.enqueue(addr)
 	return true
 }

@@ -98,8 +98,7 @@ func (b *builder) analyzeTable(blk *Block) (*JumpTable, error) {
 	if !ok {
 		return nil, nil
 	}
-	addrs := blk.InstAddrs()
-	jmpAddr := addrs[len(addrs)-1]
+	jmpAddr := blk.End() - uint64(blk.Sizes[len(blk.Sizes)-1])
 
 	// Step 1: backward over all superset paths, find "add T, B" then
 	// "movsxd T, [B + idx*4]".
@@ -390,10 +389,15 @@ func (b *builder) walkBack(blk *Block, idx, maxDepth int, visit func(in x86.Inst
 	for len(stack) > 0 {
 		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		addrs := fr.blk.InstAddrs()
+		// at walks back from the end of instruction fr.idx.
+		at := fr.blk.Addr
+		for _, s := range fr.blk.Sizes[:fr.idx+1] {
+			at += uint64(s)
+		}
 		alive := true
 		for i := fr.idx; i >= 0; i-- {
-			if !visit(fr.blk.Insts[i], addrs[i], &fr.st) {
+			at -= uint64(fr.blk.Sizes[i])
+			if !visit(fr.blk.Insts[i], at, &fr.st) {
 				alive = false
 				break
 			}

@@ -7,8 +7,10 @@
 package emit
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/asm"
 	"repro/internal/cfg"
@@ -69,17 +71,26 @@ func Emit(in Input) ([]byte, *Layout, error) {
 
 	// The program assembles against the stream's own symbol table.
 	syms := in.Graph.Syms
-	prog := &asm.Program{Syms: syms}
+	prog := &asm.Program{Syms: syms, Sets: make([]asm.Set, 0, len(in.Sets))}
 	for name, addr := range in.Sets {
 		prog.Sets = append(prog.Sets, asm.Set{Name: name, Addr: addr})
 	}
-	sort.Slice(prog.Sets, func(i, j int) bool { return prog.Sets[i].Name < prog.Sets[j].Name })
+	slices.SortFunc(prog.Sets, func(a, b asm.Set) int { return cmp.Compare(a.Name, b.Name) })
 
 	text := prog.Section(".suri.text", asm.Alloc|asm.Exec)
 	text.Align = elfx.PageSize
 	text.Addr = newBase
 	text.HasAddr = true
-	text.Items = serialize.Items(in.Entries, syms)
+	items := itemsPool.Get().(*[]asm.Item)
+	defer func() {
+		// The list points into S': clear it, or the pool would keep
+		// this rewrite's stream alive.
+		clear(*items)
+		*items = (*items)[:0]
+		itemsPool.Put(items)
+	}()
+	*items = serialize.AppendItems((*items)[:0], in.Entries, syms)
+	text.Items = *items
 
 	ro := prog.Section(".suri.rodata", asm.Alloc)
 	ro.Align = elfx.PageSize
@@ -111,7 +122,11 @@ func Emit(in Input) ([]byte, *Layout, error) {
 
 	// newAddrOf maps an original code address to its copied location.
 	newAddrOf := func(old uint64) (uint64, bool) {
-		return res.Symbol(serialize.LabelFor(old))
+		s, ok := serialize.LookupLabel(syms, old)
+		if !ok {
+			return 0, false
+		}
+		return res.Addr(s)
 	}
 
 	out := &elfx.File{Type: orig.Type}
@@ -128,6 +143,11 @@ func Emit(in Input) ([]byte, *Layout, error) {
 		if ns.Flags&elfx.SHFExecinstr != 0 {
 			ns.Flags &^= elfx.SHFExecinstr
 		}
+		// Sections alias the parsed input, which elfx.Write only reads.
+		// own records that ns.Data is this call's buffer instead: a
+		// section is copied before its first table patch, so the
+		// caller's image is never written.
+		own := false
 		if ns.Name == ".rela.dyn" && ns.Data != nil {
 			// Retarget relocated code pointers into the copied code
 			// (only endbr64-targeting addends are code pointers, §3.4).
@@ -145,12 +165,15 @@ func Emit(in Input) ([]byte, *Layout, error) {
 				}
 			}
 			ns.Data = elfx.BuildRela(relas)
-		} else if ns.Data != nil {
-			ns.Data = append([]byte(nil), ns.Data...)
+			own = true
 		}
 		for _, p := range in.TablePatches {
 			if ns.Data == nil || p.Addr < ns.Addr || p.Addr+4 > ns.Addr+ns.Size {
 				continue
+			}
+			if !own {
+				ns.Data = append([]byte(nil), ns.Data...)
+				own = true
 			}
 			v, ok := res.Addr(p.Plus)
 			if !ok {
@@ -237,5 +260,10 @@ func Emit(in Input) ([]byte, *Layout, error) {
 	}
 	return bin, layout, nil
 }
+
+// itemsPool recycles the .suri.text item list across Emit calls. It
+// holds pointers into the S' being assembled, so Emit clears it before
+// putting it back.
+var itemsPool = sync.Pool{New: func() any { return new([]asm.Item) }}
 
 func alignUp(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }

@@ -1,6 +1,7 @@
 package emit
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -107,9 +108,15 @@ func TestEmitTablePatchApplies(t *testing.T) {
 		Plus: serialize.Label(in.Graph.Syms, orig.Entry),
 		Base: ro.Addr,
 	}}
+	before := bytes.Clone(ro.Data)
 	bin, layout, err := Emit(in)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The patch lands in the output's copy of the section: the parsed
+	// input it aliases is never written.
+	if !bytes.Equal(ro.Data, before) {
+		t.Error("Emit patched the input's .rodata in place")
 	}
 	f, _ := elfx.Read(bin)
 	got := f.Section(".rodata").Data

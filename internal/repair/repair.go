@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/asm"
 	"repro/internal/cfg"
 	"repro/internal/harden"
 	"repro/internal/serialize"
@@ -43,6 +44,9 @@ func Repair(entries []serialize.Entry, g *cfg.Graph) (*Result, error) {
 		return nil, fmt.Errorf("repair: %w", err)
 	}
 	res := &Result{Sets: make(map[string]uint64)}
+	// pinned remembers each pinned target's label: a binary pins many
+	// references to few addresses, so each label is formatted once.
+	pinned := make(map[uint64]asm.Sym)
 	for i := range entries {
 		e := &entries[i]
 		if e.Synth || e.Target != 0 {
@@ -62,9 +66,14 @@ func Repair(entries []serialize.Entry, g *cfg.Graph) (*Result, error) {
 			// endbr64 byte pattern outside any known block (§5.1): treat
 			// as data and pin — the conservative choice.
 		}
-		lbl := OrigLabel(target)
-		res.Sets[lbl] = target
-		e.Target = g.Syms.Intern(lbl)
+		s, ok := pinned[target]
+		if !ok {
+			lbl := OrigLabel(target)
+			res.Sets[lbl] = target
+			s = g.Syms.Intern(lbl)
+			pinned[target] = s
+		}
+		e.Target = s
 		res.Pinned++
 	}
 	return res, nil

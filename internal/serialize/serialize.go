@@ -8,8 +8,10 @@ package serialize
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/cfg"
@@ -74,10 +76,39 @@ func (e *Entry) Labels(syms *asm.Symtab) []asm.Sym {
 const TrapLabel = "LTRAP"
 
 // LabelFor names the new-code label of an original instruction address.
-func LabelFor(addr uint64) string { return "LC_" + strconv.FormatUint(addr, 16) }
+func LabelFor(addr uint64) string {
+	var buf [maxLabelLen]byte
+	return string(appendLabel(buf[:0], addr))
+}
+
+// maxLabelLen is the longest new-code label: "LC_" and 16 hex digits.
+const maxLabelLen = 3 + 16
+
+// appendLabel appends addr's new-code label to dst.
+func appendLabel(dst []byte, addr uint64) []byte {
+	return strconv.AppendUint(append(dst, "LC_"...), addr, 16)
+}
+
+// labelLen is the length of addr's new-code label.
+func labelLen(addr uint64) int { return 3 + max(1, (bits.Len64(addr)+3)/4) }
+
+// LookupLabel returns the new-code label of an original instruction
+// address if it has been interned. It builds no string, so resolving a
+// block's label costs one map probe and no allocation.
+func LookupLabel(syms *asm.Symtab, addr uint64) (asm.Sym, bool) {
+	var buf [maxLabelLen]byte
+	return syms.LookupBytes(appendLabel(buf[:0], addr))
+}
 
 // Label interns the new-code label of an original instruction address.
-func Label(syms *asm.Symtab, addr uint64) asm.Sym { return syms.Intern(LabelFor(addr)) }
+// Every block's label is interned by Serialize, so for a block start
+// this is an allocation-free lookup.
+func Label(syms *asm.Symtab, addr uint64) asm.Sym {
+	if s, ok := LookupLabel(syms, addr); ok {
+		return s
+	}
+	return syms.Intern(LabelFor(addr))
+}
 
 // Serialize linearizes the superset CFG. Blocks are emitted in ascending
 // address order; a block whose fall-through successor is not the next
@@ -94,13 +125,28 @@ func Serialize(g *cfg.Graph) ([]Entry, error) {
 	}
 	blocks := g.SortedBlocks()
 
-	// Every block start is a label, interned in block order.
+	// Every block start is a label, interned in block order. The names
+	// are formatted into one string and interned as substrings of it,
+	// so the table holds one name allocation, not one per block.
 	syms := asm.NewSymtab(len(blocks) + 1)
 	g.Syms = syms
+	size := 0
+	for _, b := range blocks {
+		size += labelLen(b.Addr)
+	}
+	var all strings.Builder
+	all.Grow(size)
+	var buf [maxLabelLen]byte
+	for _, b := range blocks {
+		all.Write(appendLabel(buf[:0], b.Addr))
+	}
+	text := all.String()
 	names := make([]asm.Sym, len(blocks))
 	n := 1 // the shared trap
 	for bi, b := range blocks {
-		names[bi] = Label(syms, b.Addr)
+		l := labelLen(b.Addr)
+		names[bi] = syms.Intern(text[:l])
+		text = text[l:]
 		n += len(b.Insts)
 		if len(b.Insts) == 0 || b.Invalid || (b.HasFall && !fallsThrough(blocks, bi)) {
 			n++ // a lone trap, a sealing trap, or an explicit jump
@@ -163,7 +209,7 @@ func Serialize(g *cfg.Graph) ([]Entry, error) {
 				break // natural adjacency
 			}
 			out = append(out, Entry{
-				Ins:   asm.Ins{Inst: x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, Target: Label(syms, b.Fall)},
+				Ins:   asm.Ins{Inst: x86.Inst{Op: x86.JMP, Src: x86.Rel(0).Arg()}, Target: labelOf(b.Fall)},
 				Synth: true,
 			})
 		}
@@ -200,20 +246,26 @@ func fixRoom(g *cfg.Graph) int {
 // in place, never copied. The list is sized exactly (labels plus
 // instructions).
 func Items(entries []Entry, syms *asm.Symtab) []asm.Item {
+	return AppendItems(nil, entries, syms)
+}
+
+// AppendItems appends the stream's items (see Items) to dst, growing it
+// at most once, and returns the extended list.
+func AppendItems(dst []asm.Item, entries []Entry, syms *asm.Symtab) []asm.Item {
 	n := len(entries)
 	for i := range entries {
 		for l := entries[i].Label; l != 0; l = syms.Next(l) {
 			n++
 		}
 	}
-	items := make([]asm.Item, 0, n)
+	dst = slices.Grow(dst, n)
 	for i := range entries {
 		for l := entries[i].Label; l != 0; l = syms.Next(l) {
-			items = append(items, asm.Label{Sym: l})
+			dst = append(dst, asm.Label{Sym: l})
 		}
-		items = append(items, &entries[i].Ins)
+		dst = append(dst, &entries[i].Ins)
 	}
-	return items
+	return dst
 }
 
 // Count reports original and synthesized instruction counts, the

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/cfg"
 	"repro/internal/elfx"
@@ -162,5 +163,31 @@ func TestLayout(t *testing.T) {
 	}
 	if err := layout.PointerFree(reflect.TypeOf(Entry{})); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLabels pins the label helpers against one another: Serialize cuts
+// block names out of one string by labelLen, and LookupLabel must find
+// what Label interned without building a string.
+func TestLabels(t *testing.T) {
+	syms := asm.NewSymtab(0)
+	for _, addr := range []uint64{0, 1, 0xf, 0x10, 0x1000, 0xdeadbeef, 1<<63 + 5, ^uint64(0)} {
+		name := LabelFor(addr)
+		if got := labelLen(addr); got != len(name) {
+			t.Errorf("labelLen(%#x) = %d, want len(%q)", addr, got, name)
+		}
+		if _, ok := LookupLabel(syms, addr); ok {
+			t.Errorf("LookupLabel(%#x) found a label before it was interned", addr)
+		}
+		s := Label(syms, addr)
+		if got, ok := LookupLabel(syms, addr); !ok || got != s || syms.Name(s) != name {
+			t.Errorf("LookupLabel(%#x) = %d, %v; Label interned %d as %q", addr, got, ok, s, syms.Name(s))
+		}
+		if Label(syms, addr) != s {
+			t.Errorf("Label(%#x) interned twice", addr)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { LookupLabel(syms, 0xdeadbeef) }); n != 0 {
+		t.Errorf("LookupLabel allocates %.0f times", n)
 	}
 }
