@@ -10,6 +10,7 @@
 package suri_test
 
 import (
+	"context"
 	"testing"
 
 	suri "repro"
@@ -59,7 +60,7 @@ func BenchmarkTable2VsDdisasm(b *testing.B) {
 	b.ResetTimer()
 	var rows []eval.Row
 	for i := 0; i < b.N; i++ {
-		rows = eval.ReliabilityTable(cases, eval.Ddisasm(), false)
+		rows = eval.ReliabilityTable(context.Background(), cases, eval.Ddisasm(), false, nil, nil)
 	}
 	b.StopTimer()
 	var sFin, dFin, sPassed, sTests, dPassed, dTests float64
@@ -84,7 +85,7 @@ func BenchmarkTable3VsEgalito(b *testing.B) {
 	b.ResetTimer()
 	var rows []eval.Row
 	for i := 0; i < b.N; i++ {
-		rows = eval.ReliabilityTable(cases, eval.Egalito(), true)
+		rows = eval.ReliabilityTable(context.Background(), cases, eval.Egalito(), true, nil, nil)
 	}
 	b.StopTimer()
 	var sPassed, sTests, ePassed, eTests float64
@@ -109,7 +110,7 @@ func BenchmarkTable4Overhead(b *testing.B) {
 	b.ResetTimer()
 	var rows []eval.OverheadRow
 	for i := 0; i < b.N; i++ {
-		rows = eval.OverheadTable(cases, []baseline.Rewriter{eval.SURI()})
+		rows = eval.OverheadTable(context.Background(), cases, []baseline.Rewriter{eval.SURI()}, nil)
 	}
 	b.StopTimer()
 	var sum float64
@@ -133,7 +134,7 @@ func BenchmarkSymbolDistribution(b *testing.B) {
 	var st eval.InstrumentationStats
 	var err error
 	for i := 0; i < b.N; i++ {
-		st, err = eval.MeasureInstrumentation(cases)
+		st, err = eval.MeasureInstrumentation(context.Background(), cases, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,7 +150,7 @@ func BenchmarkInstrumentationStats(b *testing.B) {
 	var st eval.InstrumentationStats
 	var err error
 	for i := 0; i < b.N; i++ {
-		st, err = eval.MeasureInstrumentation(cases)
+		st, err = eval.MeasureInstrumentation(context.Background(), cases, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,7 +7,7 @@
 //
 //	suri [-o out.bin] [-ignore-ehframe] [-instrument pass,pass,...] [-stats]
 //	     [-sprime] [-trace] [-stats-json]
-//	     [-validate] [-validate-input a,b,...] [-engine auto|interpreter|tiered]
+//	     [-validate] [-validate-input a,b,...]
 //	     input.bin
 //
 // -instrument applies standard instrumentation passes (coverage,
@@ -25,10 +25,9 @@
 // none given, one empty-input run). On divergence or a pipeline failure
 // the rewrite is retried under widened resource budgets, and if no
 // attempt validates the ORIGINAL binary is written out unmodified —
-// never a silently wrong rewrite. -engine picks the validation
-// emulator: auto or tiered (default) runs the tiered superblock
-// engine, interpreter forces the baseline; with -stats-json the run's
-// emu.tier_* counters land in the metric registry either way.
+// never a silently wrong rewrite. Validation runs on the emulator's
+// tiered engine; with -stats-json the run's emu.tier_* counters land
+// in the metric registry.
 //
 // Exit codes: 1 — the rewrite (or file I/O) failed; the message names
 // the pipeline stage that died (e.g. "suri: cfg: ..."); 2 — usage
@@ -47,7 +46,6 @@ import (
 
 	suri "repro"
 	"repro/internal/core"
-	"repro/internal/emu"
 	"repro/internal/obs"
 )
 
@@ -82,13 +80,9 @@ func main() {
 	trace := flag.Bool("trace", false, "print the per-stage pipeline span tree")
 	statsJSON := flag.Bool("stats-json", false, "print the trace and metric registry as JSON")
 	validate := flag.Bool("validate", false, "differentially validate the rewrite; fall back to the original on failure (exit 3)")
-	engine := flag.String("engine", "auto", "validation emulator engine: auto or tiered (the tiered engine), interpreter")
 	var vinputs inputList
 	flag.Var(&vinputs, "validate-input", "comma-separated int64 input words for one validation run (repeatable)")
 	flag.Parse()
-
-	engineKind, err := emu.ParseEngine(*engine)
-	fail(err)
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: suri [flags] input.bin")
@@ -120,7 +114,7 @@ func main() {
 		vres   *suri.ValidatedResult
 	)
 	if *validate {
-		vres, err = suri.RewriteValidated(bin, suri.ValidateOptions{Options: opts, Inputs: vinputs, Engine: engineKind})
+		vres, err = suri.RewriteValidated(bin, suri.ValidateOptions{Options: opts, Inputs: vinputs})
 		fail(err)
 		outBin, res = vres.Binary, vres.Result
 	} else {

@@ -37,9 +37,10 @@
 // restarted server still answers repeat requests from cache;
 // -max-inflight caps concurrent /rewrite requests (excess get 503 with
 // Retry-After); -max-body bounds the request body (413 past it);
-// -timeout bounds each request's wall clock and is wired into the
-// pipeline as a cancellation budget (per-request ?timeout= can only
-// tighten it); -budget / -budget-steps set the default decoded-
+// -timeout bounds each request's wall clock, from admission through
+// its wait in the farm queue to the end of the pipeline, which takes
+// it as a cancellation budget; it is the one deadline (per-request
+// ?timeout= can only tighten it); -budget / -budget-steps set the default decoded-
 // instruction and emulator-step budgets (0 = pipeline defaults);
 // -flight sizes the always-on flight recorder ring (0 disables it);
 // -pprof mounts /debug/pprof/. Budget or timeout exhaustion answers 422
@@ -81,7 +82,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist rewrite artifacts under this directory (empty = memory only)")
 	cacheEntries := flag.Int("cache-entries", 256, "in-memory artifact cache size (LRU)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent /rewrite requests before 503 (0 = 4x workers)")
-	timeout := flag.Duration("job-timeout", 0, "per-rewrite deadline (0 = none)")
 	maxBody := flag.Int64("max-body", 0, "max request body bytes before 413 (0 = 64 MiB)")
 	reqTimeout := flag.Duration("timeout", 0, "per-request deadline, wired into the pipeline budget (0 = none)")
 	budgetInsts := flag.Int64("budget", 0, "default decoded-instruction budget per rewrite (0 = pipeline default)")
@@ -102,10 +102,9 @@ func main() {
 		os.Exit(1)
 	}
 	pool := farm.New(farm.Config{
-		Workers:    *jobs,
-		JobTimeout: *timeout,
-		Cache:      cache,
-		Obs:        col,
+		Workers: *jobs,
+		Cache:   cache,
+		Obs:     col,
 	})
 	server := farm.NewServer(pool, farm.ServerOptions{
 		MaxInflight:    *maxInflight,

@@ -92,7 +92,7 @@ func main() {
 	if run("2") {
 		section("table2", func() {
 			cases := corpus("ubuntu20.04")
-			rows := eval.ReliabilityTableFarm(ctx, cases, eval.Ddisasm(), false, col, pool)
+			rows := eval.ReliabilityTable(ctx, cases, eval.Ddisasm(), false, col, pool)
 			interrupted()
 			fmt.Println(eval.FormatReliability(
 				fmt.Sprintf("Table 2: SURI vs Ddisasm (scale %.2f, %d binaries)", *scale, len(cases)),
@@ -103,7 +103,7 @@ func main() {
 	if run("3") {
 		section("table3", func() {
 			cases := corpus("ubuntu18.04")
-			rows := eval.ReliabilityTableFarm(ctx, cases, eval.Egalito(), true, col, pool)
+			rows := eval.ReliabilityTable(ctx, cases, eval.Egalito(), true, col, pool)
 			interrupted()
 			fmt.Println(eval.FormatReliability(
 				fmt.Sprintf("Table 3: SURI vs Egalito (scale %.2f, C++-like programs excluded)", *scale),
@@ -114,7 +114,7 @@ func main() {
 	if run("4") {
 		section("table4", func() {
 			cases := append(append([]eval.Case(nil), corpus("ubuntu20.04")...), corpus("ubuntu18.04")...)
-			rows := eval.OverheadTableFarm(ctx, cases, []baseline.Rewriter{eval.SURI(), eval.Ddisasm(), eval.Egalito()}, pool)
+			rows := eval.OverheadTable(ctx, cases, []baseline.Rewriter{eval.SURI(), eval.Ddisasm(), eval.Egalito()}, pool)
 			interrupted()
 			fmt.Println(eval.FormatOverhead(rows))
 		})
@@ -123,7 +123,7 @@ func main() {
 	if run("431") || run("424") {
 		cases := corpus("ubuntu20.04")
 		span := col.Trace().Start("section431")
-		st, err := eval.MeasureInstrumentationFarm(ctx, cases, pool)
+		st, err := eval.MeasureInstrumentation(ctx, cases, pool)
 		span.End()
 		interrupted()
 		fail(err)

@@ -124,8 +124,8 @@ type slot struct {
 // Graph points into it. Build takes one from scratchPool, resets it on
 // take and returns it when it is done, so consecutive builds reuse its
 // storage instead of allocating and zeroing it afresh. Only blocks holds
-// pointers, and they are cleared on return, so an idle scratch pins no
-// Graph.
+// pointers into a Graph, and they are cleared on return, so an idle
+// scratch pins no Graph.
 type scratch struct {
 	// owner is the dense index of the text, one slot per byte, and
 	// blocks maps builder ids to blocks. The index is pointer-free, so
@@ -146,6 +146,14 @@ type scratch struct {
 	// tableVer records the graph version each dispatch block's table
 	// was last analyzed at (see builder.graphVersion).
 	tableVer map[uint64]uint64
+
+	// cand is the jump-table candidate that analyzeTable rebuilds in
+	// place on every analysis; its per-base entry and target slices are
+	// windows of entries and targets. Only a candidate that differs
+	// from the block's table is cloned into the Graph.
+	cand    JumpTable
+	entries []int32
+	targets []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -153,6 +161,10 @@ var scratchPool = sync.Pool{New: func() any {
 		entrySet:   make(map[uint64]bool),
 		knownBases: make(map[uint64]bool),
 		tableVer:   make(map[uint64]uint64),
+		cand: JumpTable{
+			Entries: make(map[uint64][]int32),
+			Targets: make(map[uint64][]uint64),
+		},
 	}
 }}
 

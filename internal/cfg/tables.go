@@ -151,13 +151,19 @@ func (b *builder) analyzeTable(blk *Block) (*JumpTable, error) {
 	// Step 2: for each site, collect every "lea B, [RIP+X]" definition
 	// reaching the load over superset paths. Over-approximated (bogus)
 	// edges can contribute extra bases; those are resolved dynamically by
-	// the symbolizer (§3.5.2).
-	t := &JumpTable{
+	// the symbolizer (§3.5.2). The candidate is built in the builder's
+	// scratch and cloned only if it differs from the block's table.
+	t := &b.cand
+	*t = JumpTable{
 		JmpAddr:  jmpAddr,
 		BlockAdr: blk.Addr,
-		Entries:  make(map[uint64][]int32),
-		Targets:  make(map[uint64][]uint64),
+		Bases:    t.Bases[:0],
+		Entries:  t.Entries,
+		Targets:  t.Targets,
 	}
+	clear(t.Entries)
+	clear(t.Targets)
+	b.entries, b.targets = b.entries[:0], b.targets[:0]
 	baseSeen := map[uint64]bool{}
 	for _, site := range sites {
 		t.BaseReg = site.base
@@ -204,7 +210,7 @@ func (b *builder) analyzeTable(blk *Block) (*JumpTable, error) {
 	case BoundsCmp:
 		n, ok := b.cmpBound(blk)
 		if ok {
-			return b.fixedCountTable(t, n)
+			return b.keepOrClone(blk, b.fixedCountTable(t, n)), nil
 		}
 		if b.opts.StrictTables {
 			return nil, fmt.Errorf("cfg: assertion: indirect jump at %#x has no bounds comparison", jmpAddr)
@@ -218,21 +224,42 @@ func (b *builder) analyzeTable(blk *Block) (*JumpTable, error) {
 	default:
 		lo, hi = b.g.FuncBounds(jmpAddr)
 	}
-	var validBases []uint64
+	valid := t.Bases[:0]
 	for _, base := range t.Bases {
 		entries, targets := b.readTable(base, lo, hi)
 		if len(entries) == 0 {
 			continue
 		}
-		validBases = append(validBases, base)
+		valid = append(valid, base)
 		t.Entries[base] = entries
 		t.Targets[base] = targets
 	}
-	t.Bases = validBases
+	t.Bases = valid
+	return b.keepOrClone(blk, t), nil
+}
+
+// keepOrClone turns the scratch candidate t into the block's table: nil
+// when no base survived, the block's current table when t matches it
+// (same jmp, load and base register, bases and entry counts; the entries
+// themselves are then the same bytes of the same sections), and a Graph
+// copy of t otherwise.
+func (b *builder) keepOrClone(blk *Block, t *JumpTable) *JumpTable {
 	if len(t.Bases) == 0 {
-		return nil, nil
+		return nil
 	}
-	return t, nil
+	if old := blk.Table; tablesEqual(old, t) && old.BlockAdr == t.BlockAdr &&
+		old.LoadAddr == t.LoadAddr && old.BaseReg == t.BaseReg {
+		return old
+	}
+	c := *t
+	c.Bases = slices.Clone(t.Bases)
+	c.Entries = make(map[uint64][]int32, len(t.Bases))
+	c.Targets = make(map[uint64][]uint64, len(t.Bases))
+	for _, base := range t.Bases {
+		c.Entries[base] = slices.Clone(t.Entries[base])
+		c.Targets[base] = slices.Clone(t.Targets[base])
+	}
+	return &c
 }
 
 // cmpBound scans backward in the dispatch block for "cmp r, imm"
@@ -265,16 +292,16 @@ func (b *builder) cmpBound(blk *Block) (int, bool) {
 }
 
 // fixedCountTable reads exactly n entries per candidate base without
-// validity checks (the metadata-trusting policy).
-func (b *builder) fixedCountTable(t *JumpTable, n int) (*JumpTable, error) {
-	var validBases []uint64
+// validity checks (the metadata-trusting policy), filling the scratch
+// candidate t.
+func (b *builder) fixedCountTable(t *JumpTable, n int) *JumpTable {
+	valid := t.Bases[:0]
 	for _, base := range t.Bases {
 		sec := b.dataSectionAt(base)
 		if sec == nil {
 			continue
 		}
-		var entries []int32
-		var targets []uint64
+		e0 := len(b.entries)
 		off := base - sec.Addr
 		for k := 0; k < n; k++ {
 			o := off + uint64(4*k)
@@ -287,33 +314,30 @@ func (b *builder) fixedCountTable(t *JumpTable, n int) (*JumpTable, error) {
 			if tgt < b.g.TextStart || tgt >= b.g.TextEnd {
 				break
 			}
-			entries = append(entries, e)
-			targets = append(targets, tgt)
+			b.entries = append(b.entries, e)
+			b.targets = append(b.targets, tgt)
 		}
-		if len(entries) == 0 {
+		if len(b.entries) == e0 {
 			continue
 		}
-		validBases = append(validBases, base)
-		t.Entries[base] = entries
-		t.Targets[base] = targets
+		valid = append(valid, base)
+		t.Entries[base] = b.entries[e0:]
+		t.Targets[base] = b.targets[e0:]
 	}
-	t.Bases = validBases
-	if len(t.Bases) == 0 {
-		return nil, nil
-	}
-	return t, nil
+	t.Bases = valid
+	return t
 }
 
 // readTable reads 4-byte entries at base while each resolves to a code
 // address inside the current function bounds — the over-approximation of
-// §3.2.2 (the table may absorb adjacent data, as in Figure 3).
+// §3.2.2 (the table may absorb adjacent data, as in Figure 3). The
+// entries and targets it returns are windows of the builder's scratch.
 func (b *builder) readTable(base, fstart, fend uint64) ([]int32, []uint64) {
 	sec := b.dataSectionAt(base)
 	if sec == nil {
 		return nil, nil
 	}
-	var entries []int32
-	var targets []uint64
+	e0 := len(b.entries)
 	off := base - sec.Addr
 	for k := 0; k < b.opts.MaxTableEntries; k++ {
 		if b.useBarriers && k > 0 && b.knownBases[base+uint64(4*k)] {
@@ -337,10 +361,10 @@ func (b *builder) readTable(base, fstart, fend uint64) ([]int32, []uint64) {
 				break
 			}
 		}
-		entries = append(entries, e)
-		targets = append(targets, tgt)
+		b.entries = append(b.entries, e)
+		b.targets = append(b.targets, tgt)
 	}
-	return entries, targets
+	return b.entries[e0:], b.targets[e0:]
 }
 
 // dataSectionAt returns the non-executable alloc progbits section holding
@@ -387,8 +411,10 @@ func (b *builder) walkBack(blk *Block, idx, maxDepth int, visit func(in x86.Inst
 	visited := map[visitKey]bool{}
 
 	for len(stack) > 0 {
-		fr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+		// The visitor updates the top frame's state in place; the frame
+		// is popped only after its walk, when its fields are copied out
+		// before any push can overwrite the slot.
+		fr := &stack[len(stack)-1]
 		// at walks back from the end of instruction fr.idx.
 		at := fr.blk.Addr
 		for _, s := range fr.blk.Sizes[:fr.idx+1] {
@@ -402,15 +428,17 @@ func (b *builder) walkBack(blk *Block, idx, maxDepth int, visit func(in x86.Inst
 				break
 			}
 		}
-		if !alive || fr.depth >= maxDepth {
+		blk, depth, st := fr.blk, fr.depth, fr.st
+		stack = stack[:len(stack)-1]
+		if !alive || depth >= maxDepth {
 			continue
 		}
-		for _, p := range b.g.Preds(fr.blk.Addr) {
+		for _, p := range b.g.Preds(blk.Addr) {
 			pb := b.g.Blocks[p]
 			if pb == nil || len(pb.Insts) == 0 {
 				continue
 			}
-			key := visitKey{addr: p, stage: fr.st.stage}
+			key := visitKey{addr: p, stage: st.stage}
 			if visited[key] {
 				continue
 			}
@@ -419,7 +447,7 @@ func (b *builder) walkBack(blk *Block, idx, maxDepth int, visit func(in x86.Inst
 			// Skip the terminator itself when it is the branch leading
 			// here; it does not write registers we track except via the
 			// generic writesReg check, so including it is also fine.
-			stack = append(stack, frame{blk: pb, idx: start, depth: fr.depth + 1, st: fr.st})
+			stack = append(stack, frame{blk: pb, idx: start, depth: depth + 1, st: st})
 		}
 	}
 }

@@ -9,23 +9,25 @@ import (
 )
 
 // Allocation ceilings for one rewrite of allocsFixture, about 1.2x the
-// larger measured figures (go1.24, linux/amd64): 567 mallocs and
-// 0.58-0.63 MB per rewrite, 579 and up to 0.72 MB under -race, where
+// larger measured figures (go1.24, linux/amd64): 503 mallocs and
+// 0.57-0.60 MB per rewrite, 516 and up to 0.70 MB under -race, where
 // sync.Pool drops a quarter of the buffers put back, so the stages'
-// pooled scratch is allocated afresh more often. Before the CFG owner
-// index, the assembler's per-item tables and the S' item list were
-// reused across rewrites, and block labels stopped costing one string
-// each, the same rewrite took 1143 mallocs and 0.83 MB; before operands
-// became values and labels integer IDs (a pointer-free S'), 2573
-// mallocs and 0.97 MB; before the CFG builder indexed the text densely
-// and placed instructions in an arena, and S' shrank to 120-byte
-// entries, 2790 mallocs and 1.16 MB; before the emitter assembled S'
-// in place, 1.64 MB; before the stages sized their streams once, about
-// 7750 mallocs and 5.9 MB.
+// pooled scratch is allocated afresh more often. Before jump-table
+// re-analysis kept an unchanged table and built its candidate in the
+// CFG builder's scratch, the same rewrite took 567 mallocs; before the
+// CFG owner index, the assembler's per-item tables and the S' item list
+// were reused across rewrites, and block labels stopped costing one
+// string each, 1143 mallocs and 0.83 MB; before operands became values
+// and labels integer IDs (a pointer-free S'), 2573 mallocs and 0.97 MB;
+// before the CFG builder indexed the text densely and placed
+// instructions in an arena, and S' shrank to 120-byte entries, 2790
+// mallocs and 1.16 MB; before the emitter assembled S' in place,
+// 1.64 MB; before the stages sized their streams once, about 7750
+// mallocs and 5.9 MB.
 const (
-	maxRewriteMallocs   = 700
-	maxRewriteBytes     = 750_000
-	maxRewriteBytesRace = 860_000
+	maxRewriteMallocs   = 620
+	maxRewriteBytes     = 720_000
+	maxRewriteBytesRace = 840_000
 )
 
 // allocsFixture is a fixed medium program: six functions, two switches

@@ -41,13 +41,6 @@ type ValidateOptions struct {
 	// one differential execution per stream. Empty means a single run
 	// with no input.
 	Inputs [][]byte
-
-	// Engine selects the differential executions' emulator engine:
-	// EngineTiered (the default) runs the tiered superblock engine,
-	// which is parity-tested bit-identical to the interpreter;
-	// EngineInterpreter forces the interpreter (the engine A/B
-	// baseline).
-	Engine emu.EngineKind
 }
 
 // ValidatedResult is the outcome of a guarded rewrite.
@@ -97,7 +90,7 @@ func RewriteValidated(bin []byte, opts ValidateOptions) (*ValidatedResult, error
 	// One validator for both attempts: the original binary's parsed
 	// file, emulator machine, predecoded pages and completed runs carry
 	// over across the retry and across every input.
-	v := &validator{inputs: inputs, engine: opts.Engine, cancel: opts.Cancel, quit: make(chan struct{})}
+	v := &validator{inputs: inputs, cancel: opts.Cancel, quit: make(chan struct{})}
 	// Surface what the tiered engine did across every differential run —
 	// both attempts, both binaries — on the request's metric registry
 	// (-stats-json, /metrics, surimon). Deferred first, so it runs after
@@ -173,7 +166,6 @@ func canceled(ch <-chan struct{}) bool {
 // otherwise after the last input.
 type validator struct {
 	inputs [][]byte
-	engine emu.EngineKind
 	cancel <-chan struct{}
 	quit   chan struct{}
 
@@ -256,7 +248,7 @@ func (v *validator) runOriginals(from int, steps uint64, results chan<- origRun)
 			return
 		default:
 		}
-		res, err := runOn(&v.origM, v.origF, emu.Options{Input: in, MaxSteps: steps, Engine: v.engine})
+		res, err := runOn(&v.origM, v.origF, emu.Options{Input: in, MaxSteps: steps})
 		results <- origRun{res: res, err: err}
 		if err != nil {
 			return
@@ -342,7 +334,7 @@ func (v *validator) validate(rewritten []byte, emuSteps uint64) error {
 		// Bound the rewritten run by a generous multiple of the
 		// original's work: a mis-symbolized binary can loop forever, and
 		// this turns that into a quick typed failure.
-		b, err := runOn(&rewrittenM, rf, emu.Options{Input: in, MaxSteps: a.Steps*10 + 1_000_000, Engine: v.engine})
+		b, err := runOn(&rewrittenM, rf, emu.Options{Input: in, MaxSteps: a.Steps*10 + 1_000_000})
 		if err != nil {
 			return fmt.Errorf("suri: validate: rewritten binary: %w", err)
 		}

@@ -205,7 +205,7 @@ func TestStepLimit(t *testing.T) {
 	}
 }
 
-// TestParseEngine pins the -engine / ?engine= spellings: auto and the
+// TestParseEngine pins the surirun -engine spellings: auto and the
 // empty string still name the default, now always the tiered engine.
 func TestParseEngine(t *testing.T) {
 	for s, want := range map[string]EngineKind{

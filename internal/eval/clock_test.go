@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestFakeClockDeterministicTiming(t *testing.T) {
 	SetClock(&obs.FakeClock{Step: stepNs})
 	defer SetClock(nil)
 
-	st := RunTool(SURI(), cases)
+	st := RunTool(context.Background(), SURI(), cases, nil, nil)
 	// Each case reads the clock twice (start, stop) one step apart; the
 	// column accumulates in float64, so allow rounding slop.
 	want := float64(len(cases)) * stepNs / 1e9
@@ -30,7 +31,7 @@ func TestFakeClockDeterministicTiming(t *testing.T) {
 	}
 
 	SetClock(&obs.FakeClock{Step: stepNs})
-	st2 := RunTool(SURI(), cases)
+	st2 := RunTool(context.Background(), SURI(), cases, nil, nil)
 	if st2.TimeSec != st.TimeSec {
 		t.Errorf("timing not reproducible: %v vs %v", st.TimeSec, st2.TimeSec)
 	}
@@ -51,15 +52,15 @@ func TestSetClockNilRestoresSystemClock(t *testing.T) {
 	}
 }
 
-// TestRunToolObsMetrics: the per-tool counters and histogram must agree
-// with the returned ToolStats.
+// TestRunToolObsMetrics: with a collector, RunTool's per-tool counters
+// and histogram must agree with the returned ToolStats.
 func TestRunToolObsMetrics(t *testing.T) {
 	cases := smallCorpus(t, "intel", 4)
 	SetClock(&obs.FakeClock{Step: 1000})
 	defer SetClock(nil)
 
 	col := obs.NewWithClock(&obs.FakeClock{Step: 1})
-	st := RunToolObs(SURI(), cases, col)
+	st := RunTool(context.Background(), SURI(), cases, col, nil)
 
 	snap := col.Metrics().Snapshot()
 	counters := map[string]int64{}

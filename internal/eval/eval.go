@@ -112,24 +112,9 @@ func (t ToolStats) Pass() float64 {
 	return 100 * float64(t.TestsPassed) / float64(t.Tests)
 }
 
-// RunTool evaluates one rewriter over the cases (the §4.1.2 methodology:
-// the rewritten binary must reproduce the original's stdout and exit code
-// on every test input).
-func RunTool(tool baseline.Rewriter, cases []Case) ToolStats {
-	return RunToolFarm(context.Background(), tool, cases, nil, nil)
-}
-
-// RunToolObs is RunTool with observability: it records a span for the
-// tool's pass over the cases and feeds per-tool counters and a
-// rewrite-time histogram into the registry. A nil collector reduces to
-// plain RunTool at zero cost.
-func RunToolObs(tool baseline.Rewriter, cases []Case, col *obs.Collector) ToolStats {
-	return RunToolFarm(context.Background(), tool, cases, col, nil)
-}
-
 // caseOut is the result of evaluating one case: rewrite timing and
-// per-test verdicts, computed identically by the sequential and the
-// farm-parallel paths so both fold into bit-identical ToolStats.
+// per-test verdicts, computed identically at any worker count so the
+// fold into ToolStats is bit-identical.
 type caseOut struct {
 	elapsed int64 // rewrite time, ns
 	failed  bool  // the rewrite itself errored
@@ -156,34 +141,32 @@ func runCase(tool baseline.Rewriter, c Case) caseOut {
 	return o
 }
 
-// RunToolFarm is RunToolObs with the per-case work (rewrite + emulated
-// test runs) fanned out over a farm pool. Per-case results are folded
-// in job-index order — never completion order — so every ToolStats
-// field, including the float TimeSec sum, is bit-identical to a
-// sequential run of the same cases under the same clock. A nil pool
-// runs sequentially; canceling ctx skips the not-yet-started cases
-// (each is then accounted as an incomplete rewrite).
-func RunToolFarm(ctx context.Context, tool baseline.Rewriter, cases []Case, col *obs.Collector, pool *farm.Pool) ToolStats {
+// RunTool evaluates one rewriter over the cases (the §4.1.2
+// methodology: the rewritten binary must reproduce the original's
+// stdout and exit code on every test input). It records a span for the
+// tool's pass over the cases and feeds per-tool counters and a
+// rewrite-time histogram into col (nil disables collection). The
+// per-case work (rewrite + emulated test runs) fans out over pool (nil
+// runs it inline). Per-case results are folded in case order — never
+// completion order — so every ToolStats field, including the float
+// TimeSec sum, is bit-identical at any worker count under the same
+// clock. Canceling ctx skips the not-yet-started cases (each is then
+// accounted as an incomplete rewrite).
+func RunTool(ctx context.Context, tool baseline.Rewriter, cases []Case, col *obs.Collector, pool *farm.Pool) ToolStats {
 	span := col.Trace().Start("run:" + tool.Name())
+	vals, errs := pool.Map(ctx, "eval:"+tool.Name(), len(cases), func(i int) farm.Task {
+		c := cases[i]
+		return func(context.Context) (any, error) { return runCase(tool, c), nil }
+	})
 	outs := make([]caseOut, len(cases))
-	if pool == nil {
-		for i, c := range cases {
-			outs[i] = runCase(tool, c)
+	for i := range outs {
+		if errs[i] != nil {
+			// Pool-level failure (cancel, panic): account the case as an
+			// incomplete rewrite, like a tool error.
+			outs[i] = caseOut{failed: true}
+			continue
 		}
-	} else {
-		vals, errs := pool.Map(ctx, "eval:"+tool.Name(), len(cases), func(i int) farm.Task {
-			c := cases[i]
-			return func(context.Context) (any, error) { return runCase(tool, c), nil }
-		})
-		for i := range outs {
-			if errs[i] != nil {
-				// Pool-level failure (cancel, panic): account the case
-				// as an incomplete rewrite, like a tool error.
-				outs[i] = caseOut{failed: true}
-				continue
-			}
-			outs[i] = vals[i].(caseOut)
-		}
+		outs[i] = vals[i].(caseOut)
 	}
 	st := ToolStats{SuitePass: true}
 	reg := col.Metrics()

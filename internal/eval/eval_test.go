@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func smallCorpus(t *testing.T, host string, everyNth int) []Case {
 // and pass everything; Ddisasm must complete less or pass less.
 func TestTable2Shape(t *testing.T) {
 	cases := smallCorpus(t, "ubuntu20.04", 4)
-	rows := ReliabilityTable(cases, Ddisasm(), false)
+	rows := ReliabilityTable(context.Background(), cases, Ddisasm(), false, nil, nil)
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -71,7 +72,7 @@ func TestTable2Shape(t *testing.T) {
 
 func TestTable3Shape(t *testing.T) {
 	cases := smallCorpus(t, "ubuntu18.04", 4)
-	rows := ReliabilityTable(cases, Egalito(), true)
+	rows := ReliabilityTable(context.Background(), cases, Egalito(), true, nil, nil)
 	out := FormatReliability("Table 3", "Egalito", rows)
 	t.Logf("\n%s", out)
 	for _, r := range rows {
@@ -92,7 +93,7 @@ func TestTable3Shape(t *testing.T) {
 
 func TestTable4Shape(t *testing.T) {
 	cases := smallCorpus(t, "ubuntu20.04", 5)
-	rows := OverheadTable(cases, []baseline.Rewriter{SURI(), Ddisasm()})
+	rows := OverheadTable(context.Background(), cases, []baseline.Rewriter{SURI(), Ddisasm()}, nil)
 	t.Logf("\n%s", FormatOverhead(rows))
 	suriSeen := false
 	for _, r := range rows {
@@ -110,7 +111,7 @@ func TestTable4Shape(t *testing.T) {
 
 func TestInstrumentationStats(t *testing.T) {
 	cases := smallCorpus(t, "ubuntu20.04", 8)
-	st, err := MeasureInstrumentation(cases)
+	st, err := MeasureInstrumentation(context.Background(), cases, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,12 +36,12 @@ func TestFarmReliabilityDeterminism(t *testing.T) {
 	}
 
 	seq := FormatReliability("Table 2", "ddisasm",
-		ReliabilityTableObs(cases, Ddisasm(), false, nil))
+		ReliabilityTable(context.Background(), cases, Ddisasm(), false, nil, nil))
 
 	for _, workers := range []int{2, 8} {
 		pool := farm.New(farm.Config{Workers: workers, Obs: obs.New()})
 		par := FormatReliability("Table 2", "ddisasm",
-			ReliabilityTableFarm(context.Background(), cases, Ddisasm(), false, nil, pool))
+			ReliabilityTable(context.Background(), cases, Ddisasm(), false, nil, pool))
 		pool.Close()
 		if par != seq {
 			t.Fatalf("-j %d table text differs from sequential run:\n--- sequential ---\n%s--- parallel ---\n%s",
@@ -61,10 +61,10 @@ func TestFarmOverheadDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	tools := []baseline.Rewriter{SURI()}
-	seq := FormatOverhead(OverheadTable(cases, tools))
+	seq := FormatOverhead(OverheadTable(context.Background(), cases, tools, nil))
 	pool := farm.New(farm.Config{Workers: 8, Obs: obs.New()})
 	defer pool.Close()
-	par := FormatOverhead(OverheadTableFarm(context.Background(), cases, tools, pool))
+	par := FormatOverhead(OverheadTable(context.Background(), cases, tools, pool))
 	if par != seq {
 		t.Fatalf("parallel overhead table differs:\n--- sequential ---\n%s--- parallel ---\n%s", seq, par)
 	}

@@ -28,22 +28,12 @@ type Row struct {
 
 // ReliabilityTable runs SURI against one comparison tool (Table 2 with
 // Ddisasm, Table 3 with Egalito) over a pre-built corpus, grouped by
-// suite and compiler family.
-func ReliabilityTable(cases []Case, other baseline.Rewriter, excludeCPP bool) []Row {
-	return ReliabilityTableObs(cases, other, excludeCPP, nil)
-}
-
-// ReliabilityTableObs is ReliabilityTable with observability: per-tool
-// spans and counters are recorded into col (nil disables collection).
-func ReliabilityTableObs(cases []Case, other baseline.Rewriter, excludeCPP bool, col *obs.Collector) []Row {
-	return ReliabilityTableFarm(context.Background(), cases, other, excludeCPP, col, nil)
-}
-
-// ReliabilityTableFarm is ReliabilityTableObs with the per-case work of
-// each table cell fanned out over a farm pool (nil pool = sequential).
-// Grouping, ordering, and folding are identical to the sequential path,
-// so the rendered table text is byte-identical at any worker count.
-func ReliabilityTableFarm(ctx context.Context, cases []Case, other baseline.Rewriter, excludeCPP bool, col *obs.Collector, pool *farm.Pool) []Row {
+// suite and compiler family. Per-tool spans and counters go to col
+// (nil disables collection), and each table cell's per-case work fans
+// out over pool (nil runs it inline); grouping, ordering and folding do
+// not depend on the pool, so the rendered table text is byte-identical
+// at any worker count.
+func ReliabilityTable(ctx context.Context, cases []Case, other baseline.Rewriter, excludeCPP bool, col *obs.Collector, pool *farm.Pool) []Row {
 	if excludeCPP {
 		cases = Filter(cases, func(c Case) bool { return !c.Prog.CPP })
 	}
@@ -75,8 +65,8 @@ func ReliabilityTableFarm(ctx context.Context, cases []Case, other baseline.Rewr
 		rows = append(rows, Row{
 			Suite:    k.suite,
 			Compiler: comp,
-			SURI:     RunToolFarm(ctx, SURI(), groups[k], col, pool),
-			Other:    RunToolFarm(ctx, other, groups[k], col, pool),
+			SURI:     RunTool(ctx, SURI(), groups[k], col, pool),
+			Other:    RunTool(ctx, other, groups[k], col, pool),
 		})
 	}
 	return rows
@@ -132,27 +122,21 @@ type OverheadRow struct {
 	Binaries int
 }
 
-// OverheadTable measures rewritten-binary overhead for each tool on the
-// -O3 cases each tool can rewrite (§4.3.2 filters to binaries all tools
-// handled; we report per-tool means over its own successes plus the
-// common-success mean).
-func OverheadTable(cases []Case, tools []baseline.Rewriter) []OverheadRow {
-	return OverheadTableFarm(context.Background(), cases, tools, nil)
-}
-
-// overheadOut is one case's Table 4 contribution (farm-parallel path).
+// overheadOut is one case's Table 4 contribution.
 type overheadOut struct {
 	suite string
 	ratio float64
 	ok    bool
 }
 
-// OverheadTableFarm is OverheadTable with the per-case rewrite+measure
-// work fanned out over a farm pool (nil pool = sequential). Ratios are
-// emulator instruction counts — fully deterministic — and the per-suite
-// means are folded in case order, so the rows are identical at any
-// worker count.
-func OverheadTableFarm(ctx context.Context, cases []Case, tools []baseline.Rewriter, pool *farm.Pool) []OverheadRow {
+// OverheadTable measures rewritten-binary overhead for each tool on the
+// -O3 cases each tool can rewrite (§4.3.2 filters to binaries all tools
+// handled; we report per-tool means over its own successes plus the
+// common-success mean). The per-case rewrite+measure work fans out over
+// pool (nil runs it inline). Ratios are emulator instruction counts —
+// fully deterministic — and the per-suite means are folded in case
+// order, so the rows are identical at any worker count.
+func OverheadTable(ctx context.Context, cases []Case, tools []baseline.Rewriter, pool *farm.Pool) []OverheadRow {
 	o3 := Filter(cases, func(c Case) bool { return c.Config.Opt == cc.O3 })
 	measure := func(tool baseline.Rewriter, c Case) overheadOut {
 		res, err := tool.Rewrite(c.Bin)
@@ -164,25 +148,16 @@ func OverheadTableFarm(ctx context.Context, cases []Case, tools []baseline.Rewri
 	}
 	var rows []OverheadRow
 	for _, tool := range tools {
-		outs := make([]overheadOut, len(o3))
-		if pool == nil {
-			for i, c := range o3 {
-				outs[i] = measure(tool, c)
-			}
-		} else {
-			vals, errs := pool.Map(ctx, "table4:"+tool.Name(), len(o3), func(i int) farm.Task {
-				c := o3[i]
-				return func(context.Context) (any, error) { return measure(tool, c), nil }
-			})
-			for i := range outs {
-				if errs[i] == nil {
-					outs[i] = vals[i].(overheadOut)
-				}
-			}
-		}
+		vals, errs := pool.Map(ctx, "table4:"+tool.Name(), len(o3), func(i int) farm.Task {
+			c := o3[i]
+			return func(context.Context) (any, error) { return measure(tool, c), nil }
+		})
 		perSuite := map[string][]float64{}
-		for _, o := range outs {
-			if o.ok {
+		for i, v := range vals {
+			if errs[i] != nil {
+				continue
+			}
+			if o := v.(overheadOut); o.ok {
 				perSuite[o.suite] = append(perSuite[o.suite], o.ratio)
 			}
 		}
@@ -248,43 +223,26 @@ type InstrumentationStats struct {
 }
 
 // MeasureInstrumentation runs SURI over the cases and aggregates its
-// pipeline statistics.
-func MeasureInstrumentation(cases []Case) (InstrumentationStats, error) {
-	return MeasureInstrumentationFarm(context.Background(), cases, nil)
-}
-
-// MeasureInstrumentationFarm is MeasureInstrumentation with the
-// per-case rewrites fanned out over a farm pool (nil pool =
-// sequential). The census sums are integers folded in case order, and
-// on failure the lowest-index error is reported — matching the
-// sequential path's first-error behaviour.
-func MeasureInstrumentationFarm(ctx context.Context, cases []Case, pool *farm.Pool) (InstrumentationStats, error) {
-	stats := make([]core.Stats, len(cases))
-	if pool == nil {
-		for i, c := range cases {
+// pipeline statistics. The per-case rewrites fan out over pool (nil
+// runs them inline). The census sums are integers folded in case
+// order, and on failure the lowest-index error is reported.
+func MeasureInstrumentation(ctx context.Context, cases []Case, pool *farm.Pool) (InstrumentationStats, error) {
+	vals, errs := pool.Map(ctx, "census", len(cases), func(i int) farm.Task {
+		c := cases[i]
+		return func(context.Context) (any, error) {
 			res, err := core.Rewrite(c.Bin, core.Options{})
 			if err != nil {
-				return InstrumentationStats{}, err
+				return nil, err
 			}
-			stats[i] = res.Stats
+			return res.Stats, nil
 		}
-	} else {
-		vals, errs := pool.Map(ctx, "census", len(cases), func(i int) farm.Task {
-			c := cases[i]
-			return func(context.Context) (any, error) {
-				res, err := core.Rewrite(c.Bin, core.Options{})
-				if err != nil {
-					return nil, err
-				}
-				return res.Stats, nil
-			}
-		})
-		for i := range cases {
-			if errs[i] != nil {
-				return InstrumentationStats{}, errs[i]
-			}
-			stats[i] = vals[i].(core.Stats)
+	})
+	stats := make([]core.Stats, len(cases))
+	for i := range cases {
+		if errs[i] != nil {
+			return InstrumentationStats{}, errs[i]
 		}
+		stats[i] = vals[i].(core.Stats)
 	}
 	var added, copied, multi, tables, entries, trueEntries, ptrs int
 	n := 0

@@ -1,19 +1,18 @@
-// Package farm is the concurrent rewrite farm: a bounded work-stealing
-// worker pool that runs SURI pipeline jobs with per-job deadlines,
-// panic isolation, bounded retry with backoff for transient failures,
-// and queue backpressure — fronted by a content-addressed artifact
-// cache (cache.go) and an HTTP batch service (server.go, cmd/surid).
+// Package farm is the concurrent rewrite farm: a bounded FIFO worker
+// pool that runs SURI pipeline jobs with panic isolation and queue
+// backpressure — fronted by a content-addressed artifact cache
+// (cache.go) and an HTTP batch service (server.go, cmd/surid).
 //
 // The pipeline is embarrassingly parallel across binaries: every stage
 // of Figure 4 reads only its own input image. The farm exploits that
-// with one queue per worker plus stealing, so a corpus run scales with
-// GOMAXPROCS while results are still collected in submission order
+// with one shared queue drained by every worker, so a corpus run scales
+// with GOMAXPROCS while results are still collected in submission order
 // (Map), keeping evaluation-table output byte-identical to a
 // sequential run.
 //
 // Every job carries an obs span (a detached child of the pool's
 // lifetime span, safe under concurrency) and increments the farm.*
-// counters, so the PR-1 tracing layer covers the farm end to end.
+// counters, so the tracing layer covers the farm end to end.
 package farm
 
 import (
@@ -23,7 +22,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -32,15 +30,14 @@ import (
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("farm: pool is closed")
 
-// Task is one unit of farm work. The context carries the submitter's
-// cancellation plus the pool's per-job deadline; deadlines are
-// cooperative — a task that never reads ctx runs to completion, and
-// the pool reports the result it returns.
+// Task is one unit of farm work. The context is the submitter's, so
+// its cancellation and deadline reach the task; they are cooperative —
+// a task that never reads ctx runs to completion, and the pool reports
+// the result it returns.
 type Task func(ctx context.Context) (any, error)
 
 // Config configures a Pool. The zero value is usable: GOMAXPROCS
-// workers, a 4×workers-deep queue, no deadline, no retries, no cache,
-// no observability.
+// workers, a 4×workers-deep queue, no cache, no observability.
 type Config struct {
 	// Workers is the number of worker goroutines (default GOMAXPROCS).
 	Workers int
@@ -49,19 +46,6 @@ type Config struct {
 	// Submit blocks (backpressure) while the queue is full. Default
 	// 4×Workers.
 	QueueDepth int
-
-	// JobTimeout is the per-job deadline handed to the task's context
-	// (0 = none). Cooperative: CPU-bound tasks that ignore ctx are not
-	// preempted.
-	JobTimeout time.Duration
-
-	// Retries is how many times a job reporting a Transient error is
-	// re-run (in place, with Backoff doubling per attempt).
-	Retries int
-
-	// Backoff is the first retry delay (default 1ms); it doubles on
-	// each subsequent retry and the wait honors job cancellation.
-	Backoff time.Duration
 
 	// Cache, if set, serves Pool.Rewrite from content-addressed
 	// artifacts before any job is queued.
@@ -103,23 +87,20 @@ func (f *Future) complete(val any, err error) {
 	close(f.done)
 }
 
-// Pool is a bounded work-stealing worker pool. Each worker owns a FIFO
-// queue; Submit distributes round-robin, and an idle worker steals from
-// the tail of a sibling's queue, so one slow binary cannot strand work
-// behind it. All queues share one lock — contention is negligible next
-// to the cost of a rewrite job.
+// Pool is a bounded FIFO worker pool: one queue of QueueDepth jobs,
+// drained in submission order by Workers goroutines, so no job
+// overtakes an older one and a slow job holds up only its own worker.
 type Pool struct {
 	cfg Config
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queues [][]*job
-	closed bool
-
-	closedCh chan struct{}
-	sem      chan struct{} // queue-depth backpressure
-	rr       atomic.Uint64 // round-robin submit counter
-	wg       sync.WaitGroup
+	// queue is closed by Close under mu's write lock, after closedCh;
+	// Submit sends only under the read lock and after seeing closedCh
+	// open, so it never sends on a closed queue.
+	queue     chan job
+	mu        sync.RWMutex
+	closedCh  chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 
 	span  *obs.Span
 	reg   *obs.Registry
@@ -130,7 +111,7 @@ type Pool struct {
 // lists every farm series (and golden tests see a stable payload).
 var counterNames = []string{
 	"farm.jobs_submitted", "farm.jobs_completed", "farm.jobs_failed",
-	"farm.jobs_canceled", "farm.retries", "farm.timeouts", "farm.panics",
+	"farm.jobs_canceled", "farm.panics",
 	"farm.cache_hits", "farm.cache_misses", "farm.cache_disk_hits",
 	"farm.cache_write_errors", "farm.coalesced",
 	"farm.verdict_validated", "farm.verdict_degraded", "farm.verdict_fallback",
@@ -144,17 +125,12 @@ func New(cfg Config) *Pool {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4 * cfg.Workers
 	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = time.Millisecond
-	}
 	p := &Pool{
 		cfg:      cfg,
-		queues:   make([][]*job, cfg.Workers),
+		queue:    make(chan job, cfg.QueueDepth),
 		closedCh: make(chan struct{}),
-		sem:      make(chan struct{}, cfg.QueueDepth),
 		reg:      cfg.Obs.Metrics(),
 	}
-	p.cond = sync.NewCond(&p.mu)
 	for _, name := range counterNames {
 		p.reg.Counter(name)
 	}
@@ -172,9 +148,9 @@ func New(cfg Config) *Pool {
 // Submit enqueues a task. It blocks while the queue is at QueueDepth
 // (backpressure) until a slot frees, ctx is done, or the pool closes.
 // The returned Future resolves when the job finishes; the job itself
-// runs under ctx (plus the pool's JobTimeout), so canceling ctx skips
-// the job if it has not started yet. Do not Submit from inside a Task:
-// a full queue would deadlock the worker against itself.
+// runs under ctx, so canceling ctx (or its deadline passing) skips the
+// job if it has not started yet. Do not Submit from inside a Task: a
+// full queue would deadlock the worker against itself.
 func (p *Pool) Submit(ctx context.Context, label string, task Task) (*Future, error) {
 	if task == nil {
 		return nil, errors.New("farm: nil task")
@@ -182,25 +158,21 @@ func (p *Pool) Submit(ctx context.Context, label string, task Task) (*Future, er
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	select {
-	case p.sem <- struct{}{}:
+	case <-p.closedCh:
+		return nil, ErrClosed
+	default:
+	}
+	fut := &Future{done: make(chan struct{})}
+	select {
+	case p.queue <- job{ctx: ctx, label: label, task: task, fut: fut}:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-p.closedCh:
 		return nil, ErrClosed
 	}
-	fut := &Future{done: make(chan struct{})}
-	j := &job{ctx: ctx, label: label, task: task, fut: fut}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		<-p.sem
-		return nil, ErrClosed
-	}
-	w := int(p.rr.Add(1)-1) % len(p.queues)
-	p.queues[w] = append(p.queues[w], j)
-	p.mu.Unlock()
-	p.cond.Signal()
 	p.counter("farm.jobs_submitted").Inc()
 	return fut, nil
 }
@@ -219,43 +191,43 @@ func (p *Pool) Do(ctx context.Context, label string, task Task) (any, error) {
 // the determinism contract the evaluation tables rely on: folding
 // Map's output sequentially is bit-identical to running the tasks on
 // one goroutine. errs[i] is the pool- or task-level error for task i.
+// A nil pool runs the tasks inline, in index order, and once ctx is
+// done gives each remaining task ctx's error instead of running it.
 func (p *Pool) Map(ctx context.Context, label string, n int, gen func(i int) Task) ([]any, []error) {
-	futs := make([]*Future, n)
 	vals := make([]any, n)
 	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		fut, err := p.Submit(ctx, label, gen(i))
-		if err != nil {
-			errs[i] = err
-			continue
+	if p == nil {
+		for i := 0; i < n; i++ {
+			if errs[i] = ctx.Err(); errs[i] == nil {
+				vals[i], errs[i] = gen(i)(ctx)
+			}
 		}
-		futs[i] = fut
+		return vals, errs
+	}
+	futs := make([]*Future, n)
+	for i := 0; i < n; i++ {
+		futs[i], errs[i] = p.Submit(ctx, label, gen(i))
 	}
 	for i, fut := range futs {
-		if fut == nil {
-			continue
+		if fut != nil {
+			vals[i], errs[i] = fut.Wait(ctx)
 		}
-		vals[i], errs[i] = fut.Wait(ctx)
 	}
 	return vals, errs
 }
 
-// Close stops accepting jobs, drains the queues (already-queued jobs
-// still run, unless their own contexts are canceled), waits for every
+// Close stops accepting jobs, drains the queue (already-queued jobs
+// still run, unless their own contexts are done), waits for every
 // worker to exit, and closes the pool span. Safe to call twice.
 func (p *Pool) Close() {
-	p.mu.Lock()
-	already := p.closed
-	if !already {
-		p.closed = true
-		close(p.closedCh)
-	}
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	p.wg.Wait()
-	if !already {
+	p.closeOnce.Do(func() {
+		close(p.closedCh) // wakes Submits blocked on a full queue
+		p.mu.Lock()
+		close(p.queue)
+		p.mu.Unlock()
+		p.wg.Wait()
 		p.span.End()
-	}
+	})
 }
 
 // Workers returns the worker count.
@@ -271,52 +243,16 @@ func (p *Pool) counter(name string) *obs.Counter { return p.reg.Counter(name) }
 
 func (p *Pool) worker(i int) {
 	defer p.wg.Done()
-	for {
-		j, ok := p.take(i)
-		if !ok {
-			return
-		}
-		<-p.sem // the job left the queue: free one backpressure slot
+	for j := range p.queue {
 		p.run(i, j)
 	}
 }
 
-// take pops the next job: the worker's own queue first (FIFO), then a
-// steal scan over the siblings' queues, taking from the victim's tail
-// — the classic work-stealing discipline, which keeps the victim's
-// head (its oldest, next-to-run job) untouched. Blocks while idle;
-// returns false once the pool is closed and every queue is drained.
-func (p *Pool) take(i int) (*job, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if q := p.queues[i]; len(q) > 0 {
-			j := q[0]
-			q[0] = nil
-			p.queues[i] = q[1:]
-			return j, true
-		}
-		for k := 1; k < len(p.queues); k++ {
-			v := (i + k) % len(p.queues)
-			if q := p.queues[v]; len(q) > 0 {
-				j := q[len(q)-1]
-				q[len(q)-1] = nil
-				p.queues[v] = q[:len(q)-1]
-				return j, true
-			}
-		}
-		if p.closed {
-			return nil, false
-		}
-		p.cond.Wait()
-	}
-}
-
-// run executes one job with cancellation checks, bounded transient
-// retry, and outcome accounting. The per-job span hangs off the pool
-// span via the detached-child path, so concurrent jobs never corrupt
-// the trace's open-span stack.
-func (p *Pool) run(wi int, j *job) {
+// run executes one job with a cancellation check and outcome
+// accounting. The per-job span hangs off the pool span via the
+// detached-child path, so concurrent jobs never corrupt the trace's
+// open-span stack.
+func (p *Pool) run(wi int, j job) {
 	span := p.span.StartChild("job:" + j.label)
 	span.SetInt("worker", int64(wi))
 	defer span.End()
@@ -327,58 +263,32 @@ func (p *Pool) run(wi int, j *job) {
 		j.fut.complete(nil, err)
 		return
 	}
-
-	var val any
-	var err error
-	backoff := p.cfg.Backoff
-	for attempt := 0; ; attempt++ {
-		val, err = p.runOnce(j)
-		if err == nil || attempt >= p.cfg.Retries || !IsTransient(err) {
-			break
-		}
-		if err = Sleep(j.ctx, backoff); err != nil {
-			break
-		}
-		p.counter("farm.retries").Inc()
-		backoff *= 2
-	}
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded) && j.ctx.Err() == nil:
-			// The pool's own deadline fired, not the submitter's.
-			p.counter("farm.timeouts").Inc()
-			span.SetStr("outcome", "timeout")
-		case errors.Is(err, context.Canceled) && j.ctx.Err() != nil:
-			p.counter("farm.jobs_canceled").Inc()
-			span.SetStr("outcome", "canceled")
-		default:
-			p.counter("farm.jobs_failed").Inc()
-			span.SetStr("outcome", "failed")
-		}
-	} else {
+	val, err := p.runTask(j)
+	switch {
+	case err == nil:
 		p.counter("farm.jobs_completed").Inc()
 		span.SetStr("outcome", "ok")
+	case errors.Is(err, context.Canceled) && j.ctx.Err() != nil:
+		p.counter("farm.jobs_canceled").Inc()
+		span.SetStr("outcome", "canceled")
+	default:
+		p.counter("farm.jobs_failed").Inc()
+		span.SetStr("outcome", "failed")
 	}
 	j.fut.complete(val, err)
 }
 
-// runOnce executes the task once with the job deadline applied and any
-// panic converted to a *PanicError, so one crashing binary reports an
-// error instead of killing the whole farm.
-func (p *Pool) runOnce(j *job) (val any, err error) {
-	ctx := j.ctx
-	if p.cfg.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.cfg.JobTimeout)
-		defer cancel()
-	}
+// runTask executes the task with any panic converted to a *PanicError,
+// so one crashing binary reports an error instead of killing the whole
+// farm.
+func (p *Pool) runTask(j job) (val any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.counter("farm.panics").Inc()
 			err = &PanicError{Value: r, Stack: string(debug.Stack())}
 		}
 	}()
-	return j.task(ctx)
+	return j.task(j.ctx)
 }
 
 // Sleep waits d, or until ctx is done, and returns ctx's error then.
@@ -403,28 +313,3 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string { return fmt.Sprintf("farm: job panicked: %v", e.Value) }
-
-// transientError marks an error as retryable.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient marks err as retryable: the pool re-runs a job whose task
-// returns a transient error, up to Config.Retries times with
-// exponential backoff. Deterministic pipeline failures (a binary that
-// cannot be rewritten) should NOT be marked transient — retrying them
-// burns a worker for the same answer.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err (or anything it wraps) was marked
-// with Transient.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}

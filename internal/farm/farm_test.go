@@ -34,17 +34,60 @@ func TestMapOrdersByIndex(t *testing.T) {
 	}
 }
 
+// TestMapNilPool: a nil pool runs Map's tasks inline in index order,
+// and once ctx is done the remaining tasks get ctx's error without
+// running.
+func TestMapNilPool(t *testing.T) {
+	var p *farm.Pool
+	var order []int
+	vals, errs := p.Map(context.Background(), "inline", 5, func(i int) farm.Task {
+		return func(context.Context) (any, error) {
+			order = append(order, i)
+			return i * i, nil
+		}
+	})
+	for i := 0; i < 5; i++ {
+		if errs[i] != nil || vals[i].(int) != i*i || order[i] != i {
+			t.Fatalf("task %d: val %v err %v, run order %v", i, vals[i], errs[i], order)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran []int
+	vals, errs = p.Map(ctx, "inline", 5, func(i int) farm.Task {
+		return func(context.Context) (any, error) {
+			ran = append(ran, i)
+			if i == 1 {
+				cancel()
+			}
+			return i, nil
+		}
+	})
+	if len(ran) != 2 || ran[0] != 0 || ran[1] != 1 {
+		t.Fatalf("ran %v, want [0 1]", ran)
+	}
+	for i := 0; i < 5; i++ {
+		if i < 2 {
+			if errs[i] != nil || vals[i].(int) != i {
+				t.Fatalf("task %d: val %v err %v", i, vals[i], errs[i])
+			}
+		} else if !errors.Is(errs[i], context.Canceled) || vals[i] != nil {
+			t.Fatalf("task %d after cancel: val %v err %v, want Canceled", i, vals[i], errs[i])
+		}
+	}
+}
+
 // TestWorkStealing: one worker stuck on a slow job must not strand the
-// jobs queued behind it — siblings steal them.
+// jobs queued behind it — the other workers drain the shared queue.
 func TestWorkStealing(t *testing.T) {
 	p := farm.New(farm.Config{Workers: 4, QueueDepth: 64})
 	defer p.Close()
 	release := make(chan struct{})
 	var ran atomic.Int32
 	futs := make([]*farm.Future, 0, 16)
-	// The first job blocks; the rest are distributed round-robin, so a
-	// quarter of them land on the blocked worker's queue and can only
-	// finish if someone steals them.
+	// The first job blocks its worker; the rest wait in the one FIFO
+	// queue, and the three free workers must run all of them.
 	fut, err := p.Submit(context.Background(), "slow", func(context.Context) (any, error) {
 		<-release
 		return nil, nil
@@ -174,73 +217,6 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestTransientRetry: transient failures are retried with backoff up to
-// the bound; deterministic failures are not retried at all.
-func TestTransientRetry(t *testing.T) {
-	col := obs.New()
-	p := farm.New(farm.Config{Workers: 1, Retries: 3, Backoff: time.Microsecond, Obs: col})
-	defer p.Close()
-	var attempts atomic.Int32
-	v, err := p.Do(context.Background(), "flaky", func(context.Context) (any, error) {
-		if attempts.Add(1) < 3 {
-			return nil, farm.Transient(errors.New("blip"))
-		}
-		return "done", nil
-	})
-	if err != nil || v.(string) != "done" {
-		t.Fatalf("v=%v err=%v", v, err)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("attempts = %d, want 3", got)
-	}
-	if got := col.Metrics().Counter("farm.retries").Value(); got != 2 {
-		t.Fatalf("farm.retries = %d, want 2", got)
-	}
-
-	var hard atomic.Int32
-	_, err = p.Do(context.Background(), "hard", func(context.Context) (any, error) {
-		hard.Add(1)
-		return nil, errors.New("deterministic")
-	})
-	if err == nil || farm.IsTransient(err) {
-		t.Fatalf("err = %v", err)
-	}
-	if got := hard.Load(); got != 1 {
-		t.Fatalf("deterministic failure ran %d times, want 1", got)
-	}
-
-	// Retries exhausted: the transient error surfaces.
-	var always atomic.Int32
-	_, err = p.Do(context.Background(), "always", func(context.Context) (any, error) {
-		always.Add(1)
-		return nil, farm.Transient(errors.New("still down"))
-	})
-	if !farm.IsTransient(err) {
-		t.Fatalf("err = %v, want transient", err)
-	}
-	if got := always.Load(); got != 4 { // 1 + 3 retries
-		t.Fatalf("attempts = %d, want 4", got)
-	}
-}
-
-// TestJobTimeout: the per-job deadline reaches the task through its
-// context and the pool accounts the timeout.
-func TestJobTimeout(t *testing.T) {
-	col := obs.New()
-	p := farm.New(farm.Config{Workers: 1, JobTimeout: 5 * time.Millisecond, Obs: col})
-	defer p.Close()
-	_, err := p.Do(context.Background(), "sleepy", func(ctx context.Context) (any, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	if got := col.Metrics().Counter("farm.timeouts").Value(); got != 1 {
-		t.Fatalf("farm.timeouts = %d, want 1", got)
-	}
-}
-
 // TestCanceledJobSkipped: canceling the submit context before a queued
 // job starts makes the worker skip it instead of running it.
 func TestCanceledJobSkipped(t *testing.T) {
@@ -308,7 +284,7 @@ func TestCloseDrainsQueue(t *testing.T) {
 func TestNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {
-		p := farm.New(farm.Config{Workers: 8, QueueDepth: 4, JobTimeout: time.Millisecond})
+		p := farm.New(farm.Config{Workers: 8, QueueDepth: 4})
 		ctx, cancel := context.WithCancel(context.Background())
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {

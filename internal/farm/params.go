@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/emu"
 	"repro/internal/harden"
 	"repro/internal/instr"
 )
@@ -25,12 +24,6 @@ type Params struct {
 	// Validate requests a differentially-validated rewrite (?validate=1).
 	Validate bool
 
-	// Engine selects the validation emulator engine
-	// (?engine=auto|interpreter|tiered). The default, spelled auto or
-	// tiered, runs the tiered superblock engine; interpreter forces the
-	// interpreter. Only validated rewrites consult it.
-	Engine emu.EngineKind
-
 	// Trace requests the span tree in the response (?trace=1).
 	Trace bool
 
@@ -42,11 +35,12 @@ type Params struct {
 // ParseQuery decodes the /rewrite query grammar over the server
 // defaults. An unknown instrumentation pass comes back as a
 // *core.StageError naming the instrument stage (the 422 family); every
-// other failure is a plain client error (400).
+// other failure is a plain client error (400). Unknown keys are
+// ignored.
 //
 //	ignore-ehframe=1  allow-noncet=1  validate=1  trace=1
-//	engine=<auto|tiered|interpreter>  timeout=<duration>
-//	budget-insts=<n>  budget-steps=<n>  instrument=<pass,pass,...>
+//	timeout=<duration>  budget-insts=<n>  budget-steps=<n>
+//	instrument=<pass,pass,...>
 func ParseQuery(q url.Values, budget harden.Budget, maxTimeout time.Duration) (Params, error) {
 	p := Params{
 		Options: core.Options{
@@ -57,13 +51,6 @@ func ParseQuery(q url.Values, budget harden.Budget, maxTimeout time.Duration) (P
 		Validate: q.Get("validate") == "1",
 		Trace:    q.Get("trace") == "1",
 		Timeout:  maxTimeout,
-	}
-	if v := q.Get("engine"); v != "" {
-		eng, err := emu.ParseEngine(v)
-		if err != nil {
-			return Params{}, fmt.Errorf("farm: bad engine %q (want auto, interpreter, or tiered)", v)
-		}
-		p.Engine = eng
 	}
 	if v := q.Get("instrument"); v != "" {
 		passes, err := instr.ParseList(v)

@@ -98,9 +98,7 @@ type HealthResponse struct {
 //
 //	POST /rewrite       binary in -> RewriteResponse out
 //	                    query: ignore-ehframe=1, allow-noncet=1,
-//	                           validate=1, engine=<auto|tiered|interpreter>
-//	                           (auto and tiered name the default engine),
-//	                           trace=1, timeout=<duration>,
+//	                           validate=1, trace=1, timeout=<duration>,
 //	                           budget-insts=<n>, budget-steps=<n>,
 //	                           instrument=<pass,pass,...>
 //	GET  /healthz       structured liveness/readiness (503 once draining)
@@ -222,7 +220,7 @@ func (s *Server) serveRewrite(w http.ResponseWriter, r *http.Request, rc *obs.Co
 
 	var resp RewriteResponse
 	if params.Validate {
-		vres, err := s.pool.RewriteValidated(ctx, bin, core.ValidateOptions{Options: copts, Engine: params.Engine})
+		vres, err := s.pool.RewriteValidated(ctx, bin, core.ValidateOptions{Options: copts})
 		if err != nil {
 			return fail(rewriteStatus(r, err), err)
 		}

@@ -43,7 +43,7 @@ var goldenCounterNames = []string{
 	"farm.http_requests", "farm.jobs_canceled", "farm.jobs_completed",
 	"farm.jobs_failed", "farm.jobs_submitted", "farm.panics",
 	"farm.replica_rejected", "farm.replica_stores",
-	"farm.retries", "farm.timeouts", "farm.verdict_degraded",
+	"farm.verdict_degraded",
 	"farm.verdict_fallback", "farm.verdict_validated",
 }
 
@@ -525,6 +525,64 @@ func TestServerMaxInflight(t *testing.T) {
 	}
 	if _, err := blocker.Wait(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRequestTimeoutSkipsQueuedJob: ?timeout= is the farm's one
+// deadline. With the only worker wedged, a request whose deadline
+// passes while its job waits in the queue answers 422 with the
+// fallback verdict, and the worker later skips the job: it is counted
+// canceled and the pipeline never runs.
+func TestRequestTimeoutSkipsQueuedJob(t *testing.T) {
+	col := obs.New()
+	p, srv := newTestServer(t, farm.Config{Workers: 1, Obs: col}, farm.ServerOptions{})
+	gate := make(chan struct{})
+	blocker, err := p.Submit(context.Background(), "blocker", func(context.Context) (any, error) {
+		<-gate
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post(srv.URL+"/rewrite?timeout=20ms", "application/octet-stream",
+		bytes.NewReader(testBinary(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e farm.ErrorResponse
+	derr := json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || e.Verdict != "fallback" ||
+		!strings.Contains(e.Error, context.DeadlineExceeded.Error()) {
+		t.Fatalf("status %d, body %+v; want 422, fallback verdict, deadline exceeded", resp.StatusCode, e)
+	}
+
+	close(gate)
+	if _, err := blocker.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	reg := col.Metrics()
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Counter("farm.jobs_canceled").Value() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the timed-out job was never taken off the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The worker's one run finished the blocker; a pipeline started on a
+	// done context would have failed with the time budget instead.
+	if got := reg.Counter("farm.jobs_completed").Value(); got != 1 {
+		t.Fatalf("farm.jobs_completed = %d, want 1 (the blocker only)", got)
+	}
+	if got := reg.Counter("farm.jobs_failed").Value(); got != 0 {
+		t.Fatalf("farm.jobs_failed = %d, want 0", got)
+	}
+	if got := reg.Counter("suri.rewrites").Value(); got != 0 {
+		t.Fatalf("suri.rewrites = %d, want 0", got)
 	}
 }
 

@@ -34,6 +34,10 @@ go vet ./...
 go build ./...
 go test -race ./internal/obs/... ./internal/core/... ./internal/farm/... \
     ./internal/harden/... ./internal/elfx/... ./internal/instr/... ./cmd/surimon/...
+# Farm-queue determinism under the race detector: the Table 2 and
+# Table 4 loops run inline and over the shared FIFO queue at several
+# worker counts, and must print byte-identical text.
+go test -race -count=1 -run 'Farm' ./internal/eval/
 # Fleet e2e smoke under the race detector: the coordinator's hash ring,
 # coalescing, admission control, and membership against real in-process
 # workers — TestE2EKillWorkerMidBatch kills a worker mid-stream and

@@ -117,8 +117,8 @@ type StageError = core.StageError
 // Stage returns the pipeline stage recorded in err's chain, or "".
 func Stage(err error) string { return core.Stage(err) }
 
-// Pool is a bounded work-stealing worker pool for running many
-// rewrites concurrently; see NewPool.
+// Pool is a bounded FIFO worker pool for running many rewrites
+// concurrently; see NewPool.
 type Pool = farm.Pool
 
 // PoolConfig configures a Pool.
@@ -139,9 +139,9 @@ type RewriteResult = farm.RewriteResult
 //	defer pool.Close()
 //	res, err := pool.Rewrite(ctx, binary, suri.Options{})
 //
-// Jobs get per-job deadlines, panic isolation, bounded retry for
-// transient failures, and queue backpressure; cmd/surid serves this
-// same pool over HTTP.
+// Jobs run under the caller's context (a canceled or expired job that
+// has not started is skipped), with panic isolation and queue
+// backpressure; cmd/surid serves this same pool over HTTP.
 func NewPool(cfg PoolConfig) *Pool { return farm.New(cfg) }
 
 // NewCache returns an artifact cache holding maxEntries rewrites in
